@@ -586,7 +586,6 @@ class DemoBundle:
     u0: Callable[[SpatialGrid], Array]
     state_box: Tuple[Tuple[float, ...], Tuple[float, ...]]
     symmetrizer: Symmetrizer
-    expect_invalid: bool = False
     positive_states: bool = False
 
 
@@ -686,7 +685,6 @@ def demo(name: str, grid: SpatialGrid, amplitude: Optional[float] = None,
         u0=lambda g: _sine(g, amp, off),
         state_box=((-1.5,), (1.5,)),
         symmetrizer=Symmetrizer.identity(1, 1),
-        expect_invalid=True,
     )
 
 

@@ -8,6 +8,7 @@ between the two is evidence of the analytic limit rather than shared bias.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -39,42 +40,71 @@ def reference_csv(grid: SpatialGrid, u: Array) -> str:
 
 # ---------------------------------------------------------------------------
 # sparse difference operators
+#
+# A stencil is a list of (offset, weight) taps, (S u)[m] = sum w u[m + offset],
+# with offset a length-d integer vector on the periodic grid.
+
+Stencil = List[Tuple[Array, float]]
 
 
-def _axis_d1(n: int, h: float) -> sp.csr_matrix:
-    rows = np.arange(n)
-    data = np.concatenate([np.full(n, 1.0 / (2 * h)), np.full(n, -1.0 / (2 * h))])
-    cols = np.concatenate([(rows + 1) % n, (rows - 1) % n])
-    return sp.coo_matrix((data, (np.tile(rows, 2), cols)), shape=(n, n)).tocsr()
+def _differences(grid: SpatialGrid, axis: int) -> Tuple[Stencil, Stencil]:
+    """Central difference D1 and forward difference D+ along one axis."""
+    e, h = np.eye(grid.d, dtype=int)[axis], grid.h[axis]
+    return [(e, 1.0 / (2 * h)), (-e, -1.0 / (2 * h))], [(e, 1.0 / h), (0 * e, -1.0 / h)]
 
 
-def _axis_dplus(n: int, h: float) -> sp.csr_matrix:
-    rows = np.arange(n)
-    data = np.concatenate([np.full(n, 1.0 / h), np.full(n, -1.0 / h)])
-    cols = np.concatenate([(rows + 1) % n, rows])
-    return sp.coo_matrix((data, (np.tile(rows, 2), cols)), shape=(n, n)).tocsr()
+def _shifted(grid: SpatialGrid, offset: Array) -> Array:
+    """Flat index of cell m + offset for every flat cell m."""
+    cells = np.arange(grid.cell_count).reshape(grid.ns)
+    return np.roll(cells, tuple(-offset), axis=tuple(range(grid.d))).ravel()
 
 
-def _expand(grid: SpatialGrid, axis: int, op: sp.spmatrix) -> sp.csr_matrix:
-    mats = [sp.identity(n, format="csr") for n in grid.ns]
-    mats[axis] = op.tocsr()
-    out = mats[0]
-    for m in mats[1:]:
-        out = sp.kron(out, m, format="csr")
-    return out
+class _BlockOperator:
+    """k-component second-order operator with coefficient blocks B_ij^ab on cells.
 
+    Divergence placement is sum_ij d_i(B_ij d_j .): -D+_i^T diag(avg_i B_ii) D+_i
+    on the diagonal, D1_i diag(B_ij) D1_j across; non-divergence placement is
+    sum_ij diag(B_ij) d_i d_j.  Linear in B, so the CSC pattern is built once and
+    data = P @ B.ravel(); every block enters the pattern, zero or not.
+    """
 
-def _grid_d1(grid: SpatialGrid, axis: int) -> sp.csr_matrix:
-    return _expand(grid, axis, _axis_d1(grid.ns[axis], grid.h[axis]))
+    def __init__(self, grid: SpatialGrid, k: int, divergence: bool):
+        d, mcells, n = grid.d, grid.cell_count, k * grid.cell_count
+        ident: Stencil = [(np.zeros(d, dtype=int), 1.0)]
+        d1, dplus = zip(*(_differences(grid, i) for i in range(d)))
+        # the diagonal comes first, so I - dt * L always has it in its pattern
+        rows, cols, slots, weights = [np.arange(n)], [np.arange(n)], [], []
+        for slot, (i, j, a, b) in enumerate(np.ndindex(d, d, k, k)):
+            neg_dplus_t = [(-o, -w) for o, w in dplus[i]]
+            if divergence and i == j:
+                face_avg = [(o, 0.5) for o, _ in dplus[i]]  # (c[m] + c[m + e_i]) / 2
+                terms = (neg_dplus_t, face_avg, dplus[i])
+            elif divergence:
+                terms = (d1[i], ident, d1[j])
+            else:
+                left, right = (neg_dplus_t, dplus[i]) if i == j else (d1[i], d1[j])
+                terms = (ident, ident, [(o1 + o2, w1 * w2) for o1, w1 in left for o2, w2 in right])
+            # (L diag(K c) R u)[m] = sum w_l w_k w_r c[m + o_l + o_k] u[m + o_l + o_r]
+            for (ol, wl), (ok, wk), (o_r, wr) in itertools.product(*terms):
+                rows.append(a * mcells + np.arange(mcells))
+                cols.append(b * mcells + _shifted(grid, ol + o_r))
+                slots.append(slot * mcells + _shifted(grid, ol + ok))
+                weights.append(np.full(mcells, wl * wk * wr))
+        rows, cols = np.concatenate(rows), np.concatenate(cols)
+        pattern = sp.csc_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
+        pattern.sum_duplicates()  # sorted and duplicate-free
+        self.indices, self.indptr = pattern.indices, pattern.indptr
+        entry_keys = np.repeat(np.arange(n), np.diff(self.indptr)) * n + self.indices
+        where = np.searchsorted(entry_keys, cols * n + rows)  # position of each entry in data
+        self.diag = where[:n]
+        self.scatter = sp.csr_matrix((np.concatenate(weights), (where[n:], np.concatenate(slots))),
+                                     shape=(self.indices.size, d * d * k * k * mcells))
 
-
-def _grid_dplus(grid: SpatialGrid, axis: int) -> sp.csr_matrix:
-    return _expand(grid, axis, _axis_dplus(grid.ns[axis], grid.h[axis]))
-
-
-def _face_average(vals: Array, grid: SpatialGrid, axis: int) -> Array:
-    v = vals.reshape(grid.ns)
-    return (0.5 * (v + np.roll(v, -1, axis=axis))).reshape(-1)
+    def backward_euler(self, blocks: Array, dt: float) -> sp.csc_matrix:
+        """I - dt * L at coefficient blocks (d, d, k, k, M)."""
+        data = -dt * (self.scatter @ np.asarray(blocks, dtype=float).reshape(-1))
+        data[self.diag] += 1.0
+        return sp.csc_matrix((data, self.indices, self.indptr))
 
 
 # ---------------------------------------------------------------------------
@@ -177,41 +207,15 @@ class _ImplicitRD:
 
     def __init__(self, target: ReactionDiffusion, grid: SpatialGrid):
         self.target = target
-        self.grid = grid
         self.k = target.k
-        xs = grid.flat_points()
-        blocks = target.diffusion_at(xs)  # (d, d, k, k, M)
-        mcells = xs.shape[1]
-        ops = {}
-        for j in range(grid.d):
-            for l in range(grid.d):
-                if j == l:
-                    dp = _grid_dplus(grid, j)
-                    ops[j, l] = (-dp.T @ dp).tocsr()  # 3-point second difference
-                else:
-                    ops[j, l] = (_grid_d1(grid, j) @ _grid_d1(grid, l)).tocsr()
-        rows = []
-        for a in range(self.k):
-            row = []
-            for b in range(self.k):
-                block = sp.csr_matrix((mcells, mcells))
-                for j in range(grid.d):
-                    for l in range(grid.d):
-                        coeff = blocks[j, l, a, b]
-                        if np.any(coeff):
-                            block = block + sp.diags(coeff) @ ops[j, l]
-                row.append(block)
-            rows.append(row)
-        self.lap = sp.bmat(rows, format="csc")
+        self.blocks = target.diffusion_at(grid.flat_points())  # (d, d, k, k, M)
+        self.op = _BlockOperator(grid, self.k, divergence=False)
         self._lu_cache: Dict[float, object] = {}
 
     def _lu(self, dt: float):
-        cached = self._lu_cache.get(dt)
-        if cached is None:
-            n = self.lap.shape[0]
-            cached = splu((sp.identity(n, format="csc") - dt * self.lap).tocsc())
-            self._lu_cache[dt] = cached
-        return cached
+        if dt not in self._lu_cache:
+            self._lu_cache[dt] = splu(self.op.backward_euler(self.blocks, dt))
+        return self._lu_cache[dt]
 
     def step(self, u: Array, dt: float) -> Array:
         shape = u.shape
@@ -232,32 +236,10 @@ class _PicardQL:
         self.target = target
         self.grid = grid
         self.k = target.k
-        self.d1 = [_grid_d1(grid, j) for j in range(grid.d)]
-        self.dplus = [_grid_dplus(grid, j) for j in range(grid.d)]
-        self.eye = sp.identity(self.k * grid.cell_count, format="csc")
-
-    def _diffusion_matrix(self, u: Array) -> sp.csc_matrix:
-        """Assemble sum_ij d_i(B_ij(u) d_j .) at the lagged state."""
-        grid, k = self.grid, self.k
-        blocks = np.asarray(self.target.diffusion(u.reshape(k, -1)), dtype=float)
-        rows = []
-        for a in range(k):
-            row = []
-            for b in range(k):
-                mat = sp.csr_matrix((grid.cell_count, grid.cell_count))
-                for i in range(grid.d):
-                    for j in range(grid.d):
-                        coeff = blocks[i, j, a, b]
-                        if not np.any(coeff):
-                            continue
-                        if i == j:
-                            face = _face_average(coeff, grid, i)
-                            mat = mat - self.dplus[i].T @ sp.diags(face) @ self.dplus[i]
-                        else:
-                            mat = mat + self.d1[i] @ sp.diags(coeff) @ self.d1[j]
-                row.append(mat)
-            rows.append(row)
-        return sp.bmat(rows, format="csc")
+        # central difference taps per axis as (shifted flat index, weight)
+        self.d1 = [[(_shifted(grid, o), w) for o, w in _differences(grid, i)[0]]
+                   for i in range(grid.d)]
+        self.op = _BlockOperator(grid, self.k, divergence=True)
 
     def step(self, u: Array, dt: float) -> Array:
         grid, k = self.grid, self.k
@@ -266,24 +248,37 @@ class _PicardQL:
         rhs = u.reshape(-1).copy()
         if self.target.flux is not None:
             fl = np.asarray(self.target.flux(uflat2), dtype=float)  # (d, k, M)
-            div = np.zeros(k * grid.cell_count)
-            for i in range(grid.d):
-                for a in range(k):
-                    div[a * grid.cell_count:(a + 1) * grid.cell_count] += self.d1[i] @ fl[i, a]
-            rhs -= dt * div
+            div = sum(w * fl[i][:, idx] for i in range(grid.d) for idx, w in self.d1[i])
+            rhs -= dt * div.reshape(-1)
         if self.target.g is not None:
             rhs += dt * np.asarray(self.target.g(uflat2), dtype=float).reshape(-1)
 
         guess = u.reshape(-1)
         for _ in range(PICARD_MAXITER):
-            lmat = self._diffusion_matrix(guess.reshape(shape))
-            new = splu((self.eye - dt * lmat).tocsc()).solve(rhs)
-            if float(np.max(np.abs(new - guess))) <= PICARD_TOL:
+            lagged = guess.reshape(k, -1)
+            blocks = np.asarray(self.target.diffusion(lagged), dtype=float)
+            bad = np.flatnonzero(~np.isfinite(blocks))
+            if bad.size:
+                i, j, a, b, cell = np.unravel_index(bad[0], blocks.shape)
+                raise ReferenceError(
+                    f"lagged diffusion coefficient B_{i + 1}{j + 1}[{a + 1},{b + 1}] is "
+                    f"{float(blocks.flat[bad[0]])} at cell {cell} "
+                    f"(x = {grid.flat_points()[:, cell].tolist()}, u = {lagged[:, cell].tolist()})"
+                )
+            try:
+                new = splu(self.op.backward_euler(blocks, dt)).solve(rhs)
+            except RuntimeError as err:
+                raise ReferenceError(f"linear solve failed: {err}") from err
+            inc = np.abs(new - guess)
+            worst = int(np.argmax(inc))
+            if inc[worst] <= PICARD_TOL:
                 return new.reshape(shape)
             guess = new
+        comp, cell = divmod(worst, grid.cell_count)
         raise ReferenceError(
             f"lagged-coefficient iteration did not reach {PICARD_TOL:g} "
-            f"in {PICARD_MAXITER} sweeps"
+            f"in {PICARD_MAXITER} sweeps; the last max increment was {inc[worst]:.3g} "
+            f"in component {comp + 1} at cell {cell} (x = {grid.flat_points()[:, cell].tolist()})"
         )
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ import relaxbench as rb
 from relaxbench import builder, parasolver
 from relaxbench.builder import ReactionDiffusion, isotropic_diffusion
 from relaxbench.core import l2_norm
-from relaxbench.parasolver import exact_mode_oracle, run_reference
+from relaxbench.parasolver import ReferenceError, exact_mode_oracle, run_reference
 
 from conftest import sine_mode
 
@@ -164,6 +166,131 @@ class TestQuasilinearReference:
         )
         assert np.allclose(times, [0.0, 0.004, 0.008, 0.01])
         assert fields.shape[0] == 4
+
+
+def _dense_differences(grid, axis):
+    """Dense periodic central (D1) and forward (D+) differences along one axis."""
+    m = grid.cell_count
+    multi = np.array(np.unravel_index(np.arange(m), grid.ns))
+
+    def neighbour(step):
+        moved = multi.copy()
+        moved[axis] = (moved[axis] + step) % grid.ns[axis]
+        return np.ravel_multi_index(tuple(moved), grid.ns)
+
+    h, rows = grid.h[axis], np.arange(m)
+    d1, dplus = np.zeros((m, m)), np.zeros((m, m))
+    np.add.at(d1, (rows, neighbour(1)), 1.0 / (2 * h))
+    np.add.at(d1, (rows, neighbour(-1)), -1.0 / (2 * h))
+    np.add.at(dplus, (rows, neighbour(1)), 1.0 / h)
+    np.add.at(dplus, (rows, rows), -1.0 / h)
+    return d1, dplus, neighbour(1)
+
+
+def _dense_operator(grid, blocks, divergence=True):
+    """sum_ij d_i(B_ij d_j .) (or sum_ij B_ij d_i d_j) as one dense matrix."""
+    d, k, m = grid.d, blocks.shape[2], grid.cell_count
+    diffs = [_dense_differences(grid, i) for i in range(d)]
+    out = np.zeros((k * m, k * m))
+    for i, j, a, b in np.ndindex(d, d, k, k):
+        c = blocks[i, j, a, b]
+        d1, dplus, nxt = diffs[i]
+        if divergence and i == j:
+            term = -dplus.T @ np.diag(0.5 * (c + c[nxt])) @ dplus
+        elif divergence:
+            term = d1 @ np.diag(c) @ diffs[j][0]
+        else:
+            term = np.diag(c) @ (-dplus.T @ dplus if i == j else d1 @ diffs[j][0])
+        out[a * m:(a + 1) * m, b * m:(b + 1) * m] += term
+    return out
+
+
+def _dense_picard_step(target, grid, u, dt):
+    """One lagged-coefficient backward-Euler step with dense solves."""
+    k, m = target.k, grid.cell_count
+    rhs = u.reshape(-1).copy()
+    if target.flux is not None:
+        fl = target.flux(u.reshape(k, -1))
+        for i in range(grid.d):
+            rhs -= dt * (_dense_differences(grid, i)[0] @ fl[i].T).T.reshape(-1)
+    if target.g is not None:
+        rhs += dt * target.g(u.reshape(k, -1)).reshape(-1)
+    guess = u.reshape(-1)
+    for _ in range(parasolver.PICARD_MAXITER):
+        lmat = _dense_operator(grid, target.diffusion(guess.reshape(k, -1)))
+        new = np.linalg.solve(np.eye(k * m) - dt * lmat, rhs)
+        if np.max(np.abs(new - guess)) <= parasolver.PICARD_TOL:
+            return new.reshape(u.shape)
+        guess = new
+    raise AssertionError("dense Picard loop did not converge")
+
+
+def _coupled_diffusion(zero_block=None):
+    """k=2, d=2 blocks with cross (i != j) and component (a != b) coupling."""
+    weights = np.random.default_rng(7).normal(size=(2, 2, 2, 2, 3))
+
+    def diffusion(u):
+        feats = np.stack([np.ones(u.shape[-1]), u[0], u[1] ** 2])
+        out = np.einsum("ijabq,qm->ijabm", weights, feats)
+        if zero_block is not None:
+            out[zero_block] = 0.0
+        return out
+
+    return diffusion
+
+
+class TestBlockAssembly:
+    @pytest.mark.parametrize("divergence", [True, False])
+    @pytest.mark.parametrize("zero_block", [None, (0, 1, 1, 0), (1, 1, 0, 0)])
+    def test_matches_dense_assembly(self, divergence, zero_block):
+        grid = rb.SpatialGrid((6, 10), (1.0, 2.5))
+        u = np.random.default_rng(3).uniform(0.5, 1.5, size=(2, grid.cell_count))
+        blocks = _coupled_diffusion(zero_block)(u)
+        op = parasolver._BlockOperator(grid, 2, divergence=divergence)
+        got = np.eye(2 * grid.cell_count) - op.backward_euler(blocks, 1.0).toarray()
+        want = _dense_operator(grid, blocks, divergence)
+        assert np.max(np.abs(want)) > 0
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class TestPicardStep:
+    @pytest.mark.parametrize("name", ["carleman", "quasilinear-bu2"])
+    def test_one_step_matches_dense_picard(self, grid64, name):
+        bundle = builder.demo(name, grid64)
+        u = bundle.u0(grid64)
+        dt = 1e-3
+        got = parasolver._PicardQL(bundle.target, grid64).step(u, dt)
+        want = _dense_picard_step(bundle.target, grid64, u, dt)
+        assert np.max(np.abs(got - u)) > 1e-3  # the step moves the state
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_singular_system_raises_reference_error(self):
+        # backward diffusion b = -1 with dt / h^2 = 1/2 makes I - dt L exactly singular
+        grid = rb.SpatialGrid((4,), (1.0,))
+        target = builder.scalar_quasilinear(b=lambda u: -np.ones_like(u))
+        with pytest.raises(ReferenceError, match="linear solve failed") as info:
+            run_reference(target, np.ones((1, 4)), grid, 1 / 32, dt=1 / 32)
+        assert isinstance(info.value.__cause__, RuntimeError)
+
+    def test_non_finite_coefficient_names_cell(self, grid64):
+        u0 = np.ones((1, 64))
+        u0[0, 17] = 0.0
+        with np.errstate(divide="ignore"):
+            with pytest.raises(ReferenceError) as info:
+                run_reference(builder.carleman_limit_target(), u0, grid64, 1e-3, dt=1e-3)
+        msg = str(info.value)
+        assert "B_11[1,1] is inf at cell 17" in msg
+        assert "u = [0.0]" in msg
+
+    def test_non_convergence_reports_last_increment(self, grid64):
+        # negative density makes the lagged coefficient 1/(2u) anti-diffusive
+        u0 = sine_mode(grid64, amplitude=0.5, offset=0.2)
+        with pytest.raises(ReferenceError, match="last max increment") as info:
+            run_reference(builder.carleman_limit_target(), u0, grid64, 1e-3, dt=1e-4)
+        match = re.search(r"was ([0-9.e+-]+) in component 1 at cell (\d+)", str(info.value))
+        assert match is not None
+        assert float(match.group(1)) > parasolver.PICARD_TOL
+        assert u0[0, int(match.group(2))] < 0.0
 
 
 def test_reference_csv_schema(grid64):
