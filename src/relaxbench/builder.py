@@ -35,6 +35,14 @@ class BuildError(ValueError):
 # parabolic targets
 
 
+def _quadratic_symbols(blocks: Array, directions: Array) -> Array:
+    """sum_j (sum_l (xi_j xi_l) blocks_jl) for blocks (d, d, k, k, M); returns (M, Mxi, k, k)."""
+    dirs = np.asarray(directions, dtype=float)
+    xx = dirs[:, None] * dirs[None, :]
+    terms = xx[:, :, None, :, None, None] * np.moveaxis(blocks, -1, 2)[:, :, :, None]
+    return terms.sum(axis=1).sum(axis=0)
+
+
 @dataclass(frozen=True)
 class ReactionDiffusion:
     """Target system du/dt = sum_jk A_jk(x) d_j d_k u + f(u).
@@ -57,11 +65,13 @@ class ReactionDiffusion:
         a = np.asarray(self.diffusion, dtype=float)
         return np.broadcast_to(a[..., None], a.shape + (x.shape[-1],))
 
+    def second_order_symbols(self, x_points: Array, directions: Array) -> Array:
+        """sum_jk A_jk(x) xi_j xi_k on every (x, xi) pair, shape (Mx, Mxi, k, k)."""
+        return _quadratic_symbols(self.diffusion_at(x_points), directions)
+
     def second_order_symbol(self, x, xi) -> Array:
         """sum_jk A_jk(x) xi_j xi_k, a (k, k) matrix at one point."""
-        xi = np.asarray(xi, dtype=float).reshape(-1)
-        a = self.diffusion_at(as_point(x))[..., 0]
-        return np.einsum("j,k,jkab->ab", xi, xi, a)
+        return self.second_order_symbols(as_point(x), np.reshape(xi, (-1, 1)))[0, 0]
 
 
 def isotropic_diffusion(k: int, d: int, coeff: float = 1.0) -> Array:
@@ -106,11 +116,13 @@ class QuasilinearDivergence:
                 out[i * k:(i + 1) * k, j * k:(j + 1) * k] = blocks[i, j]
         return out
 
+    def second_order_symbols(self, u_points: Array, directions: Array) -> Array:
+        """sum_ij B_ij(u) xi_i xi_j on every (u, xi) pair, shape (Mu, Mxi, k, k)."""
+        return _quadratic_symbols(np.asarray(self.diffusion(u_points), dtype=float), directions)
+
     def second_order_symbol(self, u, xi) -> Array:
-        xi = np.asarray(xi, dtype=float).reshape(-1)
         up = np.asarray(u, dtype=float).reshape(self.k, 1)
-        blocks = np.asarray(self.diffusion(up), dtype=float)[..., 0]
-        return np.einsum("i,j,ijab->ab", xi, xi, blocks)
+        return self.second_order_symbols(up, np.reshape(xi, (-1, 1)))[0, 0]
 
 
 ParabolicTarget = Union[ReactionDiffusion, QuasilinearDivergence]
@@ -435,19 +447,15 @@ def decouple(
     ws = box_lattice([-1.0] * n, [1.0] * n) if w_samples is None else np.atleast_2d(w_samples)
     p, pinv = transform.p, transform.p_inv
 
-    worst_val, worst_x, worst_w = 0.0, None, None
-    for i in range(xs.shape[1]):
-        bx = np.asarray(raw.b(xs[:, i:i + 1], ws), dtype=float)
-        defect = np.abs(transform.p_I @ bx)
-        j = int(np.argmax(np.max(defect, axis=0)))
-        val = float(np.max(defect[:, j]))
-        if val > worst_val:
-            worst_val, worst_x, worst_w = val, xs[:, i], ws[:, j]
+    mw = ws.shape[1]
+    bx = np.asarray(raw.b(np.repeat(xs, mw, axis=1), np.tile(ws, xs.shape[1])), dtype=float)
+    defect = np.max(np.abs(transform.p_I @ bx), axis=0)  # x outer, W inner
+    worst = int(np.argmax(defect))
     scale = max(1.0, float(np.max(np.abs(p))))
-    if worst_val > 1e-9 * scale:
+    if defect[worst] > 1e-9 * scale:
         raise BuildError(
-            f"transform does not annihilate the source: defect {worst_val:.3e} "
-            f"at x={worst_x}, W={worst_w}"
+            f"transform does not annihilate the source: defect {defect[worst]:.3e} "
+            f"at x={xs[:, worst // mw]}, W={ws[:, worst % mw]}"
         )
 
     def block_field(j, rows, cols):
@@ -597,15 +605,11 @@ def _sine(grid: SpatialGrid, amplitude: float = 1.0, offset: float = 0.0) -> Arr
     return (offset + amplitude * prof)[None]
 
 
-DEMO_NAMES = (
-    "carleman",
-    "heat1d",
-    "heat2d",
-    "aniso2d",
-    "quasilinear-bu2",
-    "sqrt-heat",
-    "null-limit",
-)
+DEMO_DIMS = {
+    "carleman": 1, "heat1d": 1, "heat2d": 2, "aniso2d": 2,
+    "quasilinear-bu2": 1, "sqrt-heat": 1, "null-limit": 1,
+}
+DEMO_NAMES = tuple(DEMO_DIMS)
 
 
 def demo(name: str, grid: SpatialGrid, amplitude: Optional[float] = None,
@@ -707,6 +711,7 @@ __all__ = [
     "carleman_limit_target",
     "null_limit_system",
     "DemoBundle",
+    "DEMO_DIMS",
     "DEMO_NAMES",
     "demo",
 ]

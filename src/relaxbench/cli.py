@@ -139,12 +139,6 @@ def parse_config(path: str) -> Dict[str, Dict[str, object]]:
 # experiment assembly
 
 
-_DEMO_DIMS = {
-    "carleman": 1, "heat1d": 1, "heat2d": 2, "aniso2d": 2,
-    "quasilinear-bu2": 1, "sqrt-heat": 1, "null-limit": 1,
-}
-
-
 @dataclass
 class Experiment:
     cfg: Dict[str, Dict[str, object]]
@@ -162,7 +156,7 @@ def build_experiment(cfg: Dict[str, Dict[str, object]]) -> Experiment:
         raise ConfigError(
             f"system.name must be one of {', '.join(builder.DEMO_NAMES)}; got {name!r}"
         )
-    d = _DEMO_DIMS[name]
+    d = builder.DEMO_DIMS[name]
 
     ns = cfg["grid"]["n"]
     lengths = cfg["grid"]["length"]

@@ -17,6 +17,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Tuple, Union
 
@@ -33,9 +34,10 @@ class SymbolError(ValueError):
 class SingularSourceError(SymbolError):
     """Stiff source derivative is singular where invertibility is required."""
 
-    def __init__(self, message: str, smallest_singular_value: float):
+    def __init__(self, message: str, smallest_singular_value: float, sample: int = 0):
         super().__init__(message)
         self.smallest_singular_value = smallest_singular_value
+        self.sample = sample  # flat (x, u) index of the singular sample in a stacked call
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +92,19 @@ class SpatialGrid:
 
     def flat_points(self) -> Array:
         return self.points().reshape(self.d, -1)
+
+    def sample_points(self, count: int) -> Array:
+        """Lattice of about `count` cell centers strided per axis, shape (d, M).
+
+        In 2-d 64 points form an 8 x 8 lattice; in 1-d this is every (n // count)-th center.
+        """
+        per_axis = [count]
+        if self.d == 2:
+            inner = max(c for c in range(1, math.isqrt(count) + 1) if count % c == 0)
+            per_axis = [count // inner, inner]
+        axes = [self.axis_centers(j)[:: max(1, n // c)]
+                for j, (n, c) in enumerate(zip(self.ns, per_axis))]
+        return np.stack(np.meshgrid(*axes, indexing="ij")).reshape(self.d, -1)
 
     def wavenumbers(self) -> Array:
         """Physical wavenumbers of the discrete Fourier modes, shape (d, *ns)."""
@@ -244,7 +259,12 @@ class RelaxationSystem:
         return np.asarray(self.q(x, u, z), dtype=float)
 
     def stiff_source_jacobian(self, x: Array, u: Array, z: Array) -> Array:
-        return np.asarray(self.q_nu(x, u, z), dtype=float)
+        """q_nu at M column-paired points, always of shape (m, m, M)."""
+        jac = np.asarray(self.q_nu(x, u, z), dtype=float)
+        shape = (self.m, self.m, np.shape(z)[-1])
+        if jac.shape == shape:  # skip broadcast_to, which costs as much as q_nu on the step path
+            return jac
+        return np.broadcast_to(jac if jac.ndim == 3 else jac[:, :, None], shape)
 
     def lower_order_I(self, x: Array, u: Array, v: Array, eps: float) -> Array:
         if self.dtilde_I is None:
@@ -261,37 +281,71 @@ class RelaxationSystem:
             return np.zeros_like(u)
         return np.asarray(self.reaction(u), dtype=float)
 
-    def contract(self, blocks, x: Array, xi: Array) -> Array:
-        """sum_j xi_j * block_j(x); returns (rows, cols, M)."""
-        xi = np.asarray(xi, dtype=float).reshape(-1)
-        parts = [xi[j] * eval_matrix_field(blocks[j], x) for j in range(self.d)]
-        return np.sum(parts, axis=0)
+
+def unit_directions(d: int) -> Array:
+    """Unit wave vectors of every symbol sweep, (d, Mxi): +-1 in 1-d, 64 angles in 2-d."""
+    if d == 1:
+        return np.array([[1.0, -1.0]])
+    theta = 2.0 * np.pi * np.arange(64) / 64
+    return np.stack([np.cos(theta), np.sin(theta)])
+
+
+def _direction_sweep(fn: Callable[[Array, Array], Array], x_points: Array, directions: Array) -> Array:
+    """Matrix field fn(x, xi) on every (x, xi) pair, shape (Mx, Mxi, rows, cols), x outer."""
+    mx = x_points.shape[1]
+    dirs = np.asarray(directions, dtype=float)
+    vals = [eval_matrix_field(lambda x, xi=xi: fn(x, xi), x_points) for xi in dirs.T]
+    return np.stack([np.broadcast_to(np.moveaxis(v, -1, 0), (mx,) + v.shape[:2]) for v in vals], axis=1)
+
+
+def _contract_sweep(sys: RelaxationSystem, blocks, x_points: Array, directions: Array) -> Array:
+    """sum_j xi_j block_j(x) on every (x, xi) pair, shape (Mx, Mxi, rows, cols)."""
+    def contract(x, xi):
+        return np.sum([xi[j] * eval_matrix_field(blocks[j], x) for j in range(sys.d)], axis=0)
+    return _direction_sweep(contract, x_points, directions)
+
+
+def coupling_symbols(sys: RelaxationSystem, x_points: Array, directions: Array) -> Tuple[Array, Array]:
+    """Real coupling blocks (sum xi_j M12_j(x), sum xi_j M21_j(x)), each (Mx, Mxi, rows, cols).
+
+    Multiplier systems give (B(xi), -B(xi)), with B evaluated once per direction.
+    """
+    directions = np.asarray(directions, dtype=float)
+    if directions.shape[0] != sys.d:
+        raise SymbolError(f"wave vector has dimension {directions.shape[0]}, system is {sys.d}-d")
+    if sys.multiplier is not None:
+        b = _direction_sweep(lambda x, xi: sys.multiplier.b_at(xi), x_points, directions)
+        return b, -b
+    return (_contract_sweep(sys, sys.m12, x_points, directions),
+            _contract_sweep(sys, sys.m21, x_points, directions))
+
+
+def principal_symbols(sys: RelaxationSystem, x_points: Array, directions: Array) -> Array:
+    """Principal symbols on every (x, xi) pair, shape (Mx, Mxi, N, N) complex.
+
+    x_points is (d, Mx) and directions (d, Mxi); x varies slowest.  Differential
+    systems give the block matrix with entries -i sum_j xi_j M_j; multiplier
+    systems give the real block matrix [[0, B(xi)], [-B(xi), 0]].
+    """
+    n, k = sys.n, sys.k
+    m12, m21 = coupling_symbols(sys, x_points, directions)
+    out = np.zeros(m12.shape[:2] + (n, n), dtype=complex)
+    if sys.multiplier is not None:
+        out[..., :k, k:] = m12
+        out[..., k:, :k] = m21
+        return out
+    out[..., :k, k:] = -1j * m12
+    out[..., k:, :k] = -1j * m21
+    if sys.m22 is not None:
+        out[..., k:, k:] = -1j * _contract_sweep(sys, sys.m22, x_points, directions)
+    if sys.m11 is not None:
+        out[..., :k, :k] = -1j * _contract_sweep(sys, sys.m11, x_points, directions)
+    return out
 
 
 def principal_symbol(sys: RelaxationSystem, x, xi) -> Array:
-    """Principal symbol at one point, an N x N complex matrix.
-
-    Differential systems give the block matrix with entries -i sum_j xi_j M_j;
-    multiplier systems give the real block matrix [[0, B(xi)], [-B(xi), 0]].
-    """
-    xi = np.asarray(xi, dtype=float).reshape(-1)
-    if xi.size != sys.d:
-        raise SymbolError(f"wave vector has dimension {xi.size}, system is {sys.d}-d")
-    n, k, m = sys.n, sys.k, sys.m
-    out = np.zeros((n, n), dtype=complex)
-    if sys.multiplier is not None:
-        b = sys.multiplier.b_at(xi)
-        out[:k, k:] = b
-        out[k:, :k] = -b
-        return out
-    xp = as_point(x)
-    out[:k, k:] = -1j * sys.contract(sys.m12, xp, xi)[:, :, 0]
-    out[k:, :k] = -1j * sys.contract(sys.m21, xp, xi)[:, :, 0]
-    if sys.m22 is not None:
-        out[k:, k:] = -1j * sys.contract(sys.m22, xp, xi)[:, :, 0]
-    if sys.m11 is not None:
-        out[:k, :k] = -1j * sys.contract(sys.m11, xp, xi)[:, :, 0]
-    return out
+    """Principal symbol at one point, an N x N complex matrix (see principal_symbols)."""
+    return principal_symbols(sys, as_point(x), np.reshape(xi, (-1, 1)))[0, 0]
 
 
 def stiff_jacobian(sys: RelaxationSystem, x, u, v) -> Array:
@@ -299,36 +353,47 @@ def stiff_jacobian(sys: RelaxationSystem, x, u, v) -> Array:
     xp = as_point(x)
     up = np.asarray(u, dtype=float).reshape(sys.k, 1)
     vp = np.asarray(v, dtype=float).reshape(sys.m, 1)
-    jac = sys.stiff_source_jacobian(xp, up, vp)
-    jac = jac[:, :, 0] if jac.ndim == 3 else jac
+    jac = sys.stiff_source_jacobian(xp, up, vp)[:, :, 0]
     if not np.all(np.isfinite(jac)):
         raise SymbolError("stiff source jacobian has non-finite entries")
     return jac
 
 
-def limit_generator(sys: RelaxationSystem, x, u, xi) -> Array:
-    """Second-order generator of the relaxed equation in Fourier variables.
+def limit_generators(sys: RelaxationSystem, x_points: Array, u_points: Array,
+                     directions: Array) -> Array:
+    """Second-order generators of the relaxed equation on every (x, u, xi) sample.
 
     For differential transport this is (sum xi_j M12_j) Qnu^{-1} (sum xi_j M21_j)
     evaluated at z = 0; for multiplier transport it is B(xi) Qnu^{-1} B(xi).
-    The relaxed dynamics per mode reads du/dt = G u + lower order.
+    The relaxed dynamics per mode reads du/dt = G u + lower order.  Returns
+    (Mx, Mu, Mxi, k, k), x outer and xi inner; SingularSourceError names the
+    first singular (x, u) in that order.
     """
-    xi = np.asarray(xi, dtype=float).reshape(-1)
-    xp = as_point(x)
-    up = np.asarray(u, dtype=float).reshape(sys.k, 1)
-    qnu = stiff_jacobian(sys, x, u, np.zeros(sys.m))
+    mx, mu = x_points.shape[1], u_points.shape[1]
+    us = np.tile(u_points, mx)
+    qnu = sys.stiff_source_jacobian(np.repeat(x_points, mu, axis=1), us, np.zeros((sys.m, mx * mu)))
+    qnu = np.moveaxis(qnu, -1, 0)
+    if not np.all(np.isfinite(qnu)):
+        raise SymbolError("stiff source jacobian has non-finite entries")
     svals = np.linalg.svd(qnu, compute_uv=False)
-    if svals[-1] <= 1e-14 * max(1.0, svals[0]):
+    singular = svals[:, -1] <= 1e-14 * np.maximum(1.0, svals[:, 0])
+    if np.any(singular):
+        i = int(np.argmax(singular))
         raise SingularSourceError(
-            f"stiff jacobian is singular at u={np.ravel(u)}, smallest singular value {svals[-1]:.3e}",
-            float(svals[-1]),
+            f"stiff jacobian is singular at u={us[:, i]}, smallest singular value {svals[i, -1]:.3e}",
+            float(svals[i, -1]), sample=i,
         )
+    m12, m21 = coupling_symbols(sys, x_points, directions)
     if sys.multiplier is not None:
-        b = sys.multiplier.b_at(xi)
-        return b @ np.linalg.solve(qnu, b)
-    m12 = sys.contract(sys.m12, xp, xi)[:, :, 0]
-    m21 = sys.contract(sys.m21, xp, xi)[:, :, 0]
-    return m12 @ np.linalg.solve(qnu, m21)
+        m21 = -m21
+    qnu = qnu.reshape(mx, mu, 1, sys.m, sys.m)
+    return m12[:, None] @ np.linalg.solve(qnu, m21[:, None])
+
+
+def limit_generator(sys: RelaxationSystem, x, u, xi) -> Array:
+    """Second-order generator at one (x, u, xi), a (k, k) matrix (see limit_generators)."""
+    up = np.asarray(u, dtype=float).reshape(sys.k, 1)
+    return limit_generators(sys, as_point(x), up, np.reshape(xi, (-1, 1)))[0, 0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -389,12 +454,10 @@ class Symmetrizer:
     def identity(k: int, m: int) -> "Symmetrizer":
         return Symmetrizer(np.eye(k), np.eye(m), eta=0.5)
 
-    def block_at(self, which: str, x, xi) -> Array:
-        blk = self.r11 if which == "r11" else self.r22
-        if callable(blk):
-            out = np.asarray(blk(as_point(x), np.asarray(xi, dtype=float)), dtype=float)
-            return out[:, :, 0] if out.ndim == 3 else out
-        return np.asarray(blk, dtype=float)
+    def blocks(self, x_points: Array, directions: Array) -> Tuple[Array, Array]:
+        """(r11, r22) on every (x, xi) pair, each of shape (Mx, Mxi, r, r)."""
+        fields = [blk if callable(blk) else (lambda x, xi, blk=blk: blk) for blk in (self.r11, self.r22)]
+        return tuple(_direction_sweep(f, x_points, directions) for f in fields)
 
 
 # ---------------------------------------------------------------------------
@@ -437,8 +500,6 @@ def equilibrium_uII(sys: RelaxationSystem, grid: SpatialGrid, uI: Array) -> Arra
     uflat = uI.reshape(sys.k, -1)
     rhsflat = rhs.reshape(sys.m, -1) - sys.lower_order_II(uflat, np.zeros((sys.m, uflat.shape[1])))
     qnu = sys.stiff_source_jacobian(xs, uflat, np.zeros_like(rhsflat))
-    if qnu.ndim == 2:
-        qnu = np.broadcast_to(qnu[:, :, None], qnu.shape + (uflat.shape[1],))
     sol = np.linalg.solve(np.moveaxis(qnu, -1, 0), np.moveaxis(rhsflat, -1, 0)[..., None])
     return np.moveaxis(sol[..., 0], 0, -1).reshape((sys.m,) + grid.ns)
 
@@ -549,8 +610,12 @@ __all__ = [
     "constant_matrix",
     "SpectralMultiplier",
     "RelaxationSystem",
+    "unit_directions",
+    "coupling_symbols",
+    "principal_symbols",
     "principal_symbol",
     "stiff_jacobian",
+    "limit_generators",
     "limit_generator",
     "FieldState",
     "Symmetrizer",

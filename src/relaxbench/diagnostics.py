@@ -82,8 +82,6 @@ def limit_residual(state: FieldState, sys: RelaxationSystem) -> float:
     zeros = np.zeros((sys.m, uflat.shape[1]))
     r = apply_m21_gradient(sys, grid, state.uI).reshape(sys.m, -1)
     qnu = sys.stiff_source_jacobian(grid.flat_points(), uflat, zeros)
-    if qnu.ndim == 2:
-        qnu = np.broadcast_to(qnu[:, :, None], (sys.m, sys.m, uflat.shape[1]))
     r = r - np.einsum("abm,bm->am", qnu, state.uII.reshape(sys.m, -1))
     r = r - sys.lower_order_II(uflat, zeros)
     r = r.reshape((sys.m,) + grid.ns)

@@ -21,7 +21,8 @@ from .core import (
     RelaxationSystem,
     SpatialGrid,
     eval_matrix_field,
-    principal_symbol,
+    principal_symbols,
+    unit_directions,
 )
 
 FLUXES = ("rusanov", "upwind-characteristic", "spectral")
@@ -103,13 +104,6 @@ def snapshot_csv(state: FieldState) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _unit_directions(d: int, count_2d: int = 64) -> Array:
-    if d == 1:
-        return np.array([[1.0, -1.0]])
-    theta = 2.0 * np.pi * np.arange(count_2d) / count_2d
-    return np.stack([np.cos(theta), np.sin(theta)])
-
-
 def max_wave_speed(sys: RelaxationSystem, grid: SpatialGrid) -> float:
     """Largest spectral radius of i * principal symbol over points and directions.
 
@@ -117,15 +111,8 @@ def max_wave_speed(sys: RelaxationSystem, grid: SpatialGrid) -> float:
     relaxation parameter; multiplier systems are integrated exactly per mode,
     so for them the value only enters step-size selection, not stability.
     """
-    dirs = _unit_directions(grid.d)
-    pts = grid.flat_points()
-    xs = pts[:, :: max(1, pts.shape[1] // 32)]
-    speed = 0.0
-    for ix in range(xs.shape[1]):
-        for jd in range(dirs.shape[1]):
-            eigs = np.linalg.eigvals(1j * principal_symbol(sys, xs[:, ix], dirs[:, jd]))
-            speed = max(speed, float(np.max(np.abs(eigs))))
-    return speed
+    syms = principal_symbols(sys, grid.sample_points(32), unit_directions(grid.d))
+    return float(np.max(np.abs(np.linalg.eigvals(1j * syms))))
 
 
 def _energy(uI: Array, uII: Array, eps: float, vol: float) -> Tuple[float, float]:
@@ -153,6 +140,8 @@ class _Workspace:
             raise SolverError("spectral transport requires constant coefficients")
         if opts.flux == "upwind-characteristic" and not sys.constant_coefficients:
             raise SolverError("characteristic upwind requires constant coefficients")
+        if opts.source_solve == "linear-exact" and not sys.source_linear_in_v:
+            raise SolverError("linear-exact needs a source linear in v; set source_solve = newton")
 
         if opts.flux in ("rusanov", "upwind-characteristic"):
             self._build_grid_transport()
@@ -185,7 +174,6 @@ class _Workspace:
     def _build_grid_transport(self):
         grid = self.grid
         self.cmat = []   # (N, N, *ns) per axis
-        self.alpha = []  # scalar dissipation speed per axis
         self.absc = []   # |C| per axis for the characteristic flux
         eye = np.eye(self.n)
         for j in range(grid.d):
@@ -193,7 +181,6 @@ class _Workspace:
             self.cmat.append(cm)
             flat = np.moveaxis(cm.reshape(self.n, self.n, -1), -1, 0)
             radius = float(np.max(np.abs(np.linalg.eigvals(flat))))
-            self.alpha.append(radius)
             if self.opts.flux == "upwind-characteristic":
                 c0 = flat[0]
                 vals, vecs = np.linalg.eig(c0)
@@ -293,7 +280,6 @@ class _Workspace:
         sys, eps = self.sys, self.eps
         uflat = uI.reshape(self.k, -1)
         vflat = uII.reshape(self.m, -1)
-        mcells = uflat.shape[1]
 
         du = sys.lower_order_I(self.xflat, uflat, vflat, eps) + sys.reaction_term(uflat)
         unew = uflat + dt * du
@@ -303,8 +289,6 @@ class _Workspace:
 
         if self.opts.source_solve == "linear-exact":
             cmat = sys.stiff_source_jacobian(self.xflat, unew, np.zeros_like(vflat))
-            if cmat.ndim == 2:
-                cmat = np.broadcast_to(cmat[:, :, None], (self.m, self.m, mcells))
             lhs = eps ** 2 * np.eye(self.m)[:, :, None] - dt * cmat
             vnew = np.linalg.solve(np.moveaxis(lhs, -1, 0), np.moveaxis(rhs, -1, 0)[..., None])
             vnew = np.moveaxis(vnew[..., 0], 0, -1)
@@ -320,8 +304,6 @@ class _Workspace:
         for _ in range(self.opts.newton_maxiter):
             res = eps ** 2 * v - (dt / eps) * sys.stiff_source(self.xflat, u, eps * v) - rhs
             jac = sys.stiff_source_jacobian(self.xflat, u, eps * v)
-            if jac.ndim == 2:
-                jac = np.broadcast_to(jac[:, :, None], (self.m, self.m, v.shape[-1]))
             lhs = eps ** 2 * eye - dt * jac
             delta = np.linalg.solve(np.moveaxis(lhs, -1, 0), np.moveaxis(res, -1, 0)[..., None])
             delta = np.moveaxis(delta[..., 0], 0, -1)

@@ -30,6 +30,19 @@ class TestWaveSpeed:
         assert max_wave_speed(sys, grid64) == pytest.approx(1.0, rel=1e-12)
 
 
+    def test_2d_speed_sees_upper_half(self):
+        # i * symbol has eigenvalues +-(xi_1 + xi_2) sqrt(c(y)), c = 4 for y > 1/2 and 1 below
+        def m21(x):
+            return np.where(x[1] > 0.5, 4.0, 1.0).reshape(1, 1, -1)
+
+        sys = rb.RelaxationSystem(
+            k=1, m=1, d=2, m12=(np.eye(1), np.eye(1)), m21=(m21, m21),
+            q=lambda x, u, z: -z, q_nu=lambda x, u, z: -np.eye(1), source_linear_in_v=True,
+        )
+        grid = rb.SpatialGrid((32, 32), (1.0, 1.0))
+        assert max_wave_speed(sys, grid) == pytest.approx(2.0 * np.sqrt(2.0), rel=1e-12)
+
+
 class TestStep:
     def test_zero_state_stays_zero(self, grid64):
         sys = builder.demo("heat1d", grid64).system
@@ -157,6 +170,16 @@ class TestSourceSolvers:
         t2 = run(sys, init, 0.01, SolverOptions(flux="spectral", source_solve="newton"))
         assert np.allclose(t1.final.uI, t2.final.uI, atol=1e-12)
         assert np.allclose(t1.final.uII, t2.final.uII, atol=1e-11)
+
+    def test_linear_exact_refuses_unflagged_source(self, grid64):
+        raw, transform, _ = builder.carleman()
+        sys = builder.decouple(raw, transform)  # not flagged as linear in v
+        u0 = builder.demo("carleman", grid64).u0(grid64)
+        init = hypersolver.well_prepared_state(sys, grid64, u0, 0.1)
+        with pytest.raises(SolverError, match="source_solve = newton"):
+            run(sys, init, 1e-3, SolverOptions(flux="spectral"))
+        traj = run(sys, init, 1e-3, SolverOptions(flux="spectral", source_solve="newton"))
+        assert np.all(np.isfinite(traj.final.uI)) and traj.final.t == pytest.approx(1e-3)
 
     def test_newton_solves_cubic_source(self, grid64):
         # q(x, u, z) = -z - z^3 is genuinely nonlinear in z

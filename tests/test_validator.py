@@ -1,10 +1,14 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import relaxbench as rb
-from relaxbench import builder
+from relaxbench import builder, cli
 from relaxbench.builder import ReactionDiffusion, isotropic_diffusion, scalar_diffusion_matrix
+from relaxbench.core import CheckResult, unit_directions
 from relaxbench.validator import (
+    EIG_RTOL,
     NULL_LIMIT_NOTE,
     SampleSet,
     check_conserved_block,
@@ -17,6 +21,7 @@ from relaxbench.validator import (
 )
 
 TWO_PI = 2.0 * np.pi
+GOLDEN = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +61,16 @@ class TestSampleSet:
         s = SampleSet.build(g, 1, 2)
         assert s.directions.shape == (2, 64)
 
+    def test_2d_points_form_a_lattice(self):
+        g = rb.SpatialGrid((128, 128), (1.0, 1.0))
+        s = SampleSet.build(g, 1, 2)
+        assert s.x_points.shape == (2, 64)
+        assert len(set(s.x_points[0])) == 8 and len(set(s.x_points[1])) == 8
+
+    def test_1d_points_are_strided_centers(self):
+        g = rb.SpatialGrid((256,), (1.0,))
+        assert np.array_equal(SampleSet.build(g, 1, 1).x_points, g.flat_points()[:, ::4])
+
     def test_rejects_non_unit(self, grid):
         with pytest.raises(ValueError, match="unit norm"):
             SampleSet(
@@ -75,6 +90,21 @@ class TestHyperbolicity:
         assert not res.passed
         # i * symbol has eigenvalues +/- i |xi|
         assert abs(abs(res.witness["eigenvalue"].imag) - 1.0) < 1e-9
+
+    def test_2d_failure_only_above_half_height_is_found(self):
+        # i * symbol has eigenvalues +-(xi_1 + xi_2) sqrt(sin(2 pi y)): complex for y > 1/2
+        def m21(x):
+            return np.sin(2.0 * np.pi * x[1]).reshape(1, 1, -1)
+
+        sys = rb.RelaxationSystem(
+            k=1, m=1, d=2, m12=(np.eye(1), np.eye(1)), m21=(m21, m21),
+            m22=(np.zeros((1, 1)), np.zeros((1, 1))),
+            q=lambda x, u, z: -z, q_nu=lambda x, u, z: -np.eye(1), source_linear_in_v=True,
+        )
+        g = rb.SpatialGrid((128, 128), (1.0, 1.0))
+        res = check_hyperbolicity(sys, SampleSet.build(g, 1, 1))
+        assert not res.passed
+        assert res.witness["x"][1] > 0.5
 
     def test_symmetric_builder_output_passes(self, samples):
         sys = builder.from_reaction_diffusion(
@@ -245,3 +275,83 @@ class TestValidateAll:
         report = validate_all(bundle.system, s, target=bundle.target)
         names = [e.name for e in report.entries]
         assert len(names) == len(set(names))
+
+
+@pytest.mark.parametrize("name", builder.DEMO_NAMES)
+def test_report_matches_golden(name):
+    """report.csv of every demo (n=256 in 1-d, 128^2 in 2-d) is pinned byte for byte."""
+    d = builder.DEMO_DIMS[name]
+    grid = rb.SpatialGrid((256,) if d == 1 else (128, 128), (1.0,) * d)
+    bundle = builder.demo(name, grid)
+    s = SampleSet.build(grid, bundle.system.k, bundle.system.m, u_box=bundle.state_box)
+    report = validate_all(bundle.system, s, target=bundle.target, symmetrizer=bundle.symmetrizer)
+    assert cli.report_csv(report) == (GOLDEN / f"report_{name}.csv").read_text()
+
+
+def _first_strict(values, worse):
+    best = 0
+    for i, v in enumerate(values):
+        if worse(v, values[best]):
+            best = i
+    return best
+
+
+class TestLoopReference:
+    """Stacked checks against per-sample loops over the single-point symbols.
+
+    The fixture's coefficients vary with x, and its worst sample is neither the
+    first nor unique (ties across y, u and +-xi), so witness selection counts.
+    """
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        base = np.array([[2.0, 0.3], [0.3, 1.0]]).reshape(2, 2, 1, 1, 1)
+        target = ReactionDiffusion(k=1, d=2, diffusion=lambda x: base * (1.0 + (x[0] - 0.5) ** 2))
+        g = rb.SpatialGrid((16, 16), (1.0, 1.0))
+        samples = SampleSet(
+            x_points=g.sample_points(16), directions=unit_directions(2),
+            u_points=np.array([[-1.0, 0.0, 1.0]]), v_points=np.array([[-1.0, 1.0], [0.5, 0.5]]),
+        )
+        return builder.from_reaction_diffusion(target), samples
+
+    @staticmethod
+    def _assert_matches(res, values, witnesses, worse, margin_sign):
+        i = _first_strict(values, worse)
+        assert i > 0 and values.count(values[i]) > 1
+        assert res.margin == margin_sign * values[i]
+        assert res.witness_str() == CheckResult(res.name, True, 0.0, witnesses[i]).witness_str()
+
+    def test_hyperbolicity(self, case):
+        sys, s = case
+        values, witnesses = [], []
+        for x in s.x_points.T:
+            for xi in s.directions.T:
+                eigs = np.linalg.eigvals(1j * rb.principal_symbol(sys, x, xi))
+                values.append(float(np.max(np.abs(eigs.imag))) - EIG_RTOL * float(np.max(np.abs(eigs))))
+                bad = eigs[np.argmax(np.abs(eigs.imag))]
+                witnesses.append({"x": x, "xi": xi, "eigenvalue": complex(bad)})
+        self._assert_matches(check_hyperbolicity(sys, s), values, witnesses, float.__gt__, -1.0)
+
+    def test_dissipativity(self, case):
+        sys, s = case
+        values, witnesses = [], []
+        for x in s.x_points.T:
+            for u in s.u_points.T:
+                for v in s.v_points.T:
+                    jac = rb.stiff_jacobian(sys, x, u, v)
+                    top = float(np.linalg.eigvalsh(0.5 * (jac + jac.T))[-1])
+                    values.append(top)
+                    witnesses.append({"x": x, "u": u, "v": v, "eigenvalue": top})
+        self._assert_matches(check_dissipativity(sys, s), values, witnesses, float.__gt__, -1.0)
+
+    def test_petrowski(self, case):
+        sys, s = case
+        values, witnesses = [], []
+        for x in s.x_points.T:
+            for u in s.u_points.T:
+                for xi in s.directions.T:
+                    eigs = np.linalg.eigvals(rb.limit_generator(sys, x, u, xi))
+                    values.append(-float(np.max(eigs.real)))
+                    witnesses.append({"x": x, "u": u, "xi": xi,
+                                      "eigenvalue": complex(eigs[np.argmax(eigs.real)])})
+        self._assert_matches(check_petrowski(sys, s), values, witnesses, float.__lt__, 1.0)
