@@ -74,6 +74,14 @@ class ReactionDiffusion:
         return self.second_order_symbols(as_point(x), np.reshape(xi, (-1, 1)))[0, 0]
 
 
+def _block_matrix(blocks: Array, count: int) -> Array:
+    """(d, d, k, k, M or 1) blocks as one (dk, dk, count) matrix, block (i, j) at (i*k, j*k)."""
+    d, _, k = blocks.shape[:3]
+    out = np.empty((d * k, d * k, count))
+    out.reshape(d, k, d, k, count)[...] = blocks.transpose(0, 2, 1, 3, 4)
+    return out
+
+
 def isotropic_diffusion(k: int, d: int, coeff: float = 1.0) -> Array:
     """Diffusion blocks for coeff * Laplacian acting on k components."""
     a = np.zeros((d, d, k, k))
@@ -108,13 +116,7 @@ class QuasilinearDivergence:
     def big_b(self, u: Array) -> Array:
         """Full (kd, kd, M) diffusion matrix at states u (k, M)."""
         u = np.atleast_2d(np.asarray(u, dtype=float))
-        blocks = np.asarray(self.diffusion(u), dtype=float)
-        k, d = self.k, self.d
-        out = np.empty((k * d, k * d, u.shape[-1]))
-        for i in range(d):
-            for j in range(d):
-                out[i * k:(i + 1) * k, j * k:(j + 1) * k] = blocks[i, j]
-        return out
+        return _block_matrix(np.asarray(self.diffusion(u), dtype=float), u.shape[-1])
 
     def second_order_symbols(self, u_points: Array, directions: Array) -> Array:
         """sum_ij B_ij(u) xi_i xi_j on every (u, xi) pair, shape (Mu, Mxi, k, k)."""
@@ -179,13 +181,7 @@ def _default_x_samples(d: int) -> Array:
 
 def _rd_amat(target: ReactionDiffusion, x: Array) -> Array:
     """Assembled (kd, kd, M) block matrix of the diffusion data."""
-    blocks = target.diffusion_at(x)
-    k, d = target.k, target.d
-    out = np.empty((k * d, k * d, x.shape[-1]))
-    for j in range(d):
-        for l in range(d):
-            out[j * k:(j + 1) * k, l * k:(l + 1) * k] = blocks[j, l]
-    return out
+    return _block_matrix(target.diffusion_at(x), x.shape[-1])
 
 
 def from_reaction_diffusion(

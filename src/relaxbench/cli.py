@@ -19,7 +19,7 @@ import numpy as np
 
 from . import builder, diagnostics, hypersolver, parasolver, validator
 from .builder import BuildError, DemoBundle
-from .core import FieldState, SpatialGrid, ValidationReport
+from .core import FieldState, SpatialGrid, ValidationReport, csv_text
 from .hypersolver import SolverError, SolverOptions
 from .parasolver import ReferenceError
 
@@ -197,14 +197,12 @@ def _validate(exp: Experiment) -> ValidationReport:
 
 
 def report_csv(report: ValidationReport) -> str:
-    lines = ["check,pass,margin,witness"]
-    for e in report.entries:
-        witness = e.witness_str()
-        if e.note:
-            witness = f"{witness};note={e.note}" if witness else f"note={e.note}"
-        witness = witness.replace(",", " ")
-        lines.append(f"{e.name},{str(e.passed).lower()},{e.margin:.17g},{witness}")
-    return "\n".join(lines) + "\n"
+    entries = report.entries
+    witness = [";".join(filter(None, (e.witness_str(), e.note and f"note={e.note}")))
+               for e in entries]
+    return csv_text(("check", "pass", "margin", "witness"), [
+        [e.name for e in entries], [str(e.passed).lower() for e in entries],
+        [e.margin for e in entries], witness])
 
 
 def _write(path: Path, text: str) -> None:

@@ -17,9 +17,10 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Tuple, Union
+from dataclasses import dataclass, field, fields, replace
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -161,6 +162,20 @@ def as_point(x) -> Array:
     if x.ndim == 1:
         x = x[:, None]
     return x
+
+
+def eig_factors(mats: Array) -> Tuple[Array, Array, Array]:
+    """(vals, vecs, vecs^-1) with mats = vecs diag(vals) vecs^-1 for a stack of matrices.
+
+    A stack symmetric to 1e-12 relative goes through eigh (vals real, vecs^-1
+    the transpose); any other through eig and inv.
+    """
+    sym_defect = np.max(np.abs(mats - np.swapaxes(mats, -1, -2)))
+    if sym_defect <= 1e-12 * max(1.0, np.max(np.abs(mats))):
+        vals, vecs = np.linalg.eigh(mats)
+        return vals, vecs, np.swapaxes(vecs, -1, -2)
+    vals, vecs = np.linalg.eig(mats)
+    return vals, vecs, np.linalg.inv(vecs)
 
 
 def constant_matrix(f: MatrixField) -> Optional[Array]:
@@ -508,6 +523,28 @@ def equilibrium_uII(sys: RelaxationSystem, grid: SpatialGrid, uI: Array) -> Arra
 # reports and tables
 
 
+def csv_text(header: Sequence[str], columns: Sequence) -> str:
+    """CSV text of a table: the header line, then one line per row, as one %-format.
+
+    Numbers are written with %.17g, which reads back to the same float64.  An
+    array column holds numbers; any other column holds text (commas become
+    spaces, so every row keeps its fields), numbers, or None for an empty field.
+    """
+    number = "%.17g"
+    formats, cells = [], []
+    for col in columns:
+        if isinstance(col, np.ndarray):
+            formats.append(number)
+            cells.append(col.tolist())
+        else:
+            formats.append("%s")
+            cells.append(["" if v is None else v.replace(",", " ") if isinstance(v, str)
+                          else number % v for v in col])
+    row = ",".join(formats) + "\n"
+    values = tuple(itertools.chain.from_iterable(zip(*cells)))
+    return ",".join(header) + "\n" + (row * len(cells[0])) % values
+
+
 @dataclass(frozen=True)
 class CheckResult:
     """Outcome of one structural check with its worst-case witness."""
@@ -588,13 +625,8 @@ class ConvergenceTable:
         return all(b < a for a, b in zip(errs, errs[1:]))
 
     def to_csv(self) -> str:
-        lines = ["epsilon,errI,errII_weak,sup_eps_uII,observed_order"]
-        for r in self.rows:
-            order = "" if r.observed_order is None else f"{r.observed_order:.17g}"
-            lines.append(
-                f"{r.eps:.17g},{r.errI:.17g},{r.errII_weak:.17g},{r.sup_eps_uII:.17g},{order}"
-            )
-        return "\n".join(lines) + "\n"
+        return csv_text(("epsilon", "errI", "errII_weak", "sup_eps_uII", "observed_order"),
+                        [[getattr(r, f.name) for r in self.rows] for f in fields(LadderRow)])
 
 
 __all__ = [

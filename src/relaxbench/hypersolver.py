@@ -20,6 +20,8 @@ from .core import (
     FieldState,
     RelaxationSystem,
     SpatialGrid,
+    csv_text,
+    eig_factors,
     eval_matrix_field,
     principal_symbols,
     unit_directions,
@@ -84,10 +86,8 @@ class Trajectory:
         return np.array([s.t for s in self.snapshots])
 
     def steps_csv(self) -> str:
-        lines = ["t,dt,energy,max_speed"]
-        for r in self.records:
-            lines.append(f"{r.t:.17g},{r.dt:.17g},{r.energy:.17g},{r.max_speed:.17g}")
-        return "\n".join(lines) + "\n"
+        cols = ("t", "dt", "energy", "max_speed")
+        return csv_text(cols, np.array([[getattr(r, c) for r in self.records] for c in cols]))
 
 
 def snapshot_csv(state: FieldState) -> str:
@@ -96,12 +96,8 @@ def snapshot_csv(state: FieldState) -> str:
     cols = ["x", "y"][: grid.d]
     cols += [f"uI_{i + 1}" for i in range(state.k)]
     cols += [f"uII_{i + 1}" for i in range(state.m)]
-    pts = grid.flat_points()
-    data = np.vstack([pts, state.uI.reshape(state.k, -1), state.uII.reshape(state.m, -1)])
-    lines = [",".join(cols)]
-    for col in range(data.shape[1]):
-        lines.append(",".join(f"{v:.17g}" for v in data[:, col]))
-    return "\n".join(lines) + "\n"
+    return csv_text(cols, np.vstack([grid.flat_points(), state.uI.reshape(state.k, -1),
+                                     state.uII.reshape(state.m, -1)]))
 
 
 def max_wave_speed(sys: RelaxationSystem, grid: SpatialGrid) -> float:
@@ -226,17 +222,8 @@ class _Workspace:
             if sys.m11 is not None:
                 blk[:k, :k] = np.asarray(sys.m11[j], dtype=float)
             hmat += kappa[j][..., None, None] * blk
-        sym_defect = np.max(np.abs(hmat - np.swapaxes(hmat, -1, -2)))
-        if sym_defect <= 1e-12 * max(1.0, np.max(np.abs(hmat))):
-            vals, vecs = np.linalg.eigh(hmat)
-            self._eigvals = vals.astype(complex)
-            self._eigvecs = vecs.astype(complex)
-            self._eigvecs_inv = np.swapaxes(vecs, -1, -2).astype(complex)
-        else:
-            vals, vecs = np.linalg.eig(hmat)
-            self._eigvals = vals
-            self._eigvecs = vecs
-            self._eigvecs_inv = np.linalg.inv(vecs)
+        self._eigvals, self._eigvecs, self._eigvecs_inv = (
+            a.astype(complex) for a in eig_factors(hmat))
 
     def _propagator(self, dt: float) -> Array:
         """exp(dt * transport generator) per mode, shape (*ns, N, N) complex."""

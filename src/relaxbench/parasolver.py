@@ -17,7 +17,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .builder import ParabolicTarget, QuasilinearDivergence, ReactionDiffusion
-from .core import Array, SpatialGrid
+from .core import Array, SpatialGrid, csv_text, eig_factors
 
 PICARD_TOL = 1e-11
 PICARD_MAXITER = 50
@@ -29,13 +29,8 @@ class ReferenceError(RuntimeError):
 
 def reference_csv(grid: SpatialGrid, u: Array) -> str:
     """One reference snapshot in the export schema x[,y],u_1..u_k."""
-    k = u.shape[0]
-    cols = ["x", "y"][: grid.d] + [f"u_{i + 1}" for i in range(k)]
-    data = np.vstack([grid.flat_points(), u.reshape(k, -1)])
-    lines = [",".join(cols)]
-    for col in range(data.shape[1]):
-        lines.append(",".join(f"{v:.17g}" for v in data[:, col]))
-    return "\n".join(lines) + "\n"
+    cols = ["x", "y"][: grid.d] + [f"u_{i + 1}" for i in range(len(u))]
+    return csv_text(cols, np.vstack([grid.flat_points(), u.reshape(len(u), -1)]))
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +166,8 @@ class _SpectralRD:
         self.grid = grid
         kappa = grid.wavenumbers()
         a = np.asarray(target.diffusion, dtype=float)
-        self.gen = -np.einsum("j...,l...,jlab->...ab", kappa, kappa, a)  # (*ns, k, k)
+        gen = -np.einsum("j...,l...,jlab->...ab", kappa, kappa, a)  # (*ns, k, k)
+        self.vals, self.vecs, self.vecs_inv = eig_factors(gen)
         self.k = target.k
         self._cache: Dict[float, Array] = {}
 
@@ -179,17 +175,7 @@ class _SpectralRD:
         cached = self._cache.get(dt)
         if cached is not None:
             return cached
-        if self.k == 1:
-            prop = np.exp(dt * self.gen[..., 0, 0])[..., None, None].astype(complex)
-        else:
-            sym_defect = np.max(np.abs(self.gen - np.swapaxes(self.gen, -1, -2)))
-            if sym_defect <= 1e-12 * max(1.0, np.max(np.abs(self.gen))):
-                vals, vecs = np.linalg.eigh(self.gen)
-                prop = ((vecs * np.exp(dt * vals)[..., None, :])
-                        @ np.swapaxes(vecs, -1, -2)).astype(complex)
-            else:
-                vals, vecs = np.linalg.eig(self.gen)
-                prop = (vecs * np.exp(dt * vals)[..., None, :]) @ np.linalg.inv(vecs)
+        prop = ((self.vecs * np.exp(dt * self.vals)[..., None, :]) @ self.vecs_inv).astype(complex)
         self._cache[dt] = prop
         return prop
 

@@ -6,6 +6,7 @@ from relaxbench import builder, validator
 from relaxbench.builder import (
     BuildError,
     DecouplingTransform,
+    QuasilinearDivergence,
     RawSystem,
     ReactionDiffusion,
     carleman,
@@ -174,6 +175,25 @@ class TestQuasilinear:
         target = scalar_quasilinear(b=lambda u: u, state_box=(-1.0, 1.0))  # vanishes at 0
         with pytest.raises(BuildError, match="singular"):
             from_quasilinear(target)
+
+
+def test_diffusion_block_matrix_layout():
+    """Block (i, j) of (d, d, k, k, M) diffusion data sits at rows i*k.., columns j*k.."""
+    rng = np.random.default_rng(3)
+    root = rng.normal(size=(6, 6))
+    full = root @ root.T + 6.0 * np.eye(6)  # SPD, so from_reaction_diffusion accepts it
+    blocks = full.reshape(2, 3, 2, 3).transpose(0, 2, 1, 3)  # blocks[i, j] = full[3i.., 3j..]
+    scaled = lambda x: blocks[..., None] * (1.0 + x[0])  # (2, 2, 3, 3, M)
+    x = rng.uniform(0.0, 1.0, size=(2, 4))
+    want = full[:, :, None] * (1.0 + x[0])
+    ql = QuasilinearDivergence(k=3, d=2, diffusion=scaled)
+    assert np.array_equal(ql.big_b(x[:1].repeat(3, axis=0)), want)
+    rd = from_reaction_diffusion(ReactionDiffusion(k=3, d=2, diffusion=scaled))
+    jac = rd.stiff_source_jacobian(x, np.zeros((3, 4)), np.zeros((6, 4)))
+    assert np.array_equal(jac, -want)
+    # a diffusion that returns one point is broadcast to every state
+    const = scalar_quasilinear(b=lambda u: 2.0)
+    assert np.array_equal(const.big_b(np.zeros((1, 5))), np.full((1, 1, 5), 2.0))
 
 
 class TestSqrtSymbol:

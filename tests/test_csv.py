@@ -1,0 +1,133 @@
+"""Byte pins for the CSV artifacts, on small inputs full of awkward floats.
+
+The files in `tests/data/` were written by the row-by-row writers that the
+shared table writer replaced; every artifact must stay byte for byte what
+they produced.  The inputs hold -0.0, subnormals, the largest double, values
+where %.17g switches to exponent form, and (where the type admits them) inf
+and nan.
+"""
+
+import io
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import relaxbench as rb
+from relaxbench import cli, parasolver
+from relaxbench.core import CheckResult, ConvergenceTable, LadderRow, ValidationReport
+from relaxbench.hypersolver import StepRecord, Trajectory, snapshot_csv
+
+GOLDEN = Path(__file__).parent / "data"
+
+# finite values that stress %.17g: signed zero, subnormals, extremes, and both
+# sides of the switch between fixed and exponent notation
+AWKWARD = [
+    -0.0, 0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+    1.7976931348623157e308, -1.7976931348623157e308, 0.1, -1.0 / 3.0,
+    1e-4, 1e-5, 9.999999999999999e-5, 1e16, 1e17, 9.9999999999999984e16,
+    123456789.125, -2.5, 1.0, 7e22, 6.02214076e23,
+]
+NONFINITE = [np.inf, -np.inf, np.nan]
+
+
+def _fields(shape, count, shift):
+    """`count` components of awkward values laid out on a grid of `shape`."""
+    size = count * int(np.prod(shape))
+    return np.roll(np.resize(AWKWARD, size), shift).reshape((count,) + shape)
+
+
+def snapshot_1d():
+    grid = rb.SpatialGrid((8,), (3.0,))
+    return rb.FieldState(grid, _fields((8,), 1, 0), _fields((8,), 2, 7), 0.0, 0.1)
+
+
+def snapshot_2d():
+    grid = rb.SpatialGrid((4, 5), (1.0, 7e-6))
+    return rb.FieldState(grid, _fields((4, 5), 1, 3), _fields((4, 5), 2, 11), 0.25, 0.05)
+
+
+def reference_2d():
+    grid = rb.SpatialGrid((4, 4), (2.0, 1e20))
+    u = _fields((4, 4), 2, 5)
+    u[0, 1, 2], u[1, 3, 0], u[1, 0, 1] = NONFINITE
+    return grid, u
+
+
+def trajectory():
+    values = AWKWARD + NONFINITE
+    records = [
+        StepRecord(t, dt, energy, speed, 0.0)
+        for t, dt, energy, speed in zip(values, values[5:] + values[:5],
+                                        values[11:] + values[:11], values[17:] + values[:17])
+    ]
+    return Trajectory([snapshot_1d()], records, 1.0, 0.0)
+
+
+def table():
+    return ConvergenceTable(rows=(
+        LadderRow(1.7976931348623157e308, 0.1, -0.0, 5e-324, None),
+        LadderRow(0.2, np.inf, 1e-5, 1e16, np.nan),
+        LadderRow(0.1, 1e17, np.nan, 0.0, -0.0),
+        LadderRow(1e-5, 2.2250738585072009e-308, 1.0, np.inf, 1.9999999999999998),
+        LadderRow(5e-324, 0.0, 6.02214076e23, 1.0 / 3.0, np.inf),
+    ))
+
+
+def golden_texts():
+    """Every pinned artifact, by file name in `tests/data/`."""
+    return {
+        "snapshot_1d.csv": snapshot_csv(snapshot_1d()),
+        "snapshot_2d.csv": snapshot_csv(snapshot_2d()),
+        "reference_2d.csv": parasolver.reference_csv(*reference_2d()),
+        "steps.csv": trajectory().steps_csv(),
+        "convergence.csv": table().to_csv(),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(golden_texts()))
+def test_matches_golden(name):
+    assert golden_texts()[name] == (GOLDEN / name).read_text()
+
+
+def test_golden_inputs_cover_the_awkward_values():
+    text = "".join(golden_texts().values())
+    for token in ("-0,", "4.9406564584124654e-324", "1.7976931348623157e+308", "inf", "nan",
+                  "1e+17", "99999999999999984", "10000000000000000", "0.0001,",
+                  "1.0000000000000001e-05"):
+        assert token in text
+    assert table().to_csv().split("\n")[1].endswith(",")
+
+
+def test_empty_tables_are_header_only():
+    empty = Trajectory([snapshot_1d()], [], 1.0, 0.0)
+    assert empty.steps_csv() == "t,dt,energy,max_speed\n"
+    header = "epsilon,errI,errII_weak,sup_eps_uII,observed_order\n"
+    assert ConvergenceTable(rows=()).to_csv() == header
+
+
+def test_report_text_fields():
+    """Commas in a witness or note become spaces; an empty witness is an empty field."""
+    report = ValidationReport((
+        CheckResult("rank_condition", False, -0.0, {"x": np.array([0.5, 1e-5]), "u": 0.1},
+                    note="rank 0, not 1"),
+        CheckResult("dissipativity", True, 1e-5, note="a,b"),
+        CheckResult("symmetrizer", True, np.inf),
+    ))
+    assert cli.report_csv(report) == (
+        "check,pass,margin,witness\n"
+        "rank_condition,false,-0,x=0.5 1e-05;u=0.1;note=rank 0  not 1\n"
+        "dissipativity,true,1.0000000000000001e-05,note=a b\n"
+        "symmetrizer,true,inf,\n"
+    )
+
+
+@pytest.mark.parametrize("make", [snapshot_1d, snapshot_2d])
+def test_snapshot_round_trips_bitwise(make):
+    state = make()
+    data = np.loadtxt(io.StringIO(snapshot_csv(state)), delimiter=",", skiprows=1, ndmin=2)
+    k, m = state.k, state.m
+    expected = np.vstack([state.grid.flat_points(), state.uI.reshape(k, -1),
+                          state.uII.reshape(m, -1)]).T
+    assert data.shape == expected.shape
+    assert data.tobytes() == expected.tobytes()
