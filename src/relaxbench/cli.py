@@ -305,6 +305,18 @@ def cmd_converge(config: str, out: str, threads: int = 1) -> int:
     return 0 if table.errI_monotone else 1
 
 
+def _threads(flag: Optional[int]) -> int:
+    """The --threads value, else RELAXBENCH_THREADS, else 1; at least 1."""
+    raw = os.environ.get("RELAXBENCH_THREADS", "1") if flag is None else flag
+    try:
+        threads = int(raw)
+    except ValueError:
+        raise ConfigError(f"RELAXBENCH_THREADS must be an integer, got {raw!r}") from None
+    if threads < 1:
+        raise ConfigError(f"threads must be at least 1, got {threads}")
+    return threads
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="relaxbench",
@@ -315,14 +327,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         p = sub.add_parser(name)
         p.add_argument("config", help="experiment config file")
         p.add_argument("--out", default="./out", help="output directory (default ./out)")
-        p.add_argument(
-            "--threads", type=int,
-            default=int(os.environ.get("RELAXBENCH_THREADS", "1")),
-            help="concurrent runs for ladder studies",
-        )
         if name == "run":
             p.add_argument("--allow-invalid", action="store_true",
                            help="run even if validation fails")
+        if name == "converge":
+            p.add_argument("--threads", type=int, default=None,
+                           help="concurrent ladder runs (default $RELAXBENCH_THREADS, else 1)")
     args = parser.parse_args(argv)
 
     try:
@@ -330,7 +340,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             return cmd_validate(args.config, args.out)
         if args.command == "run":
             return cmd_run(args.config, args.out, allow_invalid=args.allow_invalid)
-        return cmd_converge(args.config, args.out, threads=args.threads)
+        return cmd_converge(args.config, args.out, threads=_threads(args.threads))
     except ConfigError as err:
         print(f"config error: {err}", file=_sys.stderr)
         return 2

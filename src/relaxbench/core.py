@@ -313,49 +313,56 @@ def _direction_sweep(fn: Callable[[Array, Array], Array], x_points: Array, direc
     return np.stack([np.broadcast_to(np.moveaxis(v, -1, 0), (mx,) + v.shape[:2]) for v in vals], axis=1)
 
 
-def _contract_sweep(sys: RelaxationSystem, blocks, x_points: Array, directions: Array) -> Array:
-    """sum_j xi_j block_j(x) on every (x, xi) pair, shape (Mx, Mxi, rows, cols)."""
-    def contract(x, xi):
-        return np.sum([xi[j] * eval_matrix_field(blocks[j], x) for j in range(sys.d)], axis=0)
-    return _direction_sweep(contract, x_points, directions)
+def transport_blocks(sys: RelaxationSystem, x_points: Array) -> Array:
+    """Transport matrices [[M11_j, M12_j], [M21_j, M22_j]](x) of every axis j, (d, N, N, M).
+
+    The one place that knows the block layout; an absent block is zero.
+    """
+    x = np.atleast_2d(np.asarray(x_points, dtype=float))
+    out = np.zeros((sys.d, sys.n, sys.n, x.shape[1]))
+    top, bottom = slice(None, sys.k), slice(sys.k, None)
+    for rows, cols, blocks in ((top, bottom, sys.m12), (bottom, top, sys.m21),
+                               (bottom, bottom, sys.m22), (top, top, sys.m11)):
+        for j, blk in enumerate(blocks or ()):
+            out[j, rows, cols] = eval_matrix_field(blk, x)
+    return out
 
 
-def coupling_symbols(sys: RelaxationSystem, x_points: Array, directions: Array) -> Tuple[Array, Array]:
-    """Real coupling blocks (sum xi_j M12_j(x), sum xi_j M21_j(x)), each (Mx, Mxi, rows, cols).
+def transport_symbols(sys: RelaxationSystem, x_points: Array, directions: Array) -> Array:
+    """Real transport symbols sum_j xi_j T_j(x) on every (x, xi) pair, (Mx, Mxi, N, N), x outer.
 
-    Multiplier systems give (B(xi), -B(xi)), with B evaluated once per direction.
+    T_j are the transport_blocks, each field evaluated once; multiplier systems
+    give [[0, B(xi)], [-B(xi), 0]] with B evaluated once per direction.
     """
     directions = np.asarray(directions, dtype=float)
     if directions.shape[0] != sys.d:
         raise SymbolError(f"wave vector has dimension {directions.shape[0]}, system is {sys.d}-d")
     if sys.multiplier is not None:
         b = _direction_sweep(lambda x, xi: sys.multiplier.b_at(xi), x_points, directions)
-        return b, -b
-    return (_contract_sweep(sys, sys.m12, x_points, directions),
-            _contract_sweep(sys, sys.m21, x_points, directions))
+        return np.block([[np.zeros_like(b), b], [-b, np.zeros_like(b)]])
+    tab = np.moveaxis(transport_blocks(sys, x_points), -1, 1)  # (d, Mx, N, N)
+    return np.sum(directions[:, None, :, None, None] * tab[:, :, None], axis=0)
+
+
+def coupling_symbols(sys: RelaxationSystem, x_points: Array, directions: Array) -> Tuple[Array, Array]:
+    """Real coupling blocks (sum xi_j M12_j(x), sum xi_j M21_j(x)), each (Mx, Mxi, rows, cols).
+
+    Multiplier systems give (B(xi), -B(xi)).  Both are contiguous copies, so
+    matrix products on them take the same path as on freshly built stacks.
+    """
+    syms, k = transport_symbols(sys, x_points, directions), sys.k
+    return np.ascontiguousarray(syms[..., :k, k:]), np.ascontiguousarray(syms[..., k:, :k])
 
 
 def principal_symbols(sys: RelaxationSystem, x_points: Array, directions: Array) -> Array:
     """Principal symbols on every (x, xi) pair, shape (Mx, Mxi, N, N) complex.
 
     x_points is (d, Mx) and directions (d, Mxi); x varies slowest.  Differential
-    systems give the block matrix with entries -i sum_j xi_j M_j; multiplier
+    systems give -i sum_j xi_j T_j(x) (see transport_symbols); multiplier
     systems give the real block matrix [[0, B(xi)], [-B(xi), 0]].
     """
-    n, k = sys.n, sys.k
-    m12, m21 = coupling_symbols(sys, x_points, directions)
-    out = np.zeros(m12.shape[:2] + (n, n), dtype=complex)
-    if sys.multiplier is not None:
-        out[..., :k, k:] = m12
-        out[..., k:, :k] = m21
-        return out
-    out[..., :k, k:] = -1j * m12
-    out[..., k:, :k] = -1j * m21
-    if sys.m22 is not None:
-        out[..., k:, k:] = -1j * _contract_sweep(sys, sys.m22, x_points, directions)
-    if sys.m11 is not None:
-        out[..., :k, :k] = -1j * _contract_sweep(sys, sys.m11, x_points, directions)
-    return out
+    syms = transport_symbols(sys, x_points, directions)
+    return syms.astype(complex) if sys.multiplier is not None else -1j * syms
 
 
 def principal_symbol(sys: RelaxationSystem, x, xi) -> Array:
@@ -494,12 +501,11 @@ def apply_m21_gradient(sys: RelaxationSystem, grid: SpatialGrid, uI: Array) -> A
         out = np.fft.ifftn(np.moveaxis(bu, -1, 0), axes=spax).real
         return -out
     grad = spectral_gradient(grid, uI)  # (d, k, *ns)
-    xs = grid.flat_points()
+    m21 = transport_blocks(sys, grid.flat_points())[:, sys.k:, :sys.k]  # (d, m, k, M)
     out = np.zeros((sys.m,) + grid.ns)
     for j in range(sys.d):
-        mat = eval_matrix_field(sys.m21[j], xs)  # (m, k, M)
         dj = grad[j].reshape(sys.k, -1)
-        out += np.einsum("abm,bm->am", mat, dj).reshape((sys.m,) + grid.ns)
+        out += np.einsum("abm,bm->am", m21[j], dj).reshape((sys.m,) + grid.ns)
     return out
 
 
@@ -524,25 +530,31 @@ def equilibrium_uII(sys: RelaxationSystem, grid: SpatialGrid, uI: Array) -> Arra
 
 
 def csv_text(header: Sequence[str], columns: Sequence) -> str:
-    """CSV text of a table: the header line, then one line per row, as one %-format.
+    """CSV text of a table: the header line, then one line per row, one %-format per chunk.
 
     Numbers are written with %.17g, which reads back to the same float64.  An
     array column holds numbers; any other column holds text (commas become
     spaces, so every row keeps its fields), numbers, or None for an empty field.
+    Rows are formatted 1024 at a time, so only one chunk's cells are Python
+    objects at once.
     """
-    number = "%.17g"
-    formats, cells = [], []
+    number, chunk = "%.17g", 1024
+    formats, cols = [], []
     for col in columns:
         if isinstance(col, np.ndarray):
             formats.append(number)
-            cells.append(col.tolist())
+            cols.append(col)
         else:
             formats.append("%s")
-            cells.append(["" if v is None else v.replace(",", " ") if isinstance(v, str)
-                          else number % v for v in col])
+            cols.append(np.array(["" if v is None else v.replace(",", " ") if isinstance(v, str)
+                                  else number % v for v in col], dtype=object))
     row = ",".join(formats) + "\n"
-    values = tuple(itertools.chain.from_iterable(zip(*cells)))
-    return ",".join(header) + "\n" + (row * len(cells[0])) % values
+    parts = [",".join(header) + "\n"]
+    for start in range(0, len(cols[0]), chunk):
+        cells = [c[start:start + chunk].tolist() for c in cols]
+        values = tuple(itertools.chain.from_iterable(zip(*cells)))
+        parts.append((row * len(cells[0])) % values)
+    return "".join(parts)
 
 
 @dataclass(frozen=True)
@@ -643,6 +655,8 @@ __all__ = [
     "SpectralMultiplier",
     "RelaxationSystem",
     "unit_directions",
+    "transport_blocks",
+    "transport_symbols",
     "coupling_symbols",
     "principal_symbols",
     "principal_symbol",

@@ -22,8 +22,8 @@ from .core import (
     SpatialGrid,
     csv_text,
     eig_factors,
-    eval_matrix_field,
     principal_symbols,
+    transport_blocks,
     unit_directions,
 )
 
@@ -153,33 +153,24 @@ class _Workspace:
 
     # -- transport tabulation --------------------------------------------------
 
-    def _scaled_block(self, j: int) -> Array:
-        """Transport matrix of the scaled system along axis j, (N, N, M)."""
-        sys, eps = self.sys, self.eps
-        mcells = self.xflat.shape[1]
-        out = np.zeros((self.n, self.n, mcells))
-        k = self.k
-        out[:k, k:] = eval_matrix_field(sys.m12[j], self.xflat)
-        out[k:, :k] = eval_matrix_field(sys.m21[j], self.xflat) / eps ** 2
-        if sys.m22 is not None:
-            out[k:, k:] = eval_matrix_field(sys.m22[j], self.xflat) / eps
-        if sys.m11 is not None:
-            out[:k, :k] = eval_matrix_field(sys.m11[j], self.xflat) / eps
-        return out
-
     def _build_grid_transport(self):
-        grid = self.grid
-        self.cmat = []   # (N, N, *ns) per axis
-        self.absc = []   # |C| per axis for the characteristic flux
-        eye = np.eye(self.n)
+        """Tabulate C_j per cell: M12_j, M21_j / eps^2, and M11_j, M22_j / eps.
+
+        C_j is similar to T_j / eps, so eps times its largest spectral radius is a
+        wave speed; it raises self.speed where the sampled max_wave_speed missed it.
+        """
+        grid, n, k, eps = self.grid, self.n, self.k, self.eps
+        div = np.full((n, n, 1), eps)
+        div[:k, k:], div[k:, :k] = 1.0, eps ** 2
+        tab = transport_blocks(self.sys, self.xflat) / div
+        self.cmat = tab.reshape((grid.d, n, n) + grid.ns)  # C_j per axis j
+        radii = np.max(np.abs(np.linalg.eigvals(np.moveaxis(tab, -1, 1))), axis=(1, 2))
+        if eps * radii.max() > self.speed * (1.0 + 1e-9):
+            self.speed = eps * float(radii.max())
+        self.absc = []   # dissipation per axis: |C_j| (characteristic) or radius * I (Rusanov)
         for j in range(grid.d):
-            cm = self._scaled_block(j).reshape(self.n, self.n, *grid.ns)
-            self.cmat.append(cm)
-            flat = np.moveaxis(cm.reshape(self.n, self.n, -1), -1, 0)
-            radius = float(np.max(np.abs(np.linalg.eigvals(flat))))
             if self.opts.flux == "upwind-characteristic":
-                c0 = flat[0]
-                vals, vecs = np.linalg.eig(c0)
+                vals, vecs = np.linalg.eig(tab[j, :, :, 0])
                 if np.max(np.abs(vals.imag)) > 1e-9 * max(1.0, np.max(np.abs(vals))):
                     raise SolverError("characteristic upwind needs real characteristic speeds")
                 try:
@@ -188,7 +179,7 @@ class _Workspace:
                     raise SolverError("transport matrix is not diagonalizable") from err
                 self.absc.append(absc.real)
             else:
-                self.absc.append(radius * eye)
+                self.absc.append(float(radii[j]) * np.eye(n))
 
     def _transport_grid(self, y: Array, dt: float) -> Array:
         grid = self.grid
@@ -211,17 +202,10 @@ class _Workspace:
         if sys.multiplier is not None:
             return
         kappa = grid.wavenumbers()  # (d, *ns)
+        blocks = transport_blocks(sys, self.xflat[:, :1])[..., 0]  # constant (d, N, N)
         hmat = np.zeros(grid.ns + (self.n, self.n))
-        k = self.k
         for j in range(grid.d):
-            blk = np.zeros((self.n, self.n))
-            blk[:k, k:] = np.asarray(sys.m12[j], dtype=float)
-            blk[k:, :k] = np.asarray(sys.m21[j], dtype=float)
-            if sys.m22 is not None:
-                blk[k:, k:] = np.asarray(sys.m22[j], dtype=float)
-            if sys.m11 is not None:
-                blk[:k, :k] = np.asarray(sys.m11[j], dtype=float)
-            hmat += kappa[j][..., None, None] * blk
+            hmat += kappa[j][..., None, None] * blocks[j]
         self._eigvals, self._eigvecs, self._eigvecs_inv = (
             a.astype(complex) for a in eig_factors(hmat))
 

@@ -172,3 +172,21 @@ class TestConvergeCommand:
         cfg = write_cfg(tmp_path, HEAT_CFG)
         out = tmp_path / "out"
         assert cli.main(["converge", cfg, "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("flag, env", [("0", None), ("-5", None), (None, "0"), (None, "abc")])
+    def test_bad_thread_counts_are_config_errors(self, tmp_path, monkeypatch, capsys, flag, env):
+        if env is not None:
+            monkeypatch.setenv("RELAXBENCH_THREADS", env)
+        cfg = write_cfg(tmp_path, HEAT_CFG)
+        args = ["converge", cfg, "--out", str(tmp_path / "o")] + ([] if flag is None else ["--threads", flag])
+        assert cli.main(args) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_threads_only_on_converge(self, tmp_path, monkeypatch):
+        cfg = write_cfg(tmp_path, HEAT_CFG)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["validate", cfg, "--out", str(tmp_path / "o"), "--threads", "2"])
+        assert exc.value.code == 2
+        monkeypatch.setenv("RELAXBENCH_THREADS", "abc")
+        assert cli.main(["validate", cfg, "--out", str(tmp_path / "o")]) == 0

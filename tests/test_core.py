@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -10,8 +12,14 @@ from relaxbench.core import (
     SingularSourceError,
     SpatialGrid,
     equilibrium_uII,
+    principal_symbols,
     spectral_gradient,
+    transport_blocks,
+    unit_directions,
 )
+from relaxbench.hypersolver import SolverOptions, _Workspace
+
+from conftest import four_block_2d
 
 TWO_PI = 2.0 * np.pi
 
@@ -78,6 +86,50 @@ class TestPrincipalSymbol:
         for xi in ([1.0], [-1.0], [2.5]):
             sym = rb.principal_symbol(heat_sys, [0.4], xi)
             assert np.max(np.abs(sym[:1, :1])) == 0.0
+
+
+class TestTransportTable:
+    """transport_blocks is the one block placement; the grid flux scales it per block."""
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        grid = SpatialGrid((6, 5), (1.0, 2.0))
+        return four_block_2d(), grid, grid.flat_points()
+
+    def test_blocks_match_hand_placement(self, case):
+        sys, _, x = case
+        hand = np.zeros((2, 3, 3, x.shape[1]))
+        for j in range(2):
+            hand[j, :1, :1] = sys.m11[j](x)
+            hand[j, :1, 1:] = sys.m12[j](x)
+            hand[j, 1:, :1] = sys.m21[j](x)
+            hand[j, 1:, 1:] = sys.m22[j](x)
+        assert np.array_equal(transport_blocks(sys, x), hand)
+
+    def test_grid_transport_matches_hand_scaling(self, case):
+        sys, grid, x = case
+        eps = 0.1
+        ws = _Workspace(sys, grid, eps, SolverOptions(flux="rusanov"))
+        for j in range(2):
+            hand = np.zeros((3, 3, x.shape[1]))
+            hand[:1, :1] = sys.m11[j](x) / eps
+            hand[:1, 1:] = sys.m12[j](x)
+            hand[1:, :1] = sys.m21[j](x) / eps ** 2
+            hand[1:, 1:] = sys.m22[j](x) / eps
+            assert np.array_equal(ws.cmat[j], hand.reshape((3, 3) + grid.ns))
+
+    def test_each_field_called_once_per_sweep(self, case):
+        sys, grid, _ = case
+        calls = []
+
+        def m12(x):
+            calls.append(1)
+            return sys.m12[0](x)
+
+        counted = replace(sys, m12=(m12, sys.m12[1]))
+        syms = principal_symbols(counted, grid.sample_points(16), unit_directions(2))
+        assert len(calls) == 1
+        assert np.array_equal(syms, principal_symbols(sys, grid.sample_points(16), unit_directions(2)))
 
 
 class TestLimitGenerator:

@@ -8,6 +8,7 @@ and nan.
 """
 
 import io
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 
 import relaxbench as rb
 from relaxbench import cli, parasolver
-from relaxbench.core import CheckResult, ConvergenceTable, LadderRow, ValidationReport
+from relaxbench.core import CheckResult, ConvergenceTable, LadderRow, ValidationReport, csv_text
 from relaxbench.hypersolver import StepRecord, Trajectory, snapshot_csv
 
 GOLDEN = Path(__file__).parent / "data"
@@ -131,3 +132,27 @@ def test_snapshot_round_trips_bitwise(make):
                           state.uII.reshape(m, -1)]).T
     assert data.shape == expected.shape
     assert data.tobytes() == expected.tobytes()
+
+
+def test_long_table_matches_row_by_row():
+    """Tables longer than one formatting chunk: full chunks, then a partial one."""
+    rows = 2 * 1024 + 37
+    values = np.resize(AWKWARD + NONFINITE, (3, rows))
+    notes = [f"r{i},x" if i % 3 else None for i in range(rows)]
+    expected = "a,b,c,note\n" + "".join(
+        "%.17g,%.17g,%.17g,%s\n" % (*values[:, i].tolist(), "" if n is None else n.replace(",", " "))
+        for i, n in enumerate(notes))
+    assert csv_text(("a", "b", "c", "note"), [*values, notes]) == expected
+
+
+def test_formatting_memory_is_bounded():
+    """Only one chunk of cells is held as Python objects: the peak is about twice the text."""
+    header, columns = ("a", "b", "c", "d", "e"), np.random.default_rng(0).standard_normal((5, 16384))
+    csv_text(header, columns[:, :10])
+    tracemalloc.start()
+    try:
+        text = csv_text(header, columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * len(text)

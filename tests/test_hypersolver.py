@@ -43,6 +43,27 @@ class TestWaveSpeed:
         assert max_wave_speed(sys, grid) == pytest.approx(2.0 * np.sqrt(2.0), rel=1e-12)
 
 
+    def test_step_size_sees_a_peak_between_samples(self):
+        # m21 = 4 on cell 4 only; the 32 sampled points are every 8th cell and miss it,
+        # but the tabulated transport has radius sqrt(4) / eps there
+        grid = rb.SpatialGrid((256,), (1.0,))
+
+        def m21(x):
+            return np.where(np.abs(x[0] - 4.5 * grid.h[0]) < 0.25 * grid.h[0], 4.0, 1.0).reshape(1, 1, -1)
+
+        sys = rb.RelaxationSystem(
+            k=1, m=1, d=1, m12=(np.eye(1),), m21=(m21,),
+            q=lambda x, u, z: -z, q_nu=lambda x, u, z: -np.eye(1), source_linear_in_v=True,
+        )
+        assert max_wave_speed(sys, grid) == pytest.approx(1.0, rel=1e-12)
+        eps = 0.1
+        state = rb.FieldState(grid, np.zeros((1, 256)), np.zeros((1, 256)), 0.0, eps)
+        traj = run(sys, state, 1e-3, SolverOptions(flux="rusanov"))
+        bound = 0.45 * eps * grid.h[0] / 2.0
+        assert max(r.dt for r in traj.records) == pytest.approx(bound, rel=1e-12)
+        assert all(r.max_speed == pytest.approx(2.0 / eps, rel=1e-12) for r in traj.records)
+
+
 class TestStep:
     def test_zero_state_stays_zero(self, grid64):
         sys = builder.demo("heat1d", grid64).system

@@ -1,0 +1,47 @@
+"""Byte pins for short solver runs: the step log and the final snapshot.
+
+The files `tests/data/run_<label>_{steps,final}.csv` were written before the
+transport blocks were tabulated in one place; every run must stay byte for
+byte what that code produced.  `four-block-2d` has all four transport blocks
+varying in x along both axes, so it exercises every block placement.
+"""
+
+from pathlib import Path
+
+import pytest
+
+import relaxbench as rb
+from relaxbench import builder
+from relaxbench.hypersolver import SolverOptions, run, snapshot_csv, well_prepared_state
+
+from conftest import four_block_2d, sine_mode
+
+GOLDEN = Path(__file__).parent / "data"
+
+
+def _run(sys, grid, u0, flux, eps, T):
+    traj = run(sys, well_prepared_state(sys, grid, u0, eps), T, SolverOptions(flux=flux))
+    return traj.steps_csv(), snapshot_csv(traj.final)
+
+
+def _demo(name, n, flux, eps, T):
+    grid = rb.SpatialGrid((n,), (1.0,))
+    bundle = builder.demo(name, grid)
+    return _run(bundle.system, grid, bundle.u0(grid), flux, eps, T)
+
+
+RUNS = {
+    "four-block-2d_rusanov": lambda: _run(
+        four_block_2d(), rb.SpatialGrid((12, 10), (1.0, 1.0)),
+        sine_mode(rb.SpatialGrid((12, 10), (1.0, 1.0)), offset=0.5), "rusanov", 0.1, 0.02),
+    "heat1d_spectral": lambda: _demo("heat1d", 32, "spectral", 0.1, 0.02),
+    "heat1d_upwind-characteristic": lambda: _demo("heat1d", 32, "upwind-characteristic", 0.1, 0.02),
+    "sqrt-heat_spectral": lambda: _demo("sqrt-heat", 32, "spectral", 0.1, 0.02),
+}
+
+
+@pytest.mark.parametrize("label", sorted(RUNS))
+def test_run_matches_golden(label):
+    steps, final = RUNS[label]()
+    assert steps == (GOLDEN / f"run_{label}_steps.csv").read_text()
+    assert final == (GOLDEN / f"run_{label}_final.csv").read_text()
