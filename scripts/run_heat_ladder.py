@@ -29,18 +29,12 @@ def main():
     out.mkdir(parents=True, exist_ok=True)
     (out / "convergence.csv").write_text(table.to_csv())
 
-    times = np.linspace(0.0, T, 11)
-    xi = 2.0 * np.pi
+    times = np.linspace(0.0, T, diagnostics.LADDER_SNAPSHOTS)
+    preds = parasolver.oracle_ladder_errors(times, EPS)
     print(f"{'eps':>8} {'errI':>12} {'order':>8} {'predicted':>10}")
     prev_pred = None
     prev = None
-    for row, eps in zip(table.rows, EPS):
-        orc = parasolver.exact_mode_oracle(1.0, [xi], T, eps=eps)
-        vals = [
-            abs(orc.evolve(1.0, -1j * xi, t)[0] - np.exp(-xi ** 2 * t)) ** 2 * 0.5
-            for t in times
-        ]
-        pred = float(np.sqrt(np.trapezoid(vals, times)))
+    for row, eps, pred in zip(table.rows, EPS, preds):
         order = "" if row.observed_order is None else f"{row.observed_order:8.3f}"
         pred_order = ""
         if prev_pred is not None:

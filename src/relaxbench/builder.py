@@ -253,8 +253,7 @@ def from_reaction_diffusion(
 
     return RelaxationSystem(
         k=k, m=k * d, d=d, m12=m12, m21=m21, m22=m22,
-        q=q, q_nu=q_nu, reaction=target.f,
-        constant_coefficients=constant, source_linear_in_v=True,
+        q=q, q_nu=q_nu, reaction=target.f, source_linear_in_v=True,
         name=target.name or "reaction-diffusion",
     )
 
@@ -310,8 +309,7 @@ def from_quasilinear(target: QuasilinearDivergence) -> RelaxationSystem:
 
     return RelaxationSystem(
         k=k, m=k * d, d=d, m12=m12, m21=m21, m22=m22,
-        q=q, q_nu=q_nu, d_II=d_II, reaction=target.g,
-        constant_coefficients=True, source_linear_in_v=True,
+        q=q, q_nu=q_nu, d_II=d_II, reaction=target.g, source_linear_in_v=True,
         name=target.name or "quasilinear",
     )
 
@@ -349,7 +347,7 @@ def from_sqrt_symbol(target: ReactionDiffusion, grid: SpatialGrid) -> Relaxation
         idx = np.argwhere(bad)[0]
         raise BuildError(f"quadratic symbol not positive definite at mode index {tuple(idx)}")
     mult = SpectralMultiplier(
-        grid=grid, block=k, symbol=symbol,
+        grid=grid, symbol=symbol,
         eigvecs=vecs, sqrt_eigs=np.sqrt(np.clip(vals, 0.0, None)),
     )
 
@@ -361,7 +359,7 @@ def from_sqrt_symbol(target: ReactionDiffusion, grid: SpatialGrid) -> Relaxation
 
     return RelaxationSystem(
         k=k, m=k, d=d, q=q, q_nu=q_nu, reaction=target.f,
-        constant_coefficients=True, multiplier=mult, source_linear_in_v=True,
+        multiplier=mult, source_linear_in_v=True,
         name=target.name or "sqrt-multiplier",
     )
 
@@ -511,7 +509,6 @@ def decouple(
     return RelaxationSystem(
         k=k, m=n - k, d=raw.d, m12=m12, m21=m21, m22=m22, m11=m11,
         q=q, q_nu=q_nu, dtilde_I=dtilde_I, d_II=d_II,
-        constant_coefficients=constant,
         name=raw.name or "decoupled",
     )
 
@@ -571,9 +568,7 @@ def null_limit_system() -> RelaxationSystem:
     def m11(x):
         return np.sin(2.0 * np.pi * x[0]).reshape(1, 1, -1)
 
-    return replace(
-        base, m11=(m11,), constant_coefficients=False, name="null-limit",
-    )
+    return replace(base, m11=(m11,), name="null-limit")
 
 
 # ---------------------------------------------------------------------------

@@ -72,9 +72,6 @@ SCHEMA: Dict[str, Dict[str, Tuple[str, object]]] = {
     "solver": {
         "cfl": ("float", 0.45),
         "flux": ("str", "rusanov"),
-        "source_solve": ("str", "linear-exact"),
-        "newton_tol": ("float", 1e-12),
-        "newton_maxiter": ("int", 25),
         "snapshot_stride": ("int", 0),
         "positivity_floor": ("float", None),
     },
@@ -86,7 +83,6 @@ SCHEMA: Dict[str, Dict[str, Tuple[str, object]]] = {
         "u0_offset": ("float", None),
         "well_prepared": ("bool", True),
         "reference": ("bool", False),
-        "snapshots": ("int", 11),
     },
 }
 
@@ -176,8 +172,6 @@ def build_experiment(cfg: Dict[str, Dict[str, object]]) -> Experiment:
         solver = cfg["solver"]
         opts = SolverOptions(
             cfl=solver["cfl"], flux=solver["flux"],
-            source_solve=solver["source_solve"],
-            newton_tol=solver["newton_tol"], newton_maxiter=solver["newton_maxiter"],
             snapshot_stride=solver["snapshot_stride"],
             positivity_floor=solver["positivity_floor"],
         )

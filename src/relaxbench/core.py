@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -195,13 +195,12 @@ class SpectralMultiplier:
     """
 
     grid: SpatialGrid
-    block: int
     symbol: Callable[[Array], Array]
-    eigvecs: Array   # (*ns, block, block)
-    sqrt_eigs: Array  # (*ns, block)
+    eigvecs: Array   # (*ns, k, k)
+    sqrt_eigs: Array  # (*ns, k)
 
     def b_at(self, xi) -> Array:
-        """B(xi) for an arbitrary wave vector, shape (block, block)."""
+        """B(xi) for an arbitrary wave vector, shape (k, k)."""
         s = np.asarray(self.symbol(np.asarray(xi, dtype=float)), dtype=float)
         s = np.atleast_2d(s)
         vals, vecs = np.linalg.eigh(0.5 * (s + s.T))
@@ -210,7 +209,7 @@ class SpectralMultiplier:
         return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
 
     def table(self) -> Array:
-        """B on every grid mode, shape (*ns, block, block)."""
+        """B on every grid mode, shape (*ns, k, k)."""
         root = self.sqrt_eigs[..., None, :] * self.eigvecs
         return root @ np.swapaxes(self.eigvecs, -1, -2)
 
@@ -242,7 +241,6 @@ class RelaxationSystem:
     dtilde_I: Optional[Callable[[Array, Array, Array, float], Array]] = None
     d_II: Optional[Callable[[Array, Array], Array]] = None
     reaction: Optional[Callable[[Array], Array]] = None
-    constant_coefficients: bool = False
     multiplier: Optional[SpectralMultiplier] = None
     source_linear_in_v: bool = False
     name: str = ""
@@ -250,6 +248,14 @@ class RelaxationSystem:
     @property
     def n(self) -> int:
         return self.k + self.m
+
+    @property
+    def constant_coefficients(self) -> bool:
+        """True for multiplier transport and when every transport block is an array."""
+        if self.multiplier is not None:
+            return True
+        fields_ = (self.m11, self.m12, self.m21, self.m22)
+        return not any(callable(blk) for per_axis in fields_ for blk in per_axis or ())
 
     def __post_init__(self):
         if self.k <= 0 or self.m <= 0 or not 1 <= self.d <= 2:
@@ -494,6 +500,8 @@ def apply_m21_gradient(sys: RelaxationSystem, grid: SpatialGrid, uI: Array) -> A
     """
     uI = np.asarray(uI, dtype=float)
     if sys.multiplier is not None:
+        if sys.multiplier.grid != grid:
+            raise SymbolError(f"multiplier was tabulated on {sys.multiplier.grid}, not on {grid}")
         spax = tuple(range(1, 1 + grid.d))
         uhat = np.fft.fftn(uI, axes=spax)
         moved = np.moveaxis(uhat, 0, -1)[..., None]
@@ -585,7 +593,6 @@ class ValidationReport:
     """Per-hypothesis pass/fail results, one entry per declared check."""
 
     entries: Tuple[CheckResult, ...]
-    header: str = ""
 
     def __post_init__(self):
         names = [e.name for e in self.entries]
@@ -671,5 +678,4 @@ __all__ = [
     "ValidationReport",
     "LadderRow",
     "ConvergenceTable",
-    "replace",
 ]

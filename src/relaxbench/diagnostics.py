@@ -9,7 +9,7 @@ reference solver.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -26,6 +26,8 @@ from .core import (
     apply_m21_gradient,
 )
 from .hypersolver import SolverOptions, Trajectory
+
+LADDER_SNAPSHOTS = 11   # comparison times of a ladder, 0 and T included
 
 
 def energy(state: FieldState) -> float:
@@ -119,39 +121,31 @@ def ladder_runs(
     T: float,
     eps_list: Sequence[float],
     opts: Optional[SolverOptions] = None,
-    reference: str = "parabolic",
-    snapshot_count: int = 11,
-    reference_dt: Optional[float] = None,
     threads: int = 1,
 ) -> Tuple[List[LadderEntry], Array, Array]:
     """Run the stiff solver once per epsilon and compare against the reference.
 
+    The reference is the target's parabolic solution, or the zero function
+    when there is no target (a system whose limit is the null solution).
     Returns the per-epsilon entries plus the shared snapshot times and the
-    reference fields on those times (zeros when reference == 'zero').  The
-    ladder must be strictly decreasing with at least three rungs.
+    reference fields on those times.  The ladder must be strictly decreasing
+    with at least three rungs.
     """
     eps_list = [float(e) for e in eps_list]
     if len(eps_list) < 3:
         raise ValueError("epsilon ladder needs at least three entries")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("epsilon ladder must decrease strictly")
-    if reference not in ("parabolic", "zero"):
-        raise ValueError("reference must be 'parabolic' or 'zero'")
 
-    from dataclasses import replace as _replace
-
-    opts = _replace(opts or SolverOptions(), snapshot_stride=0)
+    opts = replace(opts or SolverOptions(), snapshot_stride=0)
     u0 = np.asarray(u0, dtype=float)
-    times = np.linspace(0.0, T, snapshot_count)
+    times = np.linspace(0.0, T, LADDER_SNAPSHOTS)
 
-    if reference == "parabolic":
-        if target is None:
-            raise ValueError("parabolic reference requires a target")
+    if target is not None:
         # reference runs 4x finer than its own default step so its error stays
         # well below the smallest ladder error being measured
-        ref_dt = reference_dt if reference_dt is not None else (T / 1000.0) / 4.0
         ref_times, ref_fields = parasolver.run_reference(
-            target, u0, grid, T, dt=ref_dt, snapshot_times=times,
+            target, u0, grid, T, dt=T / 4000.0, snapshot_times=times,
         )
         if len(ref_times) != len(times):
             raise RuntimeError("reference did not land on the requested times")
@@ -184,16 +178,10 @@ def convergence_study(
     T: float,
     eps_list: Sequence[float],
     opts: Optional[SolverOptions] = None,
-    reference: str = "parabolic",
-    snapshot_count: int = 11,
-    reference_dt: Optional[float] = None,
     threads: int = 1,
 ) -> ConvergenceTable:
     """Epsilon-ladder study: errors, weak residuals, and observed orders."""
-    entries, _, _ = ladder_runs(
-        sys, target, u0, grid, T, eps_list, opts=opts, reference=reference,
-        snapshot_count=snapshot_count, reference_dt=reference_dt, threads=threads,
-    )
+    entries, _, _ = ladder_runs(sys, target, u0, grid, T, eps_list, opts=opts, threads=threads)
     rows = []
     for i, e in enumerate(entries):
         order = None
@@ -219,14 +207,14 @@ def study_for_bundle(
     threads: int = 1,
 ) -> ConvergenceTable:
     """Convergence study with the bundle's own initial data and reference."""
-    reference = "zero" if bundle.target is None else "parabolic"
     return convergence_study(
         bundle.system, bundle.target, bundle.u0(grid), grid, T, eps_list,
-        opts=opts, reference=reference, threads=threads,
+        opts=opts, threads=threads,
     )
 
 
 __all__ = [
+    "LADDER_SNAPSHOTS",
     "energy",
     "EnergyInequality",
     "energy_inequality_check",

@@ -28,7 +28,8 @@ from .core import (
 )
 
 FLUXES = ("rusanov", "upwind-characteristic", "spectral")
-SOURCE_SOLVES = ("linear-exact", "newton")
+NEWTON_TOL = 1e-12
+NEWTON_MAXITER = 25
 
 
 class SolverError(RuntimeError):
@@ -41,9 +42,6 @@ class SolverOptions:
 
     cfl: float = 0.45
     flux: str = "rusanov"
-    source_solve: str = "linear-exact"
-    newton_tol: float = 1e-12
-    newton_maxiter: int = 25
     snapshot_stride: int = 0
     positivity_floor: Optional[float] = None
 
@@ -52,10 +50,6 @@ class SolverOptions:
             raise ValueError("cfl must lie in (0, 1]")
         if self.flux not in FLUXES:
             raise ValueError(f"flux must be one of {FLUXES}")
-        if self.source_solve not in SOURCE_SOLVES:
-            raise ValueError(f"source_solve must be one of {SOURCE_SOLVES}")
-        if self.newton_tol <= 0:
-            raise ValueError("newton tolerance must be positive")
 
 
 @dataclass(frozen=True)
@@ -132,12 +126,12 @@ class _Workspace:
 
         if sys.multiplier is not None and opts.flux != "spectral":
             raise SolverError("multiplier transport requires the spectral flux")
+        if sys.multiplier is not None and sys.multiplier.grid != grid:
+            raise SolverError(f"multiplier was tabulated on {sys.multiplier.grid}, not on {grid}")
         if opts.flux == "spectral" and sys.multiplier is None and not sys.constant_coefficients:
             raise SolverError("spectral transport requires constant coefficients")
         if opts.flux == "upwind-characteristic" and not sys.constant_coefficients:
             raise SolverError("characteristic upwind requires constant coefficients")
-        if opts.source_solve == "linear-exact" and not sys.source_linear_in_v:
-            raise SolverError("linear-exact needs a source linear in v; set source_solve = newton")
 
         if opts.flux in ("rusanov", "upwind-characteristic"):
             self._build_grid_transport()
@@ -258,7 +252,8 @@ class _Workspace:
         d2 = sys.lower_order_II(unew, eps * vflat)
         rhs = eps ** 2 * vflat + dt * d2
 
-        if self.opts.source_solve == "linear-exact":
+        # a source linear in v is solved exactly with its jacobian at v = 0; any other by Newton
+        if sys.source_linear_in_v:
             cmat = sys.stiff_source_jacobian(self.xflat, unew, np.zeros_like(vflat))
             lhs = eps ** 2 * np.eye(self.m)[:, :, None] - dt * cmat
             vnew = np.linalg.solve(np.moveaxis(lhs, -1, 0), np.moveaxis(rhs, -1, 0)[..., None])
@@ -272,14 +267,14 @@ class _Workspace:
         sys, eps = self.sys, self.eps
         v = v0.copy()
         eye = np.eye(self.m)[:, :, None]
-        for _ in range(self.opts.newton_maxiter):
+        for _ in range(NEWTON_MAXITER):
             res = eps ** 2 * v - (dt / eps) * sys.stiff_source(self.xflat, u, eps * v) - rhs
             jac = sys.stiff_source_jacobian(self.xflat, u, eps * v)
             lhs = eps ** 2 * eye - dt * jac
             delta = np.linalg.solve(np.moveaxis(lhs, -1, 0), np.moveaxis(res, -1, 0)[..., None])
             delta = np.moveaxis(delta[..., 0], 0, -1)
             v = v - delta
-            if float(np.max(np.abs(delta))) <= self.opts.newton_tol * (1.0 + float(np.max(np.abs(v)))):
+            if float(np.max(np.abs(delta))) <= NEWTON_TOL * (1.0 + float(np.max(np.abs(v)))):
                 return v
         worst = int(np.argmax(np.max(np.abs(delta), axis=0)))
         raise SolverError(
@@ -401,6 +396,8 @@ def well_prepared_state(
 __all__ = [
     "SolverError",
     "SolverOptions",
+    "NEWTON_TOL",
+    "NEWTON_MAXITER",
     "StepRecord",
     "Trajectory",
     "snapshot_csv",

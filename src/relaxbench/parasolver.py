@@ -339,12 +339,32 @@ def exact_mode_oracle(diffusion, kvec, t: float, eps: Optional[float] = None):
     return ModeOracle(s=s, eps=eps, lambda_slow=complex(lam_slow), lambda_fast=complex(lam_fast))
 
 
+def oracle_ladder_errors(times: Sequence[float], eps_list: Sequence[float]) -> List[float]:
+    """errI per eps that the exact mode pair predicts for the unit heat ladder.
+
+    The well-prepared sin(2 pi x) mode of unit amplitude and diffusion,
+    evolved exactly, against the parabolic decay exp(-(2 pi)^2 t), in the
+    ladder's space-time L2 metric (trapezoid rule over `times`; the mode's
+    mean square on the unit period is 1/2).
+    """
+    times = np.asarray(times, dtype=float)
+    xi = 2.0 * np.pi
+    errs = []
+    for eps in eps_list:
+        orc = exact_mode_oracle(1.0, [xi], times[-1], eps=eps)
+        vals = [abs(orc.evolve(1.0, -1j * xi, t)[0] - np.exp(-xi ** 2 * t)) ** 2 * 0.5
+                for t in times]
+        errs.append(float(np.sqrt(np.trapezoid(vals, times))))
+    return errs
+
+
 __all__ = [
     "ReferenceError",
     "reference_csv",
     "run_reference",
     "ModeOracle",
     "exact_mode_oracle",
+    "oracle_ladder_errors",
     "PICARD_TOL",
     "PICARD_MAXITER",
 ]

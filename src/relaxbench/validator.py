@@ -6,6 +6,9 @@ Degree-one homogeneity of the transport symbols (and degree two of the limit
 generators) makes unit-sphere sampling sufficient.  Reports are deterministic
 and every failing entry carries a witness at which re-evaluating the scalar
 criterion reproduces the failure.
+
+The constant-coefficient convergence theorem's undefined hypothesis labels
+are read as the lower-order-source and dissipativity conditions.
 """
 
 from __future__ import annotations
@@ -36,12 +39,6 @@ ZERO_TOL = 1e-11         # absolute tolerance for symbol entries that must vanis
 
 NULL_LIMIT_NOTE = (
     "conserved transport block does not vanish: the relaxation limit is the null solution"
-)
-
-REPORT_HEADER = (
-    "structural checks on sampled (x, xi, state); "
-    "the constant-coefficient convergence theorem's undefined hypothesis labels "
-    "are read as the lower-order-source and dissipativity conditions"
 )
 
 
@@ -321,7 +318,7 @@ def validate_all(
     ]
     if target is not None:
         entries.append(check_petrowski(target, samples, mode="strong"))
-    return ValidationReport(entries=tuple(entries), header=REPORT_HEADER)
+    return ValidationReport(entries=tuple(entries))
 
 
 __all__ = [

@@ -142,14 +142,7 @@ def test_criterion_04_eps_ladder_convergence(heat_ladder, carleman_ladder, grid)
 
     # oracle-predicted errors: push the exact mode pair through the same
     # space-time metric against the exact parabolic decay
-    pred = []
-    for eps in EPS_LADDER:
-        orc = parasolver.exact_mode_oracle(1.0, [TWO_PI], T_FINAL, eps=eps)
-        vals = [
-            abs(orc.evolve(1.0, -1j * TWO_PI, t)[0] - np.exp(-TWO_PI ** 2 * t)) ** 2 * 0.5
-            for t in times
-        ]
-        pred.append(float(np.sqrt(np.trapezoid(vals, times))))
+    pred = parasolver.oracle_ladder_errors(times, EPS_LADDER)
     observed = _ls_slope(EPS_LADDER, heat_errs)
     predicted = _ls_slope(EPS_LADDER, pred)
     assert abs(observed - predicted) <= 0.25, (observed, predicted)

@@ -254,3 +254,11 @@ class TestRoundTripHypotheses:
 def test_unknown_demo_rejected(grid64):
     with pytest.raises(BuildError, match="unknown demo"):
         builder.demo("nope", grid64)
+
+
+@pytest.mark.parametrize("name", builder.DEMO_NAMES)
+def test_demo_coefficients_derived_constant(name):
+    # every transport block is an array (or the transport a multiplier) except null-limit's m11
+    d = builder.DEMO_DIMS[name]
+    grid = rb.SpatialGrid((16,) * d, (1.0,) * d)
+    assert builder.demo(name, grid).system.constant_coefficients == (name != "null-limit")

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -61,6 +64,25 @@ class TestConfigParsing:
         cfg = write_cfg(tmp_path, "[system]\nkind = demo\nname = heat1d\n[grid]\nn = wat\n[experiment]\nT = 0.1\n")
         with pytest.raises(cli.ConfigError, match="line 5"):
             cli.parse_config(cfg)
+
+    @pytest.mark.parametrize("section, line", [
+        ("solver", "source_solve = newton"), ("solver", "newton_tol = 1e-10"),
+        ("solver", "newton_maxiter = 5"), ("experiment", "snapshots = 3"),
+    ])
+    def test_retired_keys_are_config_errors(self, tmp_path, capsys, section, line):
+        # the source solve, Newton limits and ladder times follow from the system
+        cfg = write_cfg(tmp_path, CARLEMAN_CFG + f"\n[{section}]\n{line}\n")
+        assert cli.main(["validate", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert f"unknown key {section}.{line.split()[0]}" in capsys.readouterr().err
+
+    def test_readme_config_block_builds(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+        cfg = cli.parse_config(write_cfg(tmp_path, block))
+        cli.build_experiment(cfg)
+        for section, keys in cli.SCHEMA.items():  # and every key is documented
+            for key in keys:
+                assert re.search(rf"^{key} =", block, re.M), f"{section}.{key}"
 
     def test_comments_and_defaults(self, tmp_path):
         cfg = write_cfg(tmp_path, HEAT_CFG + "# trailing comment\n")

@@ -149,7 +149,7 @@ class TestConvergenceStudy:
         bundle = builder.demo("null-limit", grid128)
         table = convergence_study(
             bundle.system, None, bundle.u0(grid128), grid128, 0.05,
-            [0.2, 0.1, 0.05], opts=SolverOptions(flux="rusanov"), reference="zero",
+            [0.2, 0.1, 0.05], opts=SolverOptions(flux="rusanov"),
         )
         assert table.errI_monotone
 

@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import relaxbench as rb
 from relaxbench import builder, hypersolver, parasolver
-from relaxbench.core import l2_norm
+from relaxbench.core import SymbolError, l2_norm
 from relaxbench.hypersolver import SolverError, SolverOptions, max_wave_speed, run, snapshot_csv, step
 
 from conftest import sine_mode
@@ -96,6 +98,27 @@ class TestStep:
         with pytest.raises(SolverError, match="constant"):
             step(bundle.system, state, 1e-6, SolverOptions(flux="spectral"))
 
+    @pytest.mark.parametrize("flux", ["spectral", "upwind-characteristic"])
+    def test_variable_block_is_not_constant(self, grid64, flux):
+        # heat1d with an x-dependent m12: both fluxes would use cell 0's coefficients everywhere
+        def m12(x):
+            return (1.0 + 0.5 * np.sin(TWO_PI * x[0])).reshape(1, 1, -1)
+
+        sys = replace(builder.demo("heat1d", grid64).system, m12=(m12,))
+        assert not sys.constant_coefficients
+        state = rb.FieldState(grid64, sine_mode(grid64), np.zeros((1, 64)), 0.0, 0.1)
+        with pytest.raises(SolverError, match="constant"):
+            step(sys, state, 1e-6, SolverOptions(flux=flux))
+
+    def test_multiplier_refuses_another_grid(self, grid64):
+        sys = builder.demo("sqrt-heat", grid64).system
+        other = rb.SpatialGrid((64,), (2.0,))
+        state = rb.FieldState(other, sine_mode(other), np.zeros((1, 64)), 0.0, 0.1)
+        with pytest.raises(SolverError, match=r"lengths=\(1\.0,\).*lengths=\(2\.0,\)"):
+            step(sys, state, 1e-6, SolverOptions(flux="spectral"))
+        with pytest.raises(SymbolError, match=r"lengths=\(1\.0,\).*lengths=\(2\.0,\)"):
+            hypersolver.well_prepared_state(sys, other, sine_mode(other), 0.1)
+
 
 class TestSingleModeDecay:
     def test_discrete_rate_approaches_slow_root(self, grid256):
@@ -187,19 +210,17 @@ class TestSourceSolvers:
         _, _, sys = builder.carleman()
         bundle_u0 = builder.demo("carleman", grid128).u0(grid128)
         init = hypersolver.well_prepared_state(sys, grid128, bundle_u0, 0.1)
-        t1 = run(sys, init, 0.01, SolverOptions(flux="spectral", source_solve="linear-exact"))
-        t2 = run(sys, init, 0.01, SolverOptions(flux="spectral", source_solve="newton"))
+        t1 = run(sys, init, 0.01, SolverOptions(flux="spectral"))
+        t2 = run(replace(sys, source_linear_in_v=False), init, 0.01, SolverOptions(flux="spectral"))
         assert np.allclose(t1.final.uI, t2.final.uI, atol=1e-12)
         assert np.allclose(t1.final.uII, t2.final.uII, atol=1e-11)
 
-    def test_linear_exact_refuses_unflagged_source(self, grid64):
+    def test_unflagged_source_runs_newton(self, grid64):
         raw, transform, _ = builder.carleman()
         sys = builder.decouple(raw, transform)  # not flagged as linear in v
         u0 = builder.demo("carleman", grid64).u0(grid64)
         init = hypersolver.well_prepared_state(sys, grid64, u0, 0.1)
-        with pytest.raises(SolverError, match="source_solve = newton"):
-            run(sys, init, 1e-3, SolverOptions(flux="spectral"))
-        traj = run(sys, init, 1e-3, SolverOptions(flux="spectral", source_solve="newton"))
+        traj = run(sys, init, 1e-3, SolverOptions(flux="spectral"))
         assert np.all(np.isfinite(traj.final.uI)) and traj.final.t == pytest.approx(1e-3)
 
     def test_newton_solves_cubic_source(self, grid64):
@@ -213,11 +234,11 @@ class TestSourceSolvers:
         sys = rb.RelaxationSystem(
             k=1, m=1, d=1,
             m12=(np.eye(1),), m21=(np.eye(1),), m22=(np.zeros((1, 1)),),
-            q=q, q_nu=q_nu, constant_coefficients=True,
+            q=q, q_nu=q_nu,
         )
         eps = 0.1
         state = hypersolver.well_prepared_state(sys, grid64, sine_mode(grid64, amplitude=0.2), eps)
-        opts = SolverOptions(flux="spectral", source_solve="newton")
+        opts = SolverOptions(flux="spectral")
         out = step(sys, state, 1e-4, opts)
         # the implicit relation must hold at the returned state
         ws = hypersolver._Workspace(sys, grid64, eps, opts)

@@ -54,6 +54,13 @@ class TestModeOracle:
         fac = exact_mode_oracle(a, xi, 1.0)
         assert fac == pytest.approx(np.exp(-float(xi @ a @ xi)), rel=1e-12)
 
+    def test_ladder_errors_pinned(self):
+        # the acceptance heat ladder: T = 0.1, 11 comparison times, eps 0.2 -> 0.025
+        times = np.linspace(0.0, 0.1, 11)
+        got = parasolver.oracle_ladder_errors(times, (0.2, 0.1, 0.05, 0.025))
+        assert got == [0.10035114129003889, 0.023900085893376912,
+                       0.0056517722390511411, 0.0013868901857918684]
+
 
 class TestSpectralReference:
     def test_heat_amplitude(self, grid256):

@@ -44,7 +44,7 @@ def _simple_system(m12=1.0, m21=1.0, m11=None, q_sign=-1.0):
     kwargs = dict(
         k=1, m=1, d=1,
         m12=(np.array([[m12]]),), m21=(np.array([[m21]]),), m22=(np.zeros((1, 1)),),
-        q=q, q_nu=q_nu, constant_coefficients=True, source_linear_in_v=True,
+        q=q, q_nu=q_nu, source_linear_in_v=True,
     )
     if m11 is not None:
         kwargs["m11"] = (np.array([[m11]]),)
