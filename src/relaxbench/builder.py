@@ -23,7 +23,9 @@ from .core import (
     SpectralMultiplier,
     Symmetrizer,
     as_point,
+    eig_factors,
     eval_matrix_field,
+    solve_points,
 )
 
 
@@ -72,6 +74,11 @@ class ReactionDiffusion:
     def second_order_symbol(self, x, xi) -> Array:
         """sum_jk A_jk(x) xi_j xi_k, a (k, k) matrix at one point."""
         return self.second_order_symbols(as_point(x), np.reshape(xi, (-1, 1)))[0, 0]
+
+    def mode_symbols(self, grid: SpatialGrid) -> Array:
+        """sum_jl A_jl kappa_j kappa_l on every Fourier mode of the grid, (*ns, k, k); A constant."""
+        kappa = grid.wavenumbers()
+        return np.einsum("j...,l...,jlab->...ab", kappa, kappa, np.asarray(self.diffusion, dtype=float))
 
 
 def _block_matrix(blocks: Array, count: int) -> Array:
@@ -290,8 +297,7 @@ def from_quasilinear(target: QuasilinearDivergence) -> RelaxationSystem:
     m22 = tuple(np.zeros((k * d, k * d)) for _ in range(d))
 
     def q(x, u, z):
-        big = np.moveaxis(target.big_b(u), -1, 0)
-        return -np.moveaxis(np.linalg.solve(big, np.moveaxis(z, -1, 0)[..., None])[..., 0], 0, -1)
+        return -solve_points(target.big_b(u), z)
 
     def q_nu(x, u, z):
         big = np.moveaxis(target.big_b(u), -1, 0)
@@ -301,11 +307,7 @@ def from_quasilinear(target: QuasilinearDivergence) -> RelaxationSystem:
     if target.flux is not None:
         def d_II(u, z):
             fl = np.asarray(target.flux(u), dtype=float)  # (d, k, M)
-            stacked = fl.reshape(k * d, -1)
-            big = np.moveaxis(target.big_b(u), -1, 0)
-            return np.moveaxis(
-                np.linalg.solve(big, np.moveaxis(stacked, -1, 0)[..., None])[..., 0], 0, -1
-            )
+            return solve_points(target.big_b(u), fl.reshape(k * d, -1))
 
     return RelaxationSystem(
         k=k, m=k * d, d=d, m12=m12, m21=m21, m22=m22,
@@ -337,11 +339,9 @@ def from_sqrt_symbol(target: ReactionDiffusion, grid: SpatialGrid) -> Relaxation
         xi = np.asarray(xi, dtype=float).reshape(-1)
         return np.einsum("j,l,jlab->ab", xi, xi, a)
 
-    kappa = grid.wavenumbers()  # (d, *ns)
-    smat = np.einsum("j...,l...,jlab->...ab", kappa, kappa, a)
-    smat = 0.5 * (smat + np.swapaxes(smat, -1, -2))
-    vals, vecs = np.linalg.eigh(smat)
-    knorm = np.sqrt(np.sum(kappa ** 2, axis=0))
+    smat = target.mode_symbols(grid)
+    vals, vecs, _ = eig_factors(0.5 * (smat + np.swapaxes(smat, -1, -2)))  # exactly symmetric, so eigh
+    knorm = np.sqrt(np.sum(grid.wavenumbers() ** 2, axis=0))
     bad = (vals[..., 0] <= 0) & (knorm > 0)
     if np.any(bad):
         idx = np.argwhere(bad)[0]

@@ -162,6 +162,8 @@ def build_experiment(cfg: Dict[str, Dict[str, object]]) -> Experiment:
         lengths = lengths * d
     if len(ns) != d or len(lengths) != d:
         raise ConfigError(f"grid.n/grid.length must have 1 or {d} entries for demo {name}")
+    if cfg["experiment"]["T"] < 0:
+        raise ConfigError("experiment.T must be nonnegative")
     try:
         grid = SpatialGrid(ns=tuple(ns), lengths=tuple(lengths))
         bundle = builder.demo(
@@ -188,6 +190,16 @@ def _validate(exp: Experiment) -> ValidationReport:
     return validator.validate_all(
         sysm, samples, target=exp.bundle.target, symmetrizer=exp.bundle.symmetrizer,
     )
+
+
+def _initial_field(exp: Experiment) -> np.ndarray:
+    """The demo's initial conserved field; BuildError if a positive-state demo's is not positive."""
+    bundle = exp.bundle
+    u0 = bundle.u0(exp.grid)
+    if bundle.positive_states and float(np.min(u0)) <= 0.0:
+        raise BuildError(f"initial conserved field must stay positive for demo {bundle.name}; "
+                         f"minimum is {float(np.min(u0)):.6g}")
+    return u0
 
 
 def report_csv(report: ValidationReport) -> str:
@@ -240,14 +252,7 @@ def cmd_run(config: str, out: str, allow_invalid: bool = False) -> int:
         return 1
 
     grid, bundle = exp.grid, exp.bundle
-    u0 = bundle.u0(grid)
-    if bundle.positive_states and float(np.min(u0)) <= 0.0:
-        print(
-            f"initial conserved field must stay positive for demo {bundle.name}; "
-            f"minimum is {float(np.min(u0)):.6g}",
-            file=_sys.stderr,
-        )
-        return 1
+    u0 = _initial_field(exp)
 
     if expcfg["well_prepared"]:
         init = hypersolver.well_prepared_state(bundle.system, grid, u0, eps)
@@ -285,6 +290,7 @@ def cmd_converge(config: str, out: str, threads: int = 1) -> int:
     eps_list = expcfg["epsilons"]
     if eps_list is None:
         raise ConfigError("missing field experiment.epsilons")
+    _initial_field(exp)
     try:
         table = diagnostics.study_for_bundle(
             exp.bundle, exp.grid, expcfg["T"], eps_list,

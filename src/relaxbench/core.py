@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, fields
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -134,6 +134,24 @@ def spectral_gradient(grid: SpatialGrid, fields: Array) -> Array:
     return out
 
 
+def apply_modes(grid: SpatialGrid, table: Array, fields: Array) -> Array:
+    """Per-mode action of a matrix table (*ns, r, c) on real fields (c, *ns) -> (r, *ns)."""
+    spax = tuple(range(1, 1 + grid.d))
+    fhat = np.moveaxis(np.fft.fftn(fields, axes=spax), 0, -1)[..., None]
+    out = (table @ fhat)[..., 0]
+    return np.fft.ifftn(np.moveaxis(out, -1, 0), axes=spax).real
+
+
+def plan_times(T: float, snapshot_times: Optional[Sequence[float]]) -> List[float]:
+    """Distinct requested times in (0, T] plus T, sorted; one past T by <= 1e-12 relative lands on T."""
+    times = {float(T)}
+    if snapshot_times is not None:
+        for t in np.asarray(snapshot_times, dtype=float).ravel():
+            if 0.0 < t <= T * (1 + 1e-12):
+                times.add(float(min(t, T)))
+    return sorted(times)
+
+
 def l2_norm(fields: Array, grid: SpatialGrid) -> float:
     """Discrete L2 norm of a stack of scalar fields (c, *ns)."""
     return float(np.sqrt(np.sum(np.asarray(fields) ** 2) * grid.cell_volume))
@@ -178,6 +196,17 @@ def eig_factors(mats: Array) -> Tuple[Array, Array, Array]:
     return vals, vecs, np.linalg.inv(vecs)
 
 
+def eig_function(vecs: Array, values: Array, vecs_inv: Array) -> Array:
+    """vecs diag(values) vecs^-1 per matrix of a stack: a matrix function from its eigen-factors."""
+    return (vecs * values[..., None, :]) @ vecs_inv
+
+
+def solve_points(mats: Array, rhs: Array) -> Array:
+    """Solve mats[:, :, p] x[:, p] = rhs[:, p] at every point p; mats (m, m, M), rhs (m, M)."""
+    sol = np.linalg.solve(np.moveaxis(mats, -1, 0), np.moveaxis(rhs, -1, 0)[..., None])
+    return np.moveaxis(sol[..., 0], 0, -1)
+
+
 def constant_matrix(f: MatrixField) -> Optional[Array]:
     return None if callable(f) else np.asarray(f, dtype=float)
 
@@ -203,15 +232,14 @@ class SpectralMultiplier:
         """B(xi) for an arbitrary wave vector, shape (k, k)."""
         s = np.asarray(self.symbol(np.asarray(xi, dtype=float)), dtype=float)
         s = np.atleast_2d(s)
-        vals, vecs = np.linalg.eigh(0.5 * (s + s.T))
+        vals, vecs, vecs_t = eig_factors(0.5 * (s + s.T))  # exactly symmetric, so eigh
         if np.any(vals < -1e-12 * max(1.0, np.max(np.abs(vals)))):
             raise SymbolError("quadratic symbol is not positive semidefinite")
-        return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
+        return eig_function(vecs, np.sqrt(np.clip(vals, 0.0, None)), vecs_t)
 
     def table(self) -> Array:
         """B on every grid mode, shape (*ns, k, k)."""
-        root = self.sqrt_eigs[..., None, :] * self.eigvecs
-        return root @ np.swapaxes(self.eigvecs, -1, -2)
+        return eig_function(self.eigvecs, self.sqrt_eigs, np.swapaxes(self.eigvecs, -1, -2))
 
 
 # ---------------------------------------------------------------------------
@@ -502,12 +530,7 @@ def apply_m21_gradient(sys: RelaxationSystem, grid: SpatialGrid, uI: Array) -> A
     if sys.multiplier is not None:
         if sys.multiplier.grid != grid:
             raise SymbolError(f"multiplier was tabulated on {sys.multiplier.grid}, not on {grid}")
-        spax = tuple(range(1, 1 + grid.d))
-        uhat = np.fft.fftn(uI, axes=spax)
-        moved = np.moveaxis(uhat, 0, -1)[..., None]
-        bu = (sys.multiplier.table() @ moved)[..., 0]
-        out = np.fft.ifftn(np.moveaxis(bu, -1, 0), axes=spax).real
-        return -out
+        return -apply_modes(grid, sys.multiplier.table(), uI)
     grad = spectral_gradient(grid, uI)  # (d, k, *ns)
     m21 = transport_blocks(sys, grid.flat_points())[:, sys.k:, :sys.k]  # (d, m, k, M)
     out = np.zeros((sys.m,) + grid.ns)
@@ -529,8 +552,7 @@ def equilibrium_uII(sys: RelaxationSystem, grid: SpatialGrid, uI: Array) -> Arra
     uflat = uI.reshape(sys.k, -1)
     rhsflat = rhs.reshape(sys.m, -1) - sys.lower_order_II(uflat, np.zeros((sys.m, uflat.shape[1])))
     qnu = sys.stiff_source_jacobian(xs, uflat, np.zeros_like(rhsflat))
-    sol = np.linalg.solve(np.moveaxis(qnu, -1, 0), np.moveaxis(rhsflat, -1, 0)[..., None])
-    return np.moveaxis(sol[..., 0], 0, -1).reshape((sys.m,) + grid.ns)
+    return solve_points(qnu, rhsflat).reshape((sys.m,) + grid.ns)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ space (constant coefficients and multiplier systems).
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -20,10 +21,15 @@ from .core import (
     FieldState,
     RelaxationSystem,
     SpatialGrid,
+    apply_modes,
     csv_text,
     eig_factors,
+    eig_function,
+    plan_times,
     principal_symbols,
+    solve_points,
     transport_blocks,
+    transport_symbols,
     unit_directions,
 )
 
@@ -50,6 +56,8 @@ class SolverOptions:
             raise ValueError("cfl must lie in (0, 1]")
         if self.flux not in FLUXES:
             raise ValueError(f"flux must be one of {FLUXES}")
+        if self.snapshot_stride < 0:
+            raise ValueError("snapshot_stride must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -168,7 +176,7 @@ class _Workspace:
                 if np.max(np.abs(vals.imag)) > 1e-9 * max(1.0, np.max(np.abs(vals))):
                     raise SolverError("characteristic upwind needs real characteristic speeds")
                 try:
-                    absc = (vecs * np.abs(vals.real)) @ np.linalg.inv(vecs)
+                    absc = eig_function(vecs, np.abs(vals.real), np.linalg.inv(vecs))
                 except np.linalg.LinAlgError as err:
                     raise SolverError("transport matrix is not diagonalizable") from err
                 self.absc.append(absc.real)
@@ -195,11 +203,8 @@ class _Workspace:
         self._prop_cache: Dict[float, Array] = {}
         if sys.multiplier is not None:
             return
-        kappa = grid.wavenumbers()  # (d, *ns)
-        blocks = transport_blocks(sys, self.xflat[:, :1])[..., 0]  # constant (d, N, N)
-        hmat = np.zeros(grid.ns + (self.n, self.n))
-        for j in range(grid.d):
-            hmat += kappa[j][..., None, None] * blocks[j]
+        kappa = grid.wavenumbers().reshape(grid.d, -1)
+        hmat = transport_symbols(sys, self.xflat[:, :1], kappa)[0].reshape(grid.ns + (self.n, self.n))
         self._eigvals, self._eigvecs, self._eigvecs_inv = (
             a.astype(complex) for a in eig_factors(hmat))
 
@@ -215,8 +220,8 @@ class _Workspace:
             cosd = np.cos(tau * mult.sqrt_eigs)
             sind = np.sin(tau * mult.sqrt_eigs)
             vt = np.swapaxes(mult.eigvecs, -1, -2)
-            cosb = (mult.eigvecs * cosd[..., None, :]) @ vt
-            sinb = (mult.eigvecs * sind[..., None, :]) @ vt
+            cosb = eig_function(mult.eigvecs, cosd, vt)
+            sinb = eig_function(mult.eigvecs, sind, vt)
             k = self.k
             prop = np.zeros(self.grid.ns + (self.n, self.n), dtype=complex)
             prop[..., :k, k:] = -eps * sinb
@@ -225,19 +230,12 @@ class _Workspace:
             prop[..., k:, k:] = cosb
         else:
             phase = np.exp(-1j * (dt / eps) * self._eigvals)
-            core = (self._eigvecs * phase[..., None, :]) @ self._eigvecs_inv
+            core = eig_function(self._eigvecs, phase, self._eigvecs_inv)
             scale = np.ones(self.n)
             scale[self.k:] = eps
             prop = core * (scale[None, :] / scale[:, None])
         self._prop_cache[dt] = prop
         return prop
-
-    def _transport_spectral(self, y: Array, dt: float) -> Array:
-        spax = tuple(range(1, 1 + self.grid.d))
-        yhat = np.fft.fftn(y, axes=spax)
-        moved = np.moveaxis(yhat, 0, -1)[..., None]
-        out = (self._propagator(dt) @ moved)[..., 0]
-        return np.fft.ifftn(np.moveaxis(out, -1, 0), axes=spax).real
 
     # -- source ---------------------------------------------------------------
 
@@ -255,9 +253,7 @@ class _Workspace:
         # a source linear in v is solved exactly with its jacobian at v = 0; any other by Newton
         if sys.source_linear_in_v:
             cmat = sys.stiff_source_jacobian(self.xflat, unew, np.zeros_like(vflat))
-            lhs = eps ** 2 * np.eye(self.m)[:, :, None] - dt * cmat
-            vnew = np.linalg.solve(np.moveaxis(lhs, -1, 0), np.moveaxis(rhs, -1, 0)[..., None])
-            vnew = np.moveaxis(vnew[..., 0], 0, -1)
+            vnew = solve_points(eps ** 2 * np.eye(self.m)[:, :, None] - dt * cmat, rhs)
         else:
             vnew = self._newton_source(unew, vflat, rhs, dt)
 
@@ -270,9 +266,7 @@ class _Workspace:
         for _ in range(NEWTON_MAXITER):
             res = eps ** 2 * v - (dt / eps) * sys.stiff_source(self.xflat, u, eps * v) - rhs
             jac = sys.stiff_source_jacobian(self.xflat, u, eps * v)
-            lhs = eps ** 2 * eye - dt * jac
-            delta = np.linalg.solve(np.moveaxis(lhs, -1, 0), np.moveaxis(res, -1, 0)[..., None])
-            delta = np.moveaxis(delta[..., 0], 0, -1)
+            delta = solve_points(eps ** 2 * eye - dt * jac, res)
             v = v - delta
             if float(np.max(np.abs(delta))) <= NEWTON_TOL * (1.0 + float(np.max(np.abs(v)))):
                 return v
@@ -285,16 +279,15 @@ class _Workspace:
     # -- one full step ----------------------------------------------------------
 
     def step(self, uI: Array, uII: Array, dt: float) -> Tuple[Array, Array]:
+        y = np.concatenate([uI, uII], axis=0)
         if self.opts.flux != "spectral":
             if dt > self.max_dt() * (1.0 + 1e-9):
                 raise SolverError(
                     f"time step {dt:.3e} violates the transport stability bound {self.max_dt():.3e}"
                 )
-            y = np.concatenate([uI, uII], axis=0)
             y = self._transport_grid(y, dt)
         else:
-            y = np.concatenate([uI, uII], axis=0)
-            y = self._transport_spectral(y, dt)
+            y = apply_modes(self.grid, self._propagator(dt), y)
         uI_star, uII_star = y[: self.k], y[self.k:]
         uI_new, uII_new = self._source(uI_star, uII_star, dt)
         if self.opts.positivity_floor is not None:
@@ -324,9 +317,9 @@ def run(
     """Integrate to time T with the stability-bound step size.
 
     Callers are expected to have validated the system (or to be deliberately
-    running a structure-violating fixture).  Snapshots are taken at the given
-    times, landed on exactly, or every snapshot_stride steps; the initial and
-    final states are always included.
+    running a structure-violating fixture).  Snapshots are taken at the
+    plan_times of snapshot_times, landed on exactly, or every snapshot_stride
+    steps; the initial and final states are always included.
     """
     opts = opts or SolverOptions()
     if T < 0:
@@ -337,8 +330,7 @@ def run(
     eps = init.eps
     speed_scaled = ws.speed / eps
 
-    wanted = [] if snapshot_times is None else np.asarray(snapshot_times, dtype=float).ravel()
-    pending = sorted(float(t) for t in wanted if 0.0 < t <= T * (1 + 1e-12))
+    pending = plan_times(T, snapshot_times)
     uI, uII = init.uI.copy(), init.uII.copy()
     t = 0.0
     snapshots = [FieldState(grid, uI.copy(), uII.copy(), t, eps)]
@@ -352,7 +344,7 @@ def run(
     tiny = 1e-12 * max(T, 1.0)
     while t < T - tiny:
         dt = min(dt_max, T - t)
-        if pending and pending[0] - t > tiny:
+        if pending[0] - t > tiny:
             dt = min(dt, pending[0] - t)
         energy, nII2 = _energy(uI, uII, eps, vol)
         records.append(StepRecord(t, dt, energy, speed_scaled, nII2))
@@ -365,15 +357,12 @@ def run(
         nsteps += 1
         sup_uI = max(sup_uI, float(np.sqrt(np.sum(uI ** 2) * vol)))
         sup_eps_uII = max(sup_eps_uII, eps * float(np.sqrt(np.sum(uII ** 2) * vol)))
-        landed = bool(pending) and abs(t - pending[0]) <= tiny
-        if landed:
-            pending.pop(0)
+        due = bisect.bisect_right(pending, t + tiny)  # T among them at the last step
+        del pending[:due]
         strided = opts.snapshot_stride > 0 and nsteps % opts.snapshot_stride == 0
-        if landed or strided:
+        if due or strided:
             snapshots.append(FieldState(grid, uI.copy(), uII.copy(), t, eps))
 
-    if not snapshots or abs(snapshots[-1].t - t) > tiny:
-        snapshots.append(FieldState(grid, uI.copy(), uII.copy(), t, eps))
     energy, nII2 = _energy(uI, uII, eps, vol)
     records.append(StepRecord(t, 0.0, energy, speed_scaled, nII2))
     return Trajectory(

@@ -17,7 +17,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .builder import ParabolicTarget, QuasilinearDivergence, ReactionDiffusion
-from .core import Array, SpatialGrid, csv_text, eig_factors
+from .core import Array, SpatialGrid, apply_modes, csv_text, eig_factors, eig_function, plan_times
 
 PICARD_TOL = 1e-11
 PICARD_MAXITER = 50
@@ -106,15 +106,6 @@ class _BlockOperator:
 # time-stepping drivers
 
 
-def _plan_times(T: float, snapshot_times: Optional[Sequence[float]]) -> List[float]:
-    times = {float(T)}
-    if snapshot_times is not None:
-        for t in np.asarray(snapshot_times, dtype=float).ravel():
-            if 0.0 < t <= T * (1 + 1e-12):
-                times.add(float(min(t, T)))
-    return sorted(times)
-
-
 def run_reference(
     target: ParabolicTarget,
     u0: Array,
@@ -144,7 +135,7 @@ def run_reference(
     fields = [u0.copy()]
     u = u0.copy()
     t = 0.0
-    for t_next in _plan_times(T, snapshot_times):
+    for t_next in plan_times(T, snapshot_times):
         span = t_next - t
         if span <= 0:
             continue
@@ -164,10 +155,7 @@ class _SpectralRD:
     def __init__(self, target: ReactionDiffusion, grid: SpatialGrid):
         self.target = target
         self.grid = grid
-        kappa = grid.wavenumbers()
-        a = np.asarray(target.diffusion, dtype=float)
-        gen = -np.einsum("j...,l...,jlab->...ab", kappa, kappa, a)  # (*ns, k, k)
-        self.vals, self.vecs, self.vecs_inv = eig_factors(gen)
+        self.vals, self.vecs, self.vecs_inv = eig_factors(-target.mode_symbols(grid))
         self.k = target.k
         self._cache: Dict[float, Array] = {}
 
@@ -175,17 +163,14 @@ class _SpectralRD:
         cached = self._cache.get(dt)
         if cached is not None:
             return cached
-        prop = ((self.vecs * np.exp(dt * self.vals)[..., None, :]) @ self.vecs_inv).astype(complex)
+        prop = eig_function(self.vecs, np.exp(dt * self.vals), self.vecs_inv).astype(complex)
         self._cache[dt] = prop
         return prop
 
     def step(self, u: Array, dt: float) -> Array:
-        spax = tuple(range(1, 1 + self.grid.d))
         if self.target.f is not None:
             u = u + dt * self.target.f(u.reshape(self.k, -1)).reshape(u.shape)
-        uhat = np.moveaxis(np.fft.fftn(u, axes=spax), 0, -1)[..., None]
-        out = (self._prop(dt) @ uhat)[..., 0]
-        return np.fft.ifftn(np.moveaxis(out, -1, 0), axes=spax).real
+        return apply_modes(self.grid, self._prop(dt), u)
 
 
 class _ImplicitRD:

@@ -146,6 +146,13 @@ class TestRunCommand:
         cfg = write_cfg(tmp_path, body)
         assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 1
 
+    def test_negative_horizon_is_config_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, HEAT_CFG.replace("T = 0.05", "T = -0.1"))
+        out = tmp_path / "o"
+        assert cli.main(["run", cfg, "--out", str(out)]) == 2
+        assert "experiment.T" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_system_needs_flag(self, tmp_path):
         body = CARLEMAN_CFG.replace("carleman", "null-limit")
         cfg = write_cfg(tmp_path, body)
@@ -174,6 +181,14 @@ class TestConvergeCommand:
         assert lines[1].endswith(",")
         errs = [float(ln.split(",")[1]) for ln in lines[1:]]
         assert errs[0] > errs[1] > errs[2]
+
+    def test_nonpositive_density_rejected_before_reference(self, tmp_path, capsys):
+        # 1 + 1.5 sin dips below zero; the Picard reference must not run on it
+        cfg = write_cfg(tmp_path, CARLEMAN_CFG + "epsilons = 0.2, 0.1, 0.05\nu0_amplitude = 1.5\n")
+        assert cli.main(["converge", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "initial conserved field must stay positive for demo carleman" in err
+        assert "minimum is -0.498193" in err
 
     def test_non_decreasing_ladder_rejected(self, tmp_path):
         cfg = write_cfg(tmp_path, HEAT_CFG.replace("epsilons = 0.2, 0.1, 0.05",

@@ -5,7 +5,7 @@ import pytest
 
 import relaxbench as rb
 from relaxbench import builder, hypersolver, parasolver
-from relaxbench.core import SymbolError, l2_norm
+from relaxbench.core import SymbolError, apply_modes, l2_norm
 from relaxbench.hypersolver import SolverError, SolverOptions, max_wave_speed, run, snapshot_csv, step
 
 from conftest import sine_mode
@@ -242,9 +242,7 @@ class TestSourceSolvers:
         out = step(sys, state, 1e-4, opts)
         # the implicit relation must hold at the returned state
         ws = hypersolver._Workspace(sys, grid64, eps, opts)
-        star = ws._transport_spectral(
-            np.concatenate([state.uI, state.uII]), 1e-4
-        )
+        star = apply_modes(grid64, ws._propagator(1e-4), np.concatenate([state.uI, state.uII]))
         v_star, v_new = star[1:], out.uII
         lhs = eps ** 2 * (v_new - v_star)
         rhs = 1e-4 * (q(None, None, eps * v_new) / eps)
@@ -265,6 +263,20 @@ class TestRunBookkeeping:
         times = np.linspace(0.0, 0.01, 6)
         traj = run(sys, init, 0.01, SolverOptions(flux="spectral"), snapshot_times=times)
         assert np.allclose(traj.times, times, atol=1e-12)
+
+    def test_repeated_snapshot_times_match_reference(self, grid64):
+        bundle = builder.demo("heat1d", grid64)
+        init = hypersolver.well_prepared_state(bundle.system, grid64, bundle.u0(grid64), 0.1)
+        wanted = [0.005, 0.005, 0.01]
+        traj = run(bundle.system, init, 0.02, SolverOptions(flux="spectral"), snapshot_times=wanted)
+        ref_times, _ = parasolver.run_reference(bundle.target, bundle.u0(grid64), grid64, 0.02,
+                                                snapshot_times=wanted)
+        assert np.allclose(ref_times, [0.0, 0.005, 0.01, 0.02], rtol=0, atol=1e-15)
+        assert np.allclose(traj.times, ref_times, rtol=0, atol=1e-12)
+
+    def test_negative_snapshot_stride_refused(self):
+        with pytest.raises(ValueError, match="snapshot_stride"):
+            SolverOptions(snapshot_stride=-3)
 
     def test_records_monotone_time(self, grid64):
         sys = builder.demo("heat1d", grid64).system

@@ -4,6 +4,10 @@ The files `tests/data/run_<label>_{steps,final}.csv` were written before the
 transport blocks were tabulated in one place; every run must stay byte for
 byte what that code produced.  `four-block-2d` has all four transport blocks
 varying in x along both axes, so it exercises every block placement.
+`aniso2d` has a cross diffusion term, so its 2-d spectral transport and its
+Fourier reference (`run_aniso2d_reference.csv`, the final field) mix both axes
+in every mode; these two were written before the per-mode solver primitives
+moved into `core`.
 """
 
 from pathlib import Path
@@ -13,6 +17,7 @@ import pytest
 import relaxbench as rb
 from relaxbench import builder
 from relaxbench.hypersolver import SolverOptions, run, snapshot_csv, well_prepared_state
+from relaxbench.parasolver import reference_csv, run_reference
 
 from conftest import four_block_2d, sine_mode
 
@@ -24,8 +29,8 @@ def _run(sys, grid, u0, flux, eps, T):
     return traj.steps_csv(), snapshot_csv(traj.final)
 
 
-def _demo(name, n, flux, eps, T):
-    grid = rb.SpatialGrid((n,), (1.0,))
+def _demo(name, ns, flux, eps, T):
+    grid = rb.SpatialGrid(ns, (1.0,) * len(ns))
     bundle = builder.demo(name, grid)
     return _run(bundle.system, grid, bundle.u0(grid), flux, eps, T)
 
@@ -34,9 +39,10 @@ RUNS = {
     "four-block-2d_rusanov": lambda: _run(
         four_block_2d(), rb.SpatialGrid((12, 10), (1.0, 1.0)),
         sine_mode(rb.SpatialGrid((12, 10), (1.0, 1.0)), offset=0.5), "rusanov", 0.1, 0.02),
-    "heat1d_spectral": lambda: _demo("heat1d", 32, "spectral", 0.1, 0.02),
-    "heat1d_upwind-characteristic": lambda: _demo("heat1d", 32, "upwind-characteristic", 0.1, 0.02),
-    "sqrt-heat_spectral": lambda: _demo("sqrt-heat", 32, "spectral", 0.1, 0.02),
+    "aniso2d_spectral": lambda: _demo("aniso2d", (8, 12), "spectral", 0.1, 0.02),
+    "heat1d_spectral": lambda: _demo("heat1d", (32,), "spectral", 0.1, 0.02),
+    "heat1d_upwind-characteristic": lambda: _demo("heat1d", (32,), "upwind-characteristic", 0.1, 0.02),
+    "sqrt-heat_spectral": lambda: _demo("sqrt-heat", (32,), "spectral", 0.1, 0.02),
 }
 
 
@@ -45,3 +51,10 @@ def test_run_matches_golden(label):
     steps, final = RUNS[label]()
     assert steps == (GOLDEN / f"run_{label}_steps.csv").read_text()
     assert final == (GOLDEN / f"run_{label}_final.csv").read_text()
+
+
+def test_reference_matches_golden():
+    grid = rb.SpatialGrid((8, 12), (1.0, 1.0))
+    bundle = builder.demo("aniso2d", grid)
+    _, fields = run_reference(bundle.target, bundle.u0(grid), grid, 0.02)
+    assert reference_csv(grid, fields[-1]) == (GOLDEN / "run_aniso2d_reference.csv").read_text()
