@@ -1,0 +1,51 @@
+#!/usr/bin/env python3
+"""Wall time of the carleman ladder's quasilinear reference on its own.
+
+Runs `parasolver.run_reference` as the carleman eps-ladder calls it (n=256,
+T=0.1, dt=T/4000, the ladder's 11 comparison times) with one BLAS thread,
+and prints the Picard sweep count and the best of 3 wall times.  From the
+root of a source checkout:
+
+    PYTHONPATH=src python scripts/time_reference.py
+"""
+
+import os
+
+os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before NumPy loads OpenBLAS
+
+import time  # noqa: E402
+from dataclasses import replace  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+import relaxbench as rb  # noqa: E402
+from relaxbench import builder, diagnostics, parasolver  # noqa: E402
+
+N = 256
+T = 0.1
+REPEATS = 3
+
+
+def main():
+    grid = rb.SpatialGrid((N,), (1.0,))
+    bundle = builder.demo("carleman", grid)
+    sweeps = [0]
+
+    def diffusion(u):  # the Picard loop evaluates the lagged coefficient once per sweep
+        sweeps[0] += 1
+        return bundle.target.diffusion(u)
+
+    target = replace(bundle.target, diffusion=diffusion)
+    times = np.linspace(0.0, T, diagnostics.LADDER_SNAPSHOTS)
+    walls = []
+    for _ in range(REPEATS):
+        sweeps[0] = 0
+        start = time.perf_counter()
+        parasolver.run_reference(target, bundle.u0(grid), grid, T, dt=T / 4000.0, snapshot_times=times)
+        walls.append(time.perf_counter() - start)
+    print(f"carleman reference n={N} T={T} dt=T/4000: {sweeps[0]} sweeps, "
+          f"best of {REPEATS} {min(walls):.3f} s (all: {', '.join(f'{w:.3f}' for w in walls)})")
+
+
+if __name__ == "__main__":
+    main()

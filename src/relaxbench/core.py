@@ -137,19 +137,24 @@ def spectral_gradient(grid: SpatialGrid, fields: Array) -> Array:
 def apply_modes(grid: SpatialGrid, table: Array, fields: Array) -> Array:
     """Per-mode action of a matrix table (*ns, r, c) on real fields (c, *ns) -> (r, *ns)."""
     spax = tuple(range(1, 1 + grid.d))
-    fhat = np.moveaxis(np.fft.fftn(fields, axes=spax), 0, -1)[..., None]
+    fhat = np.fft.fftn(fields, axes=spax).transpose(spax + (0,))[..., None]
     out = (table @ fhat)[..., 0]
-    return np.fft.ifftn(np.moveaxis(out, -1, 0), axes=spax).real
+    return np.fft.ifftn(out.transpose((grid.d,) + tuple(range(grid.d))), axes=spax).real
 
 
 def plan_times(T: float, snapshot_times: Optional[Sequence[float]]) -> List[float]:
-    """Distinct requested times in (0, T] plus T, sorted; one past T by <= 1e-12 relative lands on T."""
-    times = {float(T)}
+    """Requested times in (0, T) plus T, sorted, with times within 1e-12 * max(T, 1) merged.
+
+    A time that close to 0 or to T merges into the initial state or T (so one
+    past T by that much lands on T); a cluster of times keeps its earliest.
+    """
+    tol = 1e-12 * max(T, 1.0)
+    kept = [0.0]
     if snapshot_times is not None:
-        for t in np.asarray(snapshot_times, dtype=float).ravel():
-            if 0.0 < t <= T * (1 + 1e-12):
-                times.add(float(min(t, T)))
-    return sorted(times)
+        for t in np.sort(np.asarray(snapshot_times, dtype=float).ravel()):
+            if kept[-1] + tol < t < T - tol:
+                kept.append(float(t))
+    return kept[1:] + [float(T)]
 
 
 def l2_norm(fields: Array, grid: SpatialGrid) -> float:
@@ -203,8 +208,8 @@ def eig_function(vecs: Array, values: Array, vecs_inv: Array) -> Array:
 
 def solve_points(mats: Array, rhs: Array) -> Array:
     """Solve mats[:, :, p] x[:, p] = rhs[:, p] at every point p; mats (m, m, M), rhs (m, M)."""
-    sol = np.linalg.solve(np.moveaxis(mats, -1, 0), np.moveaxis(rhs, -1, 0)[..., None])
-    return np.moveaxis(sol[..., 0], 0, -1)
+    sol = np.linalg.solve(mats.transpose(2, 0, 1), rhs.T[..., None])
+    return sol[..., 0].T
 
 
 def constant_matrix(f: MatrixField) -> Optional[Array]:

@@ -14,6 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import dgtsv
 from scipy.sparse.linalg import splu
 
 from .builder import ParabolicTarget, QuasilinearDivergence, ReactionDiffusion
@@ -60,7 +61,9 @@ class _BlockOperator:
     Divergence placement is sum_ij d_i(B_ij d_j .): -D+_i^T diag(avg_i B_ii) D+_i
     on the diagonal, D1_i diag(B_ij) D1_j across; non-divergence placement is
     sum_ij diag(B_ij) d_i d_j.  Linear in B, so the CSC pattern is built once and
-    data = P @ B.ravel(); every block enters the pattern, zero or not.
+    data = P @ B.ravel(); every block enters the pattern, zero or not.  A 1-d
+    scalar operator on n >= 3 cells is periodic tridiagonal, and `solve` reads
+    its three diagonals straight out of data instead of factorizing.
     """
 
     def __init__(self, grid: SpatialGrid, k: int, divergence: bool):
@@ -94,12 +97,69 @@ class _BlockOperator:
         self.diag = where[:n]
         self.scatter = sp.csr_matrix((np.concatenate(weights), (where[n:], np.concatenate(slots))),
                                      shape=(self.indices.size, d * d * k * k * mcells))
+        # positions of A[i, i - 1] and A[i, i + 1] (mod n); below 3 cells they coincide
+        self.lower = self.upper = None
+        if d == 1 and k == 1 and n >= 3:
+            cells = np.arange(n)
+            self.lower = np.searchsorted(entry_keys, (cells - 1) % n * n + cells)
+            self.upper = np.searchsorted(entry_keys, (cells + 1) % n * n + cells)
+
+    def _data(self, blocks: Array, dt: float) -> Array:
+        data = -dt * (self.scatter @ np.asarray(blocks, dtype=float).reshape(-1))
+        data[self.diag] += 1.0
+        return data
 
     def backward_euler(self, blocks: Array, dt: float) -> sp.csc_matrix:
         """I - dt * L at coefficient blocks (d, d, k, k, M)."""
-        data = -dt * (self.scatter @ np.asarray(blocks, dtype=float).reshape(-1))
-        data[self.diag] += 1.0
-        return sp.csc_matrix((data, self.indices, self.indptr))
+        return sp.csc_matrix((self._data(blocks, dt), self.indices, self.indptr))
+
+    def solve(self, blocks: Array, dt: float, rhs: Array) -> Array:
+        """Solve (I - dt * L) x = rhs at coefficient blocks (d, d, k, k, M).
+
+        A singular system raises RuntimeError on the SuperLU path and
+        LinAlgError on the periodic tridiagonal path.
+        """
+        if self.lower is None:
+            return _factorize(self.backward_euler(blocks, dt)).solve(rhs)
+        data = self._data(blocks, dt)
+        return _cyclic_tridiagonal(data[self.lower], data[self.diag], data[self.upper], rhs)
+
+
+def _factorize(matrix: sp.csc_matrix):
+    """SuperLU factors of a square matrix; RuntimeError if it is numerically singular.
+
+    SuperLU itself only refuses an exactly zero pivot; a singular matrix whose
+    last pivot is round-off would otherwise solve to numbers of size 1/eps.
+    """
+    lu = splu(matrix)
+    pivots = np.abs(lu.U.diagonal())
+    if pivots.min() <= matrix.shape[0] * np.finfo(float).eps * pivots.max():
+        raise RuntimeError(f"matrix is numerically singular: smallest LU pivot {pivots.min():.3g}, "
+                           f"largest {pivots.max():.3g}")
+    return lu
+
+
+def _cyclic_tridiagonal(lower: Array, diag: Array, upper: Array, rhs: Array) -> Array:
+    """Solve lower[i] x[i-1] + diag[i] x[i] + upper[i] x[i+1] = rhs[i], indices mod n >= 3.
+
+    The tridiagonal part T goes through LAPACK dgtsv for the right-hand sides
+    rhs, e_0 and e_{n-1} at once.  The corners a = A[0, n-1] = lower[0] and
+    c = A[n-1, 0] = upper[n-1] are the rank-2 term U V^T with U = [e_0, e_{n-1}]
+    and V = [a e_{n-1}, c e_0], folded back in by Woodbury:
+    x = y - Z C^-1 V^T y with y = T^-1 rhs, Z = T^-1 U and C = I + V^T Z.
+    """
+    n = diag.size
+    b = np.zeros((n, 3), order="F")
+    b[:, 0] = rhs
+    b[0, 1] = b[-1, 2] = 1.0
+    _, _, _, sol, info = dgtsv(lower[1:], diag, upper[:-1], b, overwrite_b=True)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"tridiagonal part is singular (dgtsv info = {info})")
+    vt_sol = np.array([[lower[0]], [upper[-1]]]) * sol[[-1, 0]]  # V^T [y, Z], (2, 3)
+    x = sol[:, 0] - sol[:, 1:] @ np.linalg.solve(np.eye(2) + vt_sol[:, 1:], vt_sol[:, 0])
+    if not np.all(np.isfinite(x)):
+        raise np.linalg.LinAlgError("periodic tridiagonal solution is not finite")
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +245,7 @@ class _ImplicitRD:
 
     def _lu(self, dt: float):
         if dt not in self._lu_cache:
-            self._lu_cache[dt] = splu(self.op.backward_euler(self.blocks, dt))
+            self._lu_cache[dt] = _factorize(self.op.backward_euler(self.blocks, dt))
         return self._lu_cache[dt]
 
     def step(self, u: Array, dt: float) -> Array:
@@ -237,8 +297,8 @@ class _PicardQL:
                     f"(x = {grid.flat_points()[:, cell].tolist()}, u = {lagged[:, cell].tolist()})"
                 )
             try:
-                new = splu(self.op.backward_euler(blocks, dt)).solve(rhs)
-            except RuntimeError as err:
+                new = self.op.solve(blocks, dt, rhs)
+            except (RuntimeError, np.linalg.LinAlgError) as err:
                 raise ReferenceError(f"linear solve failed: {err}") from err
             inc = np.abs(new - guess)
             worst = int(np.argmax(inc))

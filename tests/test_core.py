@@ -11,8 +11,10 @@ from relaxbench.core import (
     FieldState,
     SingularSourceError,
     SpatialGrid,
+    apply_modes,
     equilibrium_uII,
     principal_symbols,
+    solve_points,
     spectral_gradient,
     transport_blocks,
     unit_directions,
@@ -207,3 +209,25 @@ class TestEquilibrium:
         m = equilibrium_uII(carleman_sys, grid128, rho)
         expected = -np.pi * np.cos(TWO_PI * x) / (2.0 * (1.0 + 0.5 * np.sin(TWO_PI * x)))
         assert np.allclose(m[0], expected, atol=1e-9)
+
+
+class TestModePrimitives:
+    """apply_modes and solve_points against their np.moveaxis formulation, bit for bit."""
+
+    @pytest.mark.parametrize("ns", [(16,), (8, 6)])
+    def test_apply_modes_matches_moveaxis(self, ns):
+        grid = SpatialGrid(ns, (1.0,) * len(ns))
+        rng = np.random.default_rng(len(ns))
+        table = rng.normal(size=ns + (2, 2)) + 1j * rng.normal(size=ns + (2, 2))
+        fields = rng.normal(size=(2,) + ns)
+        spax = tuple(range(1, 1 + grid.d))
+        fhat = np.moveaxis(np.fft.fftn(fields, axes=spax), 0, -1)[..., None]
+        want = np.fft.ifftn(np.moveaxis((table @ fhat)[..., 0], -1, 0), axes=spax).real
+        assert np.array_equal(apply_modes(grid, table, fields), want)
+
+    def test_solve_points_matches_moveaxis(self):
+        rng = np.random.default_rng(5)
+        mats = rng.normal(size=(2, 2, 40)) + 3.0 * np.eye(2)[:, :, None]
+        rhs = rng.normal(size=(2, 40))
+        sol = np.linalg.solve(np.moveaxis(mats, -1, 0), np.moveaxis(rhs, -1, 0)[..., None])
+        assert np.array_equal(solve_points(mats, rhs), np.moveaxis(sol[..., 0], 0, -1))

@@ -274,6 +274,17 @@ class TestRunBookkeeping:
         assert np.allclose(ref_times, [0.0, 0.005, 0.01, 0.02], rtol=0, atol=1e-15)
         assert np.allclose(traj.times, ref_times, rtol=0, atol=1e-12)
 
+    def test_near_duplicate_snapshot_times_match_reference(self, grid64):
+        # times within 1e-12 * max(T, 1) of each other, of 0 or of T merge
+        bundle = builder.demo("heat1d", grid64)
+        init = hypersolver.well_prepared_state(bundle.system, grid64, bundle.u0(grid64), 0.1)
+        wanted = [1e-15, 0.005, 0.005 + 1e-15, 0.01, 0.02 - 1e-15]
+        traj = run(bundle.system, init, 0.02, SolverOptions(flux="spectral"), snapshot_times=wanted)
+        ref_times, _ = parasolver.run_reference(bundle.target, bundle.u0(grid64), grid64, 0.02,
+                                                snapshot_times=wanted)
+        assert list(ref_times) == [0.0, 0.005, 0.01, 0.02]
+        assert list(traj.times) == list(ref_times)
+
     def test_negative_snapshot_stride_refused(self):
         with pytest.raises(ValueError, match="snapshot_stride"):
             SolverOptions(snapshot_stride=-3)

@@ -2,10 +2,11 @@ import re
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 import relaxbench as rb
 from relaxbench import builder, parasolver
-from relaxbench.builder import ReactionDiffusion, isotropic_diffusion
+from relaxbench.builder import QuasilinearDivergence, ReactionDiffusion, isotropic_diffusion
 from relaxbench.core import l2_norm
 from relaxbench.parasolver import ReferenceError, exact_mode_oracle, run_reference
 
@@ -246,6 +247,12 @@ def _coupled_diffusion(zero_block=None):
     return diffusion
 
 
+def _constant_diffusion(blocks):
+    """Diffusion (d, d, k, k, M) equal to the blocks (d, d, k, k) on every cell."""
+    blocks = np.asarray(blocks, dtype=float)
+    return lambda u: np.broadcast_to(blocks[..., None], blocks.shape + (u.shape[-1],))
+
+
 class TestBlockAssembly:
     @pytest.mark.parametrize("divergence", [True, False])
     @pytest.mark.parametrize("zero_block", [None, (0, 1, 1, 0), (1, 1, 0, 0)])
@@ -277,6 +284,16 @@ class TestPicardStep:
         target = builder.scalar_quasilinear(b=lambda u: -np.ones_like(u))
         with pytest.raises(ReferenceError, match="linear solve failed") as info:
             run_reference(target, np.ones((1, 4)), grid, 1 / 32, dt=1 / 32)
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+    def test_singular_2d_system_raises_reference_error(self):
+        # the same construction on a 4 x 4 grid goes through SuperLU, whose last
+        # pivot is round-off rather than zero
+        grid = rb.SpatialGrid((4, 4), (1.0, 1.0))
+        target = QuasilinearDivergence(k=1, d=2, diffusion=_constant_diffusion(-np.eye(2)[:, :, None, None]),
+                                       state_box=((-1.0,), (1.0,)))
+        with pytest.raises(ReferenceError, match="linear solve failed") as info:
+            run_reference(target, sine_mode(grid, offset=1.0), grid, 1 / 32, dt=1 / 32)
         assert isinstance(info.value.__cause__, RuntimeError)
 
     def test_non_finite_coefficient_names_cell(self, grid64):
@@ -298,6 +315,55 @@ class TestPicardStep:
         assert match is not None
         assert float(match.group(1)) > parasolver.PICARD_TOL
         assert u0[0, int(match.group(2))] < 0.0
+
+
+def _periodic_tridiagonal(rng, n):
+    lower, upper = rng.uniform(-1.0, 1.0, size=(2, n))
+    diag = rng.uniform(2.0, 3.0, size=n) * rng.choice([-1.0, 1.0], size=n)
+    lower[0], upper[-1] = rng.uniform(0.5, 1.0, size=2) * [1.0, -1.0]  # corners A[0, n-1], A[n-1, 0]
+    dense = np.diag(diag) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
+    dense[0, -1], dense[-1, 0] = lower[0], upper[-1]
+    return lower, diag, upper, dense
+
+
+class TestCyclicSolve:
+    @pytest.mark.parametrize("n", [4, 5, 64])
+    def test_matches_dense_solve(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            lower, diag, upper, dense = _periodic_tridiagonal(rng, n)
+            rhs = rng.normal(size=n)
+            got = parasolver._cyclic_tridiagonal(lower, diag, upper, rhs)
+            want = np.linalg.solve(dense, rhs)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @staticmethod
+    def _splu_calls(monkeypatch, target, u0, grid):
+        calls = []
+
+        def counted(matrix):
+            calls.append(matrix.shape)
+            return splu(matrix)
+
+        monkeypatch.setattr(parasolver, "splu", counted)
+        run_reference(target, u0, grid, 2e-3, dt=1e-3)
+        return len(calls)
+
+    def test_one_dimensional_scalar_reference_factorizes_nothing(self, monkeypatch, grid64):
+        ql = builder.carleman_limit_target()
+        assert self._splu_calls(monkeypatch, ql, sine_mode(grid64, 0.5, 1.0), grid64) == 0
+
+    def test_other_references_still_factorize(self, monkeypatch):
+        grid = rb.SpatialGrid((8, 6), (1.0, 1.0))
+        two_d = QuasilinearDivergence(
+            k=1, d=2, diffusion=_constant_diffusion(np.array([[1.0, 0.2], [0.2, 0.8]])[:, :, None, None]),
+            state_box=((-1.0,), (1.0,)))
+        assert self._splu_calls(monkeypatch, two_d, sine_mode(grid, offset=1.0), grid) >= 2
+        grid = rb.SpatialGrid((16,), (1.0,))
+        two_k = QuasilinearDivergence(
+            k=2, d=1, diffusion=_constant_diffusion(np.array([[[[1.0, 0.3], [0.0, 0.5]]]])),
+            state_box=((-1.0, -1.0), (1.0, 1.0)))
+        assert self._splu_calls(monkeypatch, two_k, np.vstack([sine_mode(grid)] * 2), grid) >= 2
 
 
 def test_reference_csv_schema(grid64):
