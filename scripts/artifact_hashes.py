@@ -1,0 +1,66 @@
+#!/usr/bin/env python3
+"""One sha256 per demo, admissible flux and grid over the artifacts of `relaxbench run`.
+
+Runs `relaxbench run --allow-invalid` (eps 0.1, T 0.01, reference on) for every
+demo, every flux its system admits and two small grids, and hashes the run's
+`steps.csv`, its final snapshot, every `reference_*.csv` and `report.csv`.
+Two source trees produce the same artifacts exactly when they print the same
+lines.  From the root of a source checkout:
+
+    PYTHONPATH=src python scripts/artifact_hashes.py
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import tempfile
+from pathlib import Path
+
+os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before NumPy loads OpenBLAS
+
+import relaxbench as rb  # noqa: E402
+from relaxbench import builder, cli, hypersolver  # noqa: E402
+
+GRIDS = {1: ((16,), (24,)), 2: ((12, 12), (16, 20))}
+
+
+def admissible_fluxes(sys):
+    """The fluxes the stiff integrator accepts for this system."""
+    if sys.multiplier is not None:
+        return ("spectral",)
+    return hypersolver.FLUXES if sys.constant_coefficients else ("rusanov",)
+
+
+def artifact_hash(name, flux, ns, tmp):
+    cfg = tmp / "exp.cfg"
+    cfg.write_text(
+        f"[system]\nkind = demo\nname = {name}\n[grid]\nn = {','.join(map(str, ns))}\n"
+        f"[solver]\nflux = {flux}\n[experiment]\nT = 0.01\nepsilon = 0.1\nreference = true\n"
+    )
+    out = tmp / f"{name}_{flux}_{'x'.join(map(str, ns))}"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["run", str(cfg), "--out", str(out), "--allow-invalid"])
+    if code != 0:
+        return f"exit code {code}"
+    files = ["steps.csv", sorted(out.glob("snapshot_*.csv"))[-1].name, "report.csv"]
+    files += sorted(p.name for p in out.glob("reference_*.csv"))
+    digest = hashlib.sha256()
+    for fname in files:
+        digest.update(fname.encode() + b"\0" + (out / fname).read_bytes())
+    return digest.hexdigest()
+
+
+def main():
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in builder.DEMO_NAMES:
+            d = builder.DEMO_DIMS[name]
+            for ns in GRIDS[d]:
+                sys = builder.demo(name, rb.SpatialGrid(ns, (1.0,) * d)).system
+                for flux in admissible_fluxes(sys):
+                    label = f"{name} {flux} n={'x'.join(map(str, ns))}"
+                    print(f"{label:<44} {artifact_hash(name, flux, ns, Path(tmp))}")
+
+
+if __name__ == "__main__":
+    main()

@@ -191,10 +191,8 @@ def _rd_amat(target: ReactionDiffusion, x: Array) -> Array:
     return _block_matrix(target.diffusion_at(x), x.shape[-1])
 
 
-def from_reaction_diffusion(
-    target: ReactionDiffusion,
-    x_samples: Optional[Array] = None,
-) -> RelaxationSystem:
+def from_reaction_diffusion(target: ReactionDiffusion,
+                            x_samples: Optional[Array] = None) -> RelaxationSystem:
     """Relaxation system whose limit is the reaction-diffusion target.
 
     Requires the full (kd, kd) block matrix of diffusion data to be symmetric
@@ -216,48 +214,30 @@ def from_reaction_diffusion(
             f"smallest eigenvalue {eigs[worst, 0]:.6g} at x={xs[:, worst]}"
         )
 
-    constant = not callable(target.diffusion)
+    def row(x, j):
+        """M12_j(x) = [A_j1 ... A_jd](x), shape (k, kd, M); M21_j is its transpose."""
+        blocks = target.diffusion_at(x)
+        return np.concatenate([blocks[j, l] for l in range(d)], axis=1)
 
-    def row_field(j):
-        if constant:
-            a = np.asarray(target.diffusion, dtype=float)
-            return np.concatenate([a[j, l] for l in range(d)], axis=1)
-
-        def fn(x, j=j):
-            blocks = target.diffusion_at(x)
-            return np.concatenate([blocks[j, l] for l in range(d)], axis=1)
-
-        return fn
-
-    def col_field(j):
-        if constant:
-            return row_field(j).T
-
-        def fn(x, j=j):
-            blocks = target.diffusion_at(x)
-            return np.concatenate([np.swapaxes(blocks[j, l], 0, 1) for l in range(d)], axis=0)
-
-        return fn
-
-    m12 = tuple(row_field(j) for j in range(d))
-    m21 = tuple(col_field(j) for j in range(d))
-    m22 = tuple(np.zeros((k * d, k * d)) for _ in range(d))
-
-    if constant:
-        a_const = _rd_amat(target, np.zeros((d, 1)))[:, :, 0]
-
-        def q(x, u, z):
-            return -a_const @ z
-
-        def q_nu(x, u, z):
-            return np.broadcast_to(-a_const[:, :, None], (k * d, k * d, z.shape[-1]))
-    else:
-        def q(x, u, z):
-            return -np.einsum("abm,bm->am", _rd_amat(target, x), z)
+    if callable(target.diffusion):
+        m12 = tuple((lambda x, j=j: row(x, j)) for j in range(d))
+        m21 = tuple((lambda x, j=j: np.swapaxes(row(x, j), 0, 1)) for j in range(d))
 
         def q_nu(x, u, z):
             return -_rd_amat(target, x)
+    else:  # blocks stay arrays, and q_nu a broadcast view: _source calls it every step
+        x0 = np.zeros((d, 1))
+        m12 = tuple(row(x0, j)[:, :, 0] for j in range(d))
+        m21 = tuple(blk.T for blk in m12)
+        neg_a = -_rd_amat(target, x0)
 
+        def q_nu(x, u, z):
+            return np.broadcast_to(neg_a, (k * d, k * d, z.shape[-1]))
+
+    def q(x, u, z):
+        return np.einsum("abm,bm->am", q_nu(x, u, z), z)
+
+    m22 = tuple(np.zeros((k * d, k * d)) for _ in range(d))
     return RelaxationSystem(
         k=k, m=k * d, d=d, m12=m12, m21=m21, m22=m22,
         q=q, q_nu=q_nu, reaction=target.f, source_linear_in_v=True,
@@ -417,17 +397,12 @@ class DecouplingTransform:
         return self.p[self.k:]
 
 
-def decouple(
-    raw: RawSystem,
-    transform: DecouplingTransform,
-    x_samples: Optional[Array] = None,
-    w_samples: Optional[Array] = None,
-) -> RelaxationSystem:
+def decouple(raw: RawSystem, transform: DecouplingTransform) -> RelaxationSystem:
     """Change variables so the conserved block is isolated.
 
     The transform must annihilate the stiff source on its first k rows; that
-    property is verified on a sampled lattice and violations are rejected
-    with the worst (x, W) witness.
+    property is verified on a lattice of x in the unit cell and W in the unit
+    box, and violations are rejected with the worst (x, W) witness.
     """
     n, k = raw.n, transform.k
     if transform.p.shape[0] != n:
@@ -437,8 +412,8 @@ def decouple(
             f"declared source range dimension {raw.source_range_dim} "
             f"does not match transform split {n - k}"
         )
-    xs = _default_x_samples(raw.d) if x_samples is None else np.atleast_2d(x_samples)
-    ws = box_lattice([-1.0] * n, [1.0] * n) if w_samples is None else np.atleast_2d(w_samples)
+    xs = _default_x_samples(raw.d)
+    ws = box_lattice([-1.0] * n, [1.0] * n)
     p, pinv = transform.p, transform.p_inv
 
     mw = ws.shape[1]
@@ -588,7 +563,7 @@ class DemoBundle:
     positive_states: bool = False
 
 
-def _sine(grid: SpatialGrid, amplitude: float = 1.0, offset: float = 0.0) -> Array:
+def _sine(grid: SpatialGrid, amplitude: float, offset: float) -> Array:
     pts = grid.points()
     prof = np.ones(grid.ns)
     for j in range(grid.d):
@@ -596,90 +571,66 @@ def _sine(grid: SpatialGrid, amplitude: float = 1.0, offset: float = 0.0) -> Arr
     return (offset + amplitude * prof)[None]
 
 
-DEMO_DIMS = {
-    "carleman": 1, "heat1d": 1, "heat2d": 2, "aniso2d": 2,
-    "quasilinear-bu2": 1, "sqrt-heat": 1, "null-limit": 1,
+def _spd_demo(grid: SpatialGrid, name: str, diffusion: Array):
+    """A scalar reaction-diffusion demo with constant diffusion blocks (d, d, 1, 1)."""
+    target = ReactionDiffusion(k=1, d=len(diffusion), diffusion=diffusion, name=name)
+    return from_reaction_diffusion(target, x_samples=grid.flat_points()[:, ::7]), target
+
+
+def _sqrt_heat(grid: SpatialGrid, name: str):
+    target = ReactionDiffusion(k=1, d=1, diffusion=isotropic_diffusion(1, 1), name=name)
+    return from_sqrt_symbol(target, grid), target
+
+
+def _quasilinear_bu2(grid: SpatialGrid, name: str):
+    target = scalar_quasilinear(
+        b=lambda u: 1.0 + u ** 2, flux=lambda u: 0.5 * u ** 2, state_box=(-1.0, 1.0), name=name,
+    )
+    return from_quasilinear(target), target
+
+
+@dataclass(frozen=True)
+class _Demo:
+    """One row of the demo table; build(grid, name) returns (system, target or None)."""
+
+    d: int
+    build: Callable[[SpatialGrid, str], Tuple[RelaxationSystem, Optional[ParabolicTarget]]]
+    amplitude: float = 1.0
+    offset: float = 0.0
+    state_box: Tuple[Tuple[float, ...], Tuple[float, ...]] = ((-1.5,), (1.5,))
+    positive_states: bool = False
+
+
+_DEMOS = {
+    "carleman": _Demo(1, lambda grid, name: (carleman()[2], carleman_limit_target()),
+                      amplitude=0.5, offset=1.0, state_box=((0.5,), (1.5,)), positive_states=True),
+    "heat1d": _Demo(1, lambda grid, name: _spd_demo(grid, name, isotropic_diffusion(1, 1))),
+    "heat2d": _Demo(2, lambda grid, name: _spd_demo(grid, name, isotropic_diffusion(1, 2))),
+    "aniso2d": _Demo(2, lambda grid, name: _spd_demo(
+        grid, name, scalar_diffusion_matrix([[2.0, 0.3], [0.3, 1.0]]))),
+    "quasilinear-bu2": _Demo(1, _quasilinear_bu2, amplitude=0.5, state_box=((-1.0,), (1.0,))),
+    "sqrt-heat": _Demo(1, _sqrt_heat),
+    "null-limit": _Demo(1, lambda grid, name: (null_limit_system(), None)),
 }
-DEMO_NAMES = tuple(DEMO_DIMS)
+DEMO_DIMS = {name: row.d for name, row in _DEMOS.items()}
+DEMO_NAMES = tuple(_DEMOS)
 
 
 def demo(name: str, grid: SpatialGrid, amplitude: Optional[float] = None,
          offset: Optional[float] = None) -> DemoBundle:
     """Build one of the named demo fixtures on the given grid."""
-    if name not in DEMO_NAMES:
+    if name not in _DEMOS:
         raise BuildError(f"unknown demo {name!r}; choose from {', '.join(DEMO_NAMES)}")
-
-    if name == "carleman":
-        _, _, sys = carleman()
-        amp = 0.5 if amplitude is None else amplitude
-        off = 1.0 if offset is None else offset
-        return DemoBundle(
-            name=name, system=sys, target=carleman_limit_target(),
-            u0=lambda g: _sine(g, amp, off),
-            state_box=((0.5,), (1.5,)),
-            symmetrizer=Symmetrizer.identity(1, 1),
-            positive_states=True,
-        )
-
-    amp = 1.0 if amplitude is None else amplitude
-    off = 0.0 if offset is None else offset
-
-    if name in ("heat1d", "heat2d"):
-        d = 1 if name == "heat1d" else 2
-        target = ReactionDiffusion(k=1, d=d, diffusion=isotropic_diffusion(1, d), name=name)
-        sys = from_reaction_diffusion(target, x_samples=grid.flat_points()[:, ::7])
-        return DemoBundle(
-            name=name, system=sys, target=target,
-            u0=lambda g: _sine(g, amp, off),
-            state_box=((-1.5,), (1.5,)),
-            symmetrizer=Symmetrizer.identity(1, d),
-        )
-
-    if name == "aniso2d":
-        target = ReactionDiffusion(
-            k=1, d=2, diffusion=scalar_diffusion_matrix([[2.0, 0.3], [0.3, 1.0]]), name=name,
-        )
-        sys = from_reaction_diffusion(target, x_samples=grid.flat_points()[:, ::7])
-        return DemoBundle(
-            name=name, system=sys, target=target,
-            u0=lambda g: _sine(g, amp, off),
-            state_box=((-1.5,), (1.5,)),
-            symmetrizer=Symmetrizer.identity(1, 2),
-        )
-
-    if name == "quasilinear-bu2":
-        target = scalar_quasilinear(
-            b=lambda u: 1.0 + u ** 2,
-            flux=lambda u: 0.5 * u ** 2,
-            state_box=(-1.0, 1.0),
-            name=name,
-        )
-        sys = from_quasilinear(target)
-        amp_q = 0.5 if amplitude is None else amplitude
-        return DemoBundle(
-            name=name, system=sys, target=target,
-            u0=lambda g: _sine(g, amp_q, off),
-            state_box=((-1.0,), (1.0,)),
-            symmetrizer=Symmetrizer.identity(1, 1),
-        )
-
-    if name == "sqrt-heat":
-        target = ReactionDiffusion(k=1, d=1, diffusion=isotropic_diffusion(1, 1), name=name)
-        sys = from_sqrt_symbol(target, grid)
-        return DemoBundle(
-            name=name, system=sys, target=target,
-            u0=lambda g: _sine(g, amp, off),
-            state_box=((-1.5,), (1.5,)),
-            symmetrizer=Symmetrizer.identity(1, 1),
-        )
-
-    # null-limit
-    sys = null_limit_system()
+    row = _DEMOS[name]
+    sys, target = row.build(grid, name)
+    amp = row.amplitude if amplitude is None else amplitude
+    off = row.offset if offset is None else offset
     return DemoBundle(
-        name=name, system=sys, target=None,
+        name=name, system=sys, target=target,
         u0=lambda g: _sine(g, amp, off),
-        state_box=((-1.5,), (1.5,)),
-        symmetrizer=Symmetrizer.identity(1, 1),
+        state_box=row.state_box,
+        symmetrizer=Symmetrizer.identity(sys.k, sys.m),
+        positive_states=row.positive_states,
     )
 
 

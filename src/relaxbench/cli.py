@@ -137,7 +137,6 @@ def parse_config(path: str) -> Dict[str, Dict[str, object]]:
 
 @dataclass
 class Experiment:
-    cfg: Dict[str, Dict[str, object]]
     grid: SpatialGrid
     bundle: DemoBundle
     opts: SolverOptions
@@ -179,7 +178,7 @@ def build_experiment(cfg: Dict[str, Dict[str, object]]) -> Experiment:
         )
     except (ValueError, BuildError) as err:
         raise ConfigError(str(err)) from err
-    return Experiment(cfg=cfg, grid=grid, bundle=bundle, opts=opts)
+    return Experiment(grid=grid, bundle=bundle, opts=opts)
 
 
 def _validate(exp: Experiment) -> ValidationReport:

@@ -25,17 +25,15 @@ from .core import (
     SpatialGrid,
     apply_m21_gradient,
 )
-from .hypersolver import SolverOptions, Trajectory
+from .hypersolver import SolverOptions, Trajectory, squared_norms
 
 LADDER_SNAPSHOTS = 11   # comparison times of a ladder, 0 and T included
 
 
 def energy(state: FieldState) -> float:
     """Weighted quadrature of the state: ||uI||^2 + eps^2 ||uII||^2."""
-    vol = state.grid.cell_volume
-    return float(
-        np.sum(state.uI ** 2) * vol + state.eps ** 2 * np.sum(state.uII ** 2) * vol
-    )
+    nI2, nII2 = squared_norms(state.uI, state.uII, state.grid.cell_volume)
+    return nI2 + state.eps ** 2 * nII2
 
 
 @dataclass(frozen=True)

@@ -306,11 +306,18 @@ class _PicardQL:
                 return new.reshape(shape)
             guess = new
         comp, cell = divmod(worst, grid.cell_count)
-        raise ReferenceError(
-            f"lagged-coefficient iteration did not reach {PICARD_TOL:g} "
-            f"in {PICARD_MAXITER} sweeps; the last max increment was {inc[worst]:.3g} "
-            f"in component {comp + 1} at cell {cell} (x = {grid.flat_points()[:, cell].tolist()})"
-        )
+        msg = (f"lagged-coefficient iteration did not reach {PICARD_TOL:g} "
+               f"in {PICARD_MAXITER} sweeps; the last max increment was {inc[worst]:.3g} "
+               f"in component {comp + 1} at cell {cell} (x = {grid.flat_points()[:, cell].tolist()})")
+        bmat = self.target.big_b(uflat2).transpose(2, 0, 1)
+        lowest = np.linalg.eigvalsh(0.5 * (bmat + bmat.transpose(0, 2, 1)))[:, 0]
+        bad = np.flatnonzero(lowest <= 0.0)
+        if bad.size:  # a witness that does not depend on where the iteration wandered
+            c = int(bad[0])
+            msg += (f"; at the step's start B(u) is not positive definite at cell {c} "
+                    f"(x = {grid.flat_points()[:, c].tolist()}, u = {uflat2[:, c].tolist()}, "
+                    f"smallest eigenvalue of its symmetric part {lowest[c]:.3g})")
+        raise ReferenceError(msg)
 
 
 # ---------------------------------------------------------------------------

@@ -64,15 +64,12 @@ class SampleSet:
         k: int,
         m: int,
         u_box: Optional[Tuple[Sequence[float], Sequence[float]]] = None,
-        v_box: Optional[Tuple[Sequence[float], Sequence[float]]] = None,
     ) -> "SampleSet":
-        """Default sampling: a 64-point grid lattice, angular sweep, box lattices."""
+        """Default sampling: a 64-point grid lattice, angular sweep, box lattices (v in the unit box)."""
         if u_box is None:
             u_box = ([-1.0] * k, [1.0] * k)
-        if v_box is None:
-            v_box = ([-1.0] * m, [1.0] * m)
         us = box_lattice(u_box[0], u_box[1], per_axis=3, cap=81)
-        vs = box_lattice(v_box[0], v_box[1], per_axis=3, cap=81)
+        vs = box_lattice([-1.0] * m, [1.0] * m, per_axis=3, cap=81)
         return SampleSet(x_points=grid.sample_points(64), directions=unit_directions(grid.d),
                          u_points=us, v_points=vs)
 

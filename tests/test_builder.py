@@ -19,6 +19,8 @@ from relaxbench.builder import (
     scalar_quasilinear,
 )
 
+from conftest import sine_mode
+
 TWO_PI = 2.0 * np.pi
 
 
@@ -122,6 +124,28 @@ class TestReactionDiffusion:
             got = rb.limit_generator(sys, x, [0.0], xi)
             want = -target.second_order_symbol(x, xi)
             assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+    def test_constant_and_callable_diffusion_agree(self):
+        # k=2, d=2 with cross terms: every block A_jl is a full 2x2 matrix.  Dyadic
+        # entries and integer z keep every product and sum exact, so the
+        # comparison does not depend on summation order.
+        rng = np.random.default_rng(11)
+        full = np.array([[4.0, 1.0, 1.0, 0.5], [1.0, 3.0, 0.5, 1.0],
+                         [1.0, 0.5, 3.0, 1.0], [0.5, 1.0, 1.0, 4.0]])  # diagonally dominant: SPD
+        blocks = full.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)  # blocks[i, j] = full[2i.., 2j..]
+        const = from_reaction_diffusion(ReactionDiffusion(k=2, d=2, diffusion=blocks))
+        vary = from_reaction_diffusion(ReactionDiffusion(
+            k=2, d=2, diffusion=lambda x: np.repeat(blocks[..., None], x.shape[1], axis=-1)))
+        assert const.constant_coefficients and not vary.constant_coefficients
+        x, u = rng.uniform(0.0, 1.0, size=(2, 5)), rng.normal(size=(2, 5))
+        z = rng.integers(-3, 4, size=(4, 5)).astype(float)
+        core = rb.core
+        assert np.array_equal(core.transport_blocks(const, x), core.transport_blocks(vary, x))
+        assert np.array_equal(const.stiff_source(x, u, z), vary.stiff_source(x, u, z))
+        assert np.array_equal(const.stiff_source_jacobian(x, u, z), vary.stiff_source_jacobian(x, u, z))
+        dirs = core.unit_directions(2)
+        assert np.array_equal(core.limit_generators(const, x, u, dirs),
+                              core.limit_generators(vary, x, u, dirs))
 
     def test_non_spd_rejected_with_witness(self):
         bad = ReactionDiffusion(k=2, d=1,
@@ -262,3 +286,36 @@ def test_demo_coefficients_derived_constant(name):
     d = builder.DEMO_DIMS[name]
     grid = rb.SpatialGrid((16,) * d, (1.0,) * d)
     assert builder.demo(name, grid).system.constant_coefficients == (name != "null-limit")
+
+
+# Written from the seven hand-built demo branches the table replaced:
+# name: (d, default (amplitude, offset), state_box, positive_states, target class, (k, m))
+DEMO_TABLE = {
+    "carleman": (1, (0.5, 1.0), ((0.5,), (1.5,)), True, QuasilinearDivergence, (1, 1)),
+    "heat1d": (1, (1.0, 0.0), ((-1.5,), (1.5,)), False, ReactionDiffusion, (1, 1)),
+    "heat2d": (2, (1.0, 0.0), ((-1.5,), (1.5,)), False, ReactionDiffusion, (1, 2)),
+    "aniso2d": (2, (1.0, 0.0), ((-1.5,), (1.5,)), False, ReactionDiffusion, (1, 2)),
+    "quasilinear-bu2": (1, (0.5, 0.0), ((-1.0,), (1.0,)), False, QuasilinearDivergence, (1, 1)),
+    "sqrt-heat": (1, (1.0, 0.0), ((-1.5,), (1.5,)), False, ReactionDiffusion, (1, 1)),
+    "null-limit": (1, (1.0, 0.0), ((-1.5,), (1.5,)), False, type(None), (1, 1)),
+}
+
+
+def test_demo_names_and_dims_pinned():
+    assert builder.DEMO_NAMES == tuple(DEMO_TABLE)
+    assert builder.DEMO_DIMS == {name: row[0] for name, row in DEMO_TABLE.items()}
+
+
+@pytest.mark.parametrize("name", sorted(DEMO_TABLE))
+def test_demo_bundle_pinned(name):
+    d, (amp, off), box, positive, target_cls, (k, m) = DEMO_TABLE[name]
+    grid = rb.SpatialGrid((16,) * d, (1.0,) * d)
+    bundle = builder.demo(name, grid)
+    assert bundle.name == name and bundle.system.d == d
+    assert np.array_equal(bundle.u0(grid), sine_mode(grid, amplitude=amp, offset=off))
+    assert bundle.state_box == box and bundle.positive_states is positive
+    assert type(bundle.target) is target_cls
+    assert (bundle.system.k, bundle.system.m) == (k, m)
+    sym = bundle.symmetrizer
+    assert np.array_equal(sym.r11, np.eye(k)) and np.array_equal(sym.r22, np.eye(m))
+    assert sym.eta == 0.5

@@ -315,6 +315,10 @@ class TestPicardStep:
         assert match is not None
         assert float(match.group(1)) > parasolver.PICARD_TOL
         assert u0[0, int(match.group(2))] < 0.0
+        # the start state's first non-positive cell: a witness independent of round-off
+        start = re.search(r"not positive definite at cell (\d+) .*smallest eigenvalue", str(info.value))
+        assert start is not None
+        assert u0[0, int(start.group(1))] < 0.0
 
 
 def _periodic_tridiagonal(rng, n):
