@@ -191,8 +191,7 @@ def _rd_amat(target: ReactionDiffusion, x: Array) -> Array:
     return _block_matrix(target.diffusion_at(x), x.shape[-1])
 
 
-def from_reaction_diffusion(target: ReactionDiffusion,
-                            x_samples: Optional[Array] = None) -> RelaxationSystem:
+def from_reaction_diffusion(target: ReactionDiffusion) -> RelaxationSystem:
     """Relaxation system whose limit is the reaction-diffusion target.
 
     Requires the full (kd, kd) block matrix of diffusion data to be symmetric
@@ -201,7 +200,7 @@ def from_reaction_diffusion(target: ReactionDiffusion,
     symmetrizer.  Unsound data is rejected with a witness.
     """
     k, d = target.k, target.d
-    xs = _default_x_samples(d) if x_samples is None else np.atleast_2d(x_samples)
+    xs = _default_x_samples(d)
     amat = _rd_amat(target, xs)
     sym_defect = np.max(np.abs(amat - np.swapaxes(amat, 0, 1)))
     if sym_defect > 1e-10 * max(1.0, np.max(np.abs(amat))):
@@ -571,10 +570,10 @@ def _sine(grid: SpatialGrid, amplitude: float, offset: float) -> Array:
     return (offset + amplitude * prof)[None]
 
 
-def _spd_demo(grid: SpatialGrid, name: str, diffusion: Array):
+def _spd_demo(name: str, diffusion: Array):
     """A scalar reaction-diffusion demo with constant diffusion blocks (d, d, 1, 1)."""
     target = ReactionDiffusion(k=1, d=len(diffusion), diffusion=diffusion, name=name)
-    return from_reaction_diffusion(target, x_samples=grid.flat_points()[:, ::7]), target
+    return from_reaction_diffusion(target), target
 
 
 def _sqrt_heat(grid: SpatialGrid, name: str):
@@ -604,10 +603,10 @@ class _Demo:
 _DEMOS = {
     "carleman": _Demo(1, lambda grid, name: (carleman()[2], carleman_limit_target()),
                       amplitude=0.5, offset=1.0, state_box=((0.5,), (1.5,)), positive_states=True),
-    "heat1d": _Demo(1, lambda grid, name: _spd_demo(grid, name, isotropic_diffusion(1, 1))),
-    "heat2d": _Demo(2, lambda grid, name: _spd_demo(grid, name, isotropic_diffusion(1, 2))),
+    "heat1d": _Demo(1, lambda grid, name: _spd_demo(name, isotropic_diffusion(1, 1))),
+    "heat2d": _Demo(2, lambda grid, name: _spd_demo(name, isotropic_diffusion(1, 2))),
     "aniso2d": _Demo(2, lambda grid, name: _spd_demo(
-        grid, name, scalar_diffusion_matrix([[2.0, 0.3], [0.3, 1.0]]))),
+        name, scalar_diffusion_matrix([[2.0, 0.3], [0.3, 1.0]]))),
     "quasilinear-bu2": _Demo(1, _quasilinear_bu2, amplitude=0.5, state_box=((-1.0,), (1.0,))),
     "sqrt-heat": _Demo(1, _sqrt_heat),
     "null-limit": _Demo(1, lambda grid, name: (null_limit_system(), None)),
@@ -622,6 +621,8 @@ def demo(name: str, grid: SpatialGrid, amplitude: Optional[float] = None,
     if name not in _DEMOS:
         raise BuildError(f"unknown demo {name!r}; choose from {', '.join(DEMO_NAMES)}")
     row = _DEMOS[name]
+    if grid.d != row.d:
+        raise BuildError(f"demo {name} is {row.d}-d, the grid is {grid.d}-d")
     sys, target = row.build(grid, name)
     amp = row.amplitude if amplitude is None else amplitude
     off = row.offset if offset is None else offset

@@ -9,7 +9,6 @@ formatting, so identical configs yield bit-identical artifacts.
 from __future__ import annotations
 
 import argparse
-import os
 import sys as _sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -283,12 +282,17 @@ def cmd_run(config: str, out: str, allow_invalid: bool = False) -> int:
 
 
 def cmd_converge(config: str, out: str, threads: int = 1) -> int:
+    if threads < 1:
+        raise ConfigError(f"threads must be at least 1, got {threads}")
     cfg = parse_config(config)
     exp = build_experiment(cfg)
     expcfg = cfg["experiment"]
     eps_list = expcfg["epsilons"]
     if eps_list is None:
         raise ConfigError("missing field experiment.epsilons")
+    if not expcfg["well_prepared"]:
+        raise ConfigError("converge starts every rung well-prepared; "
+                          "experiment.well_prepared = false applies to run only")
     _initial_field(exp)
     try:
         table = diagnostics.study_for_bundle(
@@ -302,18 +306,6 @@ def cmd_converge(config: str, out: str, threads: int = 1) -> int:
         order = "" if row.observed_order is None else f", order {row.observed_order:.3f}"
         print(f"eps={row.eps:g}: errI={row.errI:.6g}{order}")
     return 0 if table.errI_monotone else 1
-
-
-def _threads(flag: Optional[int]) -> int:
-    """The --threads value, else RELAXBENCH_THREADS, else 1; at least 1."""
-    raw = os.environ.get("RELAXBENCH_THREADS", "1") if flag is None else flag
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise ConfigError(f"RELAXBENCH_THREADS must be an integer, got {raw!r}") from None
-    if threads < 1:
-        raise ConfigError(f"threads must be at least 1, got {threads}")
-    return threads
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -330,8 +322,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             p.add_argument("--allow-invalid", action="store_true",
                            help="run even if validation fails")
         if name == "converge":
-            p.add_argument("--threads", type=int, default=None,
-                           help="concurrent ladder runs (default $RELAXBENCH_THREADS, else 1)")
+            p.add_argument("--threads", type=int, default=1,
+                           help="concurrent ladder runs (default 1)")
     args = parser.parse_args(argv)
 
     try:
@@ -339,7 +331,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             return cmd_validate(args.config, args.out)
         if args.command == "run":
             return cmd_run(args.config, args.out, allow_invalid=args.allow_invalid)
-        return cmd_converge(args.config, args.out, threads=_threads(args.threads))
+        return cmd_converge(args.config, args.out, threads=args.threads)
     except ConfigError as err:
         print(f"config error: {err}", file=_sys.stderr)
         return 2

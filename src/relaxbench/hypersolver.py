@@ -11,8 +11,9 @@ space (constant coefficients and multiplier systems).
 from __future__ import annotations
 
 import bisect
+import functools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -199,43 +200,33 @@ class _Workspace:
     # -- spectral transport ----------------------------------------------------
 
     def _build_spectral_transport(self):
-        grid, sys = self.grid, self.sys
-        self._prop_cache: Dict[float, Array] = {}
-        if sys.multiplier is not None:
-            return
-        kappa = grid.wavenumbers().reshape(grid.d, -1)
-        hmat = transport_symbols(sys, self.xflat[:, :1], kappa)[0].reshape(grid.ns + (self.n, self.n))
-        self._eigvals, self._eigvecs, self._eigvecs_inv = (
-            a.astype(complex) for a in eig_factors(hmat))
-
-    def _propagator(self, dt: float) -> Array:
-        """exp(dt * transport generator) per mode, shape (*ns, N, N) complex."""
-        cached = self._prop_cache.get(dt)
-        if cached is not None:
-            return cached
-        sys, eps = self.sys, self.eps
+        """Set self._propagator: dt -> exp(dt * transport generator) per mode, (*ns, N, N) complex."""
+        grid, sys, eps, n, k = self.grid, self.sys, self.eps, self.n, self.k
         if sys.multiplier is not None:
             mult = sys.multiplier
-            tau = dt / eps
-            cosd = np.cos(tau * mult.sqrt_eigs)
-            sind = np.sin(tau * mult.sqrt_eigs)
             vt = np.swapaxes(mult.eigvecs, -1, -2)
-            cosb = eig_function(mult.eigvecs, cosd, vt)
-            sinb = eig_function(mult.eigvecs, sind, vt)
-            k = self.k
-            prop = np.zeros(self.grid.ns + (self.n, self.n), dtype=complex)
-            prop[..., :k, k:] = -eps * sinb
-            prop[..., k:, :k] = sinb / eps
-            prop[..., :k, :k] = cosb
-            prop[..., k:, k:] = cosb
+
+            def propagator(dt: float) -> Array:
+                tau = dt / eps
+                cosb = eig_function(mult.eigvecs, np.cos(tau * mult.sqrt_eigs), vt)
+                sinb = eig_function(mult.eigvecs, np.sin(tau * mult.sqrt_eigs), vt)
+                prop = np.zeros(grid.ns + (n, n), dtype=complex)
+                prop[..., :k, k:] = -eps * sinb
+                prop[..., k:, :k] = sinb / eps
+                prop[..., :k, :k] = cosb
+                prop[..., k:, k:] = cosb
+                return prop
         else:
-            phase = np.exp(-1j * (dt / eps) * self._eigvals)
-            core = eig_function(self._eigvecs, phase, self._eigvecs_inv)
-            scale = np.ones(self.n)
-            scale[self.k:] = eps
-            prop = core * (scale[None, :] / scale[:, None])
-        self._prop_cache[dt] = prop
-        return prop
+            kappa = grid.wavenumbers().reshape(grid.d, -1)
+            hmat = transport_symbols(sys, self.xflat[:, :1], kappa)[0].reshape(grid.ns + (n, n))
+            vals, vecs, vecs_inv = (a.astype(complex) for a in eig_factors(hmat))
+            scale = np.ones(n)
+            scale[k:] = eps
+            rescale = scale[None, :] / scale[:, None]
+
+            def propagator(dt: float) -> Array:
+                return eig_function(vecs, np.exp(-1j * (dt / eps) * vals), vecs_inv) * rescale
+        self._propagator = functools.cache(propagator)  # one propagator per distinct dt
 
     # -- source ---------------------------------------------------------------
 

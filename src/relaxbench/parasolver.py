@@ -8,9 +8,10 @@ between the two is evidence of the analytic limit rather than shared bias.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -62,7 +63,7 @@ class _BlockOperator:
     on the diagonal, D1_i diag(B_ij) D1_j across; non-divergence placement is
     sum_ij diag(B_ij) d_i d_j.  Linear in B, so the CSC pattern is built once and
     data = P @ B.ravel(); every block enters the pattern, zero or not.  A 1-d
-    scalar operator on n >= 3 cells is periodic tridiagonal, and `solve` reads
+    scalar operator on n >= 3 cells is periodic tridiagonal, and `factor` reads
     its three diagonals straight out of data instead of factorizing.
     """
 
@@ -113,16 +114,17 @@ class _BlockOperator:
         """I - dt * L at coefficient blocks (d, d, k, k, M)."""
         return sp.csc_matrix((self._data(blocks, dt), self.indices, self.indptr))
 
-    def solve(self, blocks: Array, dt: float, rhs: Array) -> Array:
-        """Solve (I - dt * L) x = rhs at coefficient blocks (d, d, k, k, M).
+    def factor(self, blocks: Array, dt: float) -> Callable[[Array], Array]:
+        """rhs -> (I - dt * L)^-1 rhs at coefficient blocks (d, d, k, k, M).
 
         A singular system raises RuntimeError on the SuperLU path and
         LinAlgError on the periodic tridiagonal path.
         """
         if self.lower is None:
-            return _factorize(self.backward_euler(blocks, dt)).solve(rhs)
+            return _factorize(self.backward_euler(blocks, dt)).solve
         data = self._data(blocks, dt)
-        return _cyclic_tridiagonal(data[self.lower], data[self.diag], data[self.upper], rhs)
+        lower, diag, upper = data[self.lower], data[self.diag], data[self.upper]
+        return lambda rhs: _cyclic_tridiagonal(lower, diag, upper, rhs)
 
 
 def _factorize(matrix: sp.csc_matrix):
@@ -184,8 +186,7 @@ def run_reference(
     if dt is None:
         dt = T / 1000.0 if T > 0 else 1.0
     if isinstance(target, ReactionDiffusion):
-        stepper = (_SpectralRD(target, grid) if not callable(target.diffusion)
-                   else _ImplicitRD(target, grid))
+        stepper = _LinearRD(target, grid)
     elif isinstance(target, QuasilinearDivergence):
         stepper = _PicardQL(target, grid)
     else:
@@ -209,55 +210,35 @@ def run_reference(
     return np.array(times), np.stack(fields)
 
 
-class _SpectralRD:
-    """Exact Fourier propagation of the diffusion, explicit reaction."""
+class _LinearRD:
+    """Explicit reaction, then exact Fourier propagation (constant diffusion) or
+    backward Euler with second-order central differences (callable diffusion)."""
 
     def __init__(self, target: ReactionDiffusion, grid: SpatialGrid):
         self.target = target
-        self.grid = grid
-        self.vals, self.vecs, self.vecs_inv = eig_factors(-target.mode_symbols(grid))
         self.k = target.k
-        self._cache: Dict[float, Array] = {}
+        if callable(target.diffusion):
+            op = _BlockOperator(grid, self.k, divergence=False)
+            blocks = target.diffusion_at(grid.flat_points())  # (d, d, k, k, M)
 
-    def _prop(self, dt: float) -> Array:
-        cached = self._cache.get(dt)
-        if cached is not None:
-            return cached
-        prop = eig_function(self.vecs, np.exp(dt * self.vals), self.vecs_inv).astype(complex)
-        self._cache[dt] = prop
-        return prop
+            def diffusion(dt: float) -> Callable[[Array], Array]:
+                solve = op.factor(blocks, dt)
+                return lambda u: solve(u.reshape(-1)).reshape(u.shape)
+        else:
+            vals, vecs, vecs_inv = eig_factors(-target.mode_symbols(grid))
+
+            def diffusion(dt: float) -> Callable[[Array], Array]:
+                prop = eig_function(vecs, np.exp(dt * vals), vecs_inv).astype(complex)
+                return lambda u: apply_modes(grid, prop, u)
+        self._diffusion = functools.cache(diffusion)  # one map per distinct dt
 
     def step(self, u: Array, dt: float) -> Array:
         if self.target.f is not None:
             u = u + dt * self.target.f(u.reshape(self.k, -1)).reshape(u.shape)
-        return apply_modes(self.grid, self._prop(dt), u)
-
-
-class _ImplicitRD:
-    """Backward Euler with second-order central differences, explicit reaction."""
-
-    def __init__(self, target: ReactionDiffusion, grid: SpatialGrid):
-        self.target = target
-        self.k = target.k
-        self.blocks = target.diffusion_at(grid.flat_points())  # (d, d, k, k, M)
-        self.op = _BlockOperator(grid, self.k, divergence=False)
-        self._lu_cache: Dict[float, object] = {}
-
-    def _lu(self, dt: float):
-        if dt not in self._lu_cache:
-            self._lu_cache[dt] = _factorize(self.op.backward_euler(self.blocks, dt))
-        return self._lu_cache[dt]
-
-    def step(self, u: Array, dt: float) -> Array:
-        shape = u.shape
-        rhs = u.reshape(-1)
-        if self.target.f is not None:
-            rhs = rhs + dt * self.target.f(u.reshape(self.k, -1)).reshape(-1)
         try:
-            out = self._lu(dt).solve(rhs)
-        except RuntimeError as err:
+            return self._diffusion(dt)(u)
+        except (RuntimeError, np.linalg.LinAlgError) as err:
             raise ReferenceError(f"linear solve failed: {err}") from err
-        return out.reshape(shape)
 
 
 class _PicardQL:
@@ -297,7 +278,7 @@ class _PicardQL:
                     f"(x = {grid.flat_points()[:, cell].tolist()}, u = {lagged[:, cell].tolist()})"
                 )
             try:
-                new = self.op.solve(blocks, dt, rhs)
+                new = self.op.factor(blocks, dt)(rhs)
             except (RuntimeError, np.linalg.LinAlgError) as err:
                 raise ReferenceError(f"linear solve failed: {err}") from err
             inc = np.abs(new - guess)

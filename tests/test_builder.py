@@ -280,6 +280,14 @@ def test_unknown_demo_rejected(grid64):
         builder.demo("nope", grid64)
 
 
+@pytest.mark.parametrize("name, ns", [("heat1d", (8, 8)), ("carleman", (8, 8)), ("heat2d", (8,))])
+def test_demo_on_grid_of_other_dimension_rejected(name, ns):
+    grid = rb.SpatialGrid(ns, (1.0,) * len(ns))
+    want = f"demo {name} is {builder.DEMO_DIMS[name]}-d, the grid is {len(ns)}-d"
+    with pytest.raises(BuildError, match=want):
+        builder.demo(name, grid)
+
+
 @pytest.mark.parametrize("name", builder.DEMO_NAMES)
 def test_demo_coefficients_derived_constant(name):
     # every transport block is an array (or the transport a multiplier) except null-limit's m11

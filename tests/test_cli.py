@@ -190,6 +190,17 @@ class TestConvergeCommand:
         assert "initial conserved field must stay positive for demo carleman" in err
         assert "minimum is -0.498193" in err
 
+    def test_ill_prepared_start_is_config_error(self, tmp_path, monkeypatch, capsys):
+        # every rung starts well-prepared, so the key cannot be honoured
+        def no_reference(*args, **kwargs):
+            raise AssertionError("the reference ran")
+
+        monkeypatch.setattr(cli.diagnostics.parasolver, "run_reference", no_reference)
+        cfg = write_cfg(tmp_path, HEAT_CFG + "well_prepared = false\n")
+        assert cli.main(["converge", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "experiment.well_prepared = false" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_non_decreasing_ladder_rejected(self, tmp_path):
         cfg = write_cfg(tmp_path, HEAT_CFG.replace("epsilons = 0.2, 0.1, 0.05",
                                                    "epsilons = 0.1, 0.2, 0.05"))
@@ -204,18 +215,18 @@ class TestConvergeCommand:
             outs.append((out / "convergence.csv").read_bytes())
         assert outs[0] == outs[1]
 
-    def test_threads_env_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("RELAXBENCH_THREADS", "2")
+    def test_threads_environment_variable_is_ignored(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("RELAXBENCH_THREADS", "abc")
         cfg = write_cfg(tmp_path, HEAT_CFG)
         out = tmp_path / "out"
         assert cli.main(["converge", cfg, "--out", str(out)]) == 0
+        assert (out / "convergence.csv").exists()
 
-    @pytest.mark.parametrize("flag, env", [("0", None), ("-5", None), (None, "0"), (None, "abc")])
-    def test_bad_thread_counts_are_config_errors(self, tmp_path, monkeypatch, capsys, flag, env):
-        if env is not None:
-            monkeypatch.setenv("RELAXBENCH_THREADS", env)
+    # explicit ids, so each case keeps the name the suite reports for it
+    @pytest.mark.parametrize("flag", ["0", "-5"], ids=["0-None", "-5-None"])
+    def test_bad_thread_counts_are_config_errors(self, tmp_path, capsys, flag):
         cfg = write_cfg(tmp_path, HEAT_CFG)
-        args = ["converge", cfg, "--out", str(tmp_path / "o")] + ([] if flag is None else ["--threads", flag])
+        args = ["converge", cfg, "--out", str(tmp_path / "o"), "--threads", flag]
         assert cli.main(args) == 2
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()

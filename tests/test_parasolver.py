@@ -253,6 +253,19 @@ def _constant_diffusion(blocks):
     return lambda u: np.broadcast_to(blocks[..., None], blocks.shape + (u.shape[-1],))
 
 
+def _variable_diffusion(d):
+    """Scalar SPD diffusion x (d, M) -> (d, d, 1, 1, M), with a cross term in 2-d."""
+    def diffusion(x):
+        out = np.zeros((d, d, 1, 1, x.shape[-1]))
+        for j in range(d):
+            out[j, j, 0, 0] = 1.0 + 0.5 * np.sin(TWO_PI * x[0]) + 0.2 * j
+        if d == 2:
+            out[0, 1, 0, 0] = out[1, 0, 0, 0] = 0.3 * np.cos(TWO_PI * x[1])
+        return out
+
+    return diffusion
+
+
 class TestBlockAssembly:
     @pytest.mark.parametrize("divergence", [True, False])
     @pytest.mark.parametrize("zero_block", [None, (0, 1, 1, 0), (1, 1, 0, 0)])
@@ -265,6 +278,21 @@ class TestBlockAssembly:
         want = _dense_operator(grid, blocks, divergence)
         assert np.max(np.abs(want)) > 0
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class TestLinearStep:
+    @pytest.mark.parametrize("ns", [(32,), (8, 6)])  # periodic tridiagonal and SuperLU paths
+    def test_variable_coefficient_step_matches_dense_backward_euler(self, ns):
+        grid = rb.SpatialGrid(ns, (1.0,) * len(ns))
+        diffusion = _variable_diffusion(grid.d)
+        target = ReactionDiffusion(k=1, d=grid.d, diffusion=diffusion, f=lambda u: u * (1 - u))
+        u, dt = sine_mode(grid, 0.5, 0.3), 1e-2
+        got = parasolver._LinearRD(target, grid).step(u, dt)
+        dense = _dense_operator(grid, diffusion(grid.flat_points()), divergence=False)
+        rhs = (u + dt * u * (1 - u)).reshape(-1)
+        want = np.linalg.solve(np.eye(grid.cell_count) - dt * dense, rhs).reshape(u.shape)
+        assert np.max(np.abs(got - u)) > 1e-3  # the step moves the state
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 class TestPicardStep:
@@ -356,6 +384,8 @@ class TestCyclicSolve:
     def test_one_dimensional_scalar_reference_factorizes_nothing(self, monkeypatch, grid64):
         ql = builder.carleman_limit_target()
         assert self._splu_calls(monkeypatch, ql, sine_mode(grid64, 0.5, 1.0), grid64) == 0
+        rd = ReactionDiffusion(k=1, d=1, diffusion=_variable_diffusion(1), f=lambda u: -u)
+        assert self._splu_calls(monkeypatch, rd, sine_mode(grid64), grid64) == 0
 
     def test_other_references_still_factorize(self, monkeypatch):
         grid = rb.SpatialGrid((8, 6), (1.0, 1.0))
@@ -363,6 +393,8 @@ class TestCyclicSolve:
             k=1, d=2, diffusion=_constant_diffusion(np.array([[1.0, 0.2], [0.2, 0.8]])[:, :, None, None]),
             state_box=((-1.0,), (1.0,)))
         assert self._splu_calls(monkeypatch, two_d, sine_mode(grid, offset=1.0), grid) >= 2
+        rd = ReactionDiffusion(k=1, d=2, diffusion=_variable_diffusion(2))
+        assert self._splu_calls(monkeypatch, rd, sine_mode(grid), grid) >= 1
         grid = rb.SpatialGrid((16,), (1.0,))
         two_k = QuasilinearDivergence(
             k=2, d=1, diffusion=_constant_diffusion(np.array([[[[1.0, 0.3], [0.0, 0.5]]]])),
