@@ -25,13 +25,6 @@ from relaxbench import builder, cli, hypersolver  # noqa: E402
 GRIDS = {1: ((16,), (24,)), 2: ((12, 12), (16, 20))}
 
 
-def admissible_fluxes(sys):
-    """The fluxes the stiff integrator accepts for this system."""
-    if sys.multiplier is not None:
-        return ("spectral",)
-    return hypersolver.FLUXES if sys.constant_coefficients else ("rusanov",)
-
-
 def artifact_hash(name, flux, ns, tmp):
     cfg = tmp / "exp.cfg"
     cfg.write_text(
@@ -57,7 +50,7 @@ def main():
             d = builder.DEMO_DIMS[name]
             for ns in GRIDS[d]:
                 sys = builder.demo(name, rb.SpatialGrid(ns, (1.0,) * d)).system
-                for flux in admissible_fluxes(sys):
+                for flux in hypersolver.admissible_fluxes(sys):
                     label = f"{name} {flux} n={'x'.join(map(str, ns))}"
                     print(f"{label:<44} {artifact_hash(name, flux, ns, Path(tmp))}")
 

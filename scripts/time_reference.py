@@ -2,8 +2,8 @@
 """Wall time of the carleman ladder's quasilinear reference on its own.
 
 Runs `parasolver.run_reference` as the carleman eps-ladder calls it (n=256,
-T=0.1, dt=T/4000, the ladder's 11 comparison times) with one BLAS thread,
-and prints the Picard sweep count and the best of 3 wall times.  From the
+T=0.1, dt=T/diagnostics.LADDER_REFERENCE_STEPS, the ladder's 11 comparison
+times) with one BLAS thread, and prints the Picard sweep count and the best of 3 wall times.  From the
 root of a source checkout:
 
     PYTHONPATH=src python scripts/time_reference.py
@@ -23,6 +23,7 @@ from relaxbench import builder, diagnostics, parasolver  # noqa: E402
 
 N = 256
 T = 0.1
+STEPS = diagnostics.LADDER_REFERENCE_STEPS
 REPEATS = 3
 
 
@@ -41,9 +42,9 @@ def main():
     for _ in range(REPEATS):
         sweeps[0] = 0
         start = time.perf_counter()
-        parasolver.run_reference(target, bundle.u0(grid), grid, T, dt=T / 4000.0, snapshot_times=times)
+        parasolver.run_reference(target, bundle.u0(grid), grid, T, dt=T / STEPS, snapshot_times=times)
         walls.append(time.perf_counter() - start)
-    print(f"carleman reference n={N} T={T} dt=T/4000: {sweeps[0]} sweeps, "
+    print(f"carleman reference n={N} T={T} dt=T/{STEPS}: {sweeps[0]} sweeps, "
           f"best of {REPEATS} {min(walls):.3f} s (all: {', '.join(f'{w:.3f}' for w in walls)})")
 
 

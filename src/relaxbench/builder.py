@@ -61,11 +61,7 @@ class ReactionDiffusion:
 
     def diffusion_at(self, x: Array) -> Array:
         """Blocks at points x (d, M); returns (d, d, k, k, M)."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        if callable(self.diffusion):
-            return np.asarray(self.diffusion(x), dtype=float)
-        a = np.asarray(self.diffusion, dtype=float)
-        return np.broadcast_to(a[..., None], a.shape + (x.shape[-1],))
+        return eval_matrix_field(self.diffusion, x)
 
     def second_order_symbols(self, x_points: Array, directions: Array) -> Array:
         """sum_jk A_jk(x) xi_j xi_k on every (x, xi) pair, shape (Mx, Mxi, k, k)."""
@@ -78,6 +74,7 @@ class ReactionDiffusion:
     def mode_symbols(self, grid: SpatialGrid) -> Array:
         """sum_jl A_jl kappa_j kappa_l on every Fourier mode of the grid, (*ns, k, k); A constant."""
         kappa = grid.wavenumbers()
+        # not _quadratic_symbols: its other summation order moves the aniso2d reference by round-off
         return np.einsum("j...,l...,jlab->...ab", kappa, kappa, np.asarray(self.diffusion, dtype=float))
 
 
@@ -312,12 +309,6 @@ def from_sqrt_symbol(target: ReactionDiffusion, grid: SpatialGrid) -> Relaxation
     if target.d != grid.d:
         raise BuildError("target and grid dimensions differ")
     k, d = target.k, target.d
-    a = np.asarray(target.diffusion, dtype=float)
-
-    def symbol(xi):
-        xi = np.asarray(xi, dtype=float).reshape(-1)
-        return np.einsum("j,l,jlab->ab", xi, xi, a)
-
     smat = target.mode_symbols(grid)
     vals, vecs, _ = eig_factors(0.5 * (smat + np.swapaxes(smat, -1, -2)))  # exactly symmetric, so eigh
     knorm = np.sqrt(np.sum(grid.wavenumbers() ** 2, axis=0))
@@ -326,7 +317,7 @@ def from_sqrt_symbol(target: ReactionDiffusion, grid: SpatialGrid) -> Relaxation
         idx = np.argwhere(bad)[0]
         raise BuildError(f"quadratic symbol not positive definite at mode index {tuple(idx)}")
     mult = SpectralMultiplier(
-        grid=grid, symbol=symbol,
+        grid=grid, symbol=lambda xi: target.second_order_symbol(np.zeros(d), xi),
         eigvecs=vecs, sqrt_eigs=np.sqrt(np.clip(vals, 0.0, None)),
     )
 
@@ -352,7 +343,7 @@ class RawSystem:
     """Hyperbolic system in original variables, before decoupling.
 
     a is one (N, N) matrix field per axis; b(x, W) is the stiff source with
-    range of declared dimension source_range_dim; b_jac, when given, is its
+    range of declared dimension source_range_dim, and b_jac(x, W) its exact
     (N, N, M) Jacobian in W.  d_lower(W) is the order-one source, if any.
     """
 
@@ -361,7 +352,7 @@ class RawSystem:
     a: Tuple[MatrixField, ...]
     b: Callable[[Array, Array], Array]
     source_range_dim: int
-    b_jac: Optional[Callable[[Array, Array], Array]] = None
+    b_jac: Callable[[Array, Array], Array]
     d_lower: Optional[Callable[[Array], Array]] = None
     name: str = ""
 
@@ -406,6 +397,8 @@ def decouple(raw: RawSystem, transform: DecouplingTransform) -> RelaxationSystem
     n, k = raw.n, transform.k
     if transform.p.shape[0] != n:
         raise BuildError("transform size does not match the system")
+    if not callable(raw.b_jac):
+        raise BuildError("b_jac must be the exact Jacobian of b in W, a callable (x, W) -> (N, N, M)")
     if raw.source_range_dim != n - k:
         raise BuildError(
             f"declared source range dimension {raw.source_range_dim} "
@@ -457,19 +450,9 @@ def decouple(raw: RawSystem, transform: DecouplingTransform) -> RelaxationSystem
     def q(x, u, z):
         return transform.p_II @ np.asarray(raw.b(x, to_w(u, z)), dtype=float)
 
-    if raw.b_jac is not None:
-        def q_nu(x, u, z):
-            jac = np.asarray(raw.b_jac(x, to_w(u, z)), dtype=float)  # (n, n, M)
-            return np.einsum("ab,bcm,cd->adm", transform.p_II, jac, pinv[:, k:])
-    else:
-        def q_nu(x, u, z, _step=1e-6):
-            m = n - k
-            out = np.empty((m, m, z.shape[-1]))
-            for col in range(m):
-                dz = np.zeros_like(z)
-                dz[col] = _step
-                out[:, col] = (q(x, u, z + dz) - q(x, u, z - dz)) / (2 * _step)
-            return out
+    def q_nu(x, u, z):
+        jac = np.asarray(raw.b_jac(x, to_w(u, z)), dtype=float)  # (n, n, M)
+        return np.einsum("ab,bcm,cd->adm", transform.p_II, jac, pinv[:, k:])
 
     dtilde_I = None
     d_II = None

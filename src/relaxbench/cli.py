@@ -18,7 +18,7 @@ import numpy as np
 
 from . import builder, diagnostics, hypersolver, parasolver, validator
 from .builder import BuildError, DemoBundle
-from .core import FieldState, SpatialGrid, ValidationReport, csv_text
+from .core import FieldState, SpatialGrid, SymbolError, ValidationReport, csv_text
 from .hypersolver import SolverError, SolverOptions
 from .parasolver import ReferenceError
 
@@ -169,12 +169,10 @@ def build_experiment(cfg: Dict[str, Dict[str, object]]) -> Experiment:
             amplitude=cfg["experiment"]["u0_amplitude"],
             offset=cfg["experiment"]["u0_offset"],
         )
-        solver = cfg["solver"]
-        opts = SolverOptions(
-            cfl=solver["cfl"], flux=solver["flux"],
-            snapshot_stride=solver["snapshot_stride"],
-            positivity_floor=solver["positivity_floor"],
-        )
+        opts = SolverOptions(**cfg["solver"])
+        if opts.flux not in hypersolver.admissible_fluxes(bundle.system):
+            raise ValueError(f"solver.flux = {opts.flux} is not admissible for demo {name}; choose from "
+                             f"{', '.join(hypersolver.admissible_fluxes(bundle.system))}")
     except (ValueError, BuildError) as err:
         raise ConfigError(str(err)) from err
     return Experiment(grid=grid, bundle=bundle, opts=opts)
@@ -293,14 +291,14 @@ def cmd_converge(config: str, out: str, threads: int = 1) -> int:
     if not expcfg["well_prepared"]:
         raise ConfigError("converge starts every rung well-prepared; "
                           "experiment.well_prepared = false applies to run only")
-    _initial_field(exp)
     try:
-        table = diagnostics.study_for_bundle(
-            exp.bundle, exp.grid, expcfg["T"], eps_list,
-            opts=exp.opts, threads=threads,
-        )
+        diagnostics.check_ladder(expcfg["T"], eps_list)
     except ValueError as err:
         raise ConfigError(str(err)) from err
+    _initial_field(exp)
+    table = diagnostics.study_for_bundle(
+        exp.bundle, exp.grid, expcfg["T"], eps_list, opts=exp.opts, threads=threads,
+    )
     _write(Path(out) / "convergence.csv", table.to_csv())
     for row in table.rows:
         order = "" if row.observed_order is None else f", order {row.observed_order:.3f}"
@@ -335,7 +333,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=_sys.stderr)
         return 2
-    except (BuildError, SolverError, ReferenceError) as err:
+    except (BuildError, SolverError, ReferenceError, SymbolError, np.linalg.LinAlgError) as err:
         print(f"error: {err}", file=_sys.stderr)
         return 1
 

@@ -167,7 +167,7 @@ def l2_norm(fields: Array, grid: SpatialGrid) -> float:
 
 
 def eval_matrix_field(f: MatrixField, x: Array) -> Array:
-    """Evaluate a matrix field at points x (d, M); returns (rows, cols, M)."""
+    """Evaluate a constant or callable field of any rank at points x (d, M); returns (..., M)."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     m = x.shape[-1]
     if callable(f):
@@ -176,7 +176,7 @@ def eval_matrix_field(f: MatrixField, x: Array) -> Array:
             out = out[:, :, None]
         return out
     f = np.asarray(f, dtype=float)
-    return np.broadcast_to(f[:, :, None], f.shape + (m,))
+    return np.broadcast_to(f[..., None], f.shape + (m,))
 
 
 def as_point(x) -> Array:

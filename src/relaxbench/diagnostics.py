@@ -28,6 +28,7 @@ from .core import (
 from .hypersolver import SolverOptions, Trajectory, squared_norms
 
 LADDER_SNAPSHOTS = 11   # comparison times of a ladder, 0 and T included
+LADDER_REFERENCE_STEPS = 4000  # reference step T / 4000, 4x finer than run_reference's default
 
 
 def energy(state: FieldState) -> float:
@@ -111,6 +112,18 @@ class LadderEntry:
     errII_weak: float
 
 
+def check_ladder(T: float, eps_list: Sequence[float]) -> List[float]:
+    """The ladder's epsilons; ValueError unless T > 0 and >= 3 positive epsilons decrease strictly."""
+    eps_list = [float(e) for e in eps_list]
+    if not T > 0:
+        raise ValueError(f"a ladder needs a positive horizon T, got {T:g}")
+    if len(eps_list) < 3:
+        raise ValueError("epsilon ladder needs at least three entries")
+    if any(b >= a for a, b in zip(eps_list, eps_list[1:] + [0.0])):  # the last must exceed 0
+        raise ValueError(f"epsilon ladder must decrease strictly and stay positive, got {eps_list}")
+    return eps_list
+
+
 def ladder_runs(
     sys: RelaxationSystem,
     target: Optional[ParabolicTarget],
@@ -126,24 +139,16 @@ def ladder_runs(
     The reference is the target's parabolic solution, or the zero function
     when there is no target (a system whose limit is the null solution).
     Returns the per-epsilon entries plus the shared snapshot times and the
-    reference fields on those times.  The ladder must be strictly decreasing
-    with at least three rungs.
+    reference fields on those times.  The inputs must pass check_ladder.
     """
-    eps_list = [float(e) for e in eps_list]
-    if len(eps_list) < 3:
-        raise ValueError("epsilon ladder needs at least three entries")
-    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-        raise ValueError("epsilon ladder must decrease strictly")
-
+    eps_list = check_ladder(T, eps_list)
     opts = replace(opts or SolverOptions(), snapshot_stride=0)
     u0 = np.asarray(u0, dtype=float)
     times = np.linspace(0.0, T, LADDER_SNAPSHOTS)
 
     if target is not None:
-        # reference runs 4x finer than its own default step so its error stays
-        # well below the smallest ladder error being measured
         ref_times, ref_fields = parasolver.run_reference(
-            target, u0, grid, T, dt=T / 4000.0, snapshot_times=times,
+            target, u0, grid, T, dt=T / LADDER_REFERENCE_STEPS, snapshot_times=times,
         )
         if len(ref_times) != len(times):
             raise RuntimeError("reference did not land on the requested times")
@@ -213,6 +218,8 @@ def study_for_bundle(
 
 __all__ = [
     "LADDER_SNAPSHOTS",
+    "LADDER_REFERENCE_STEPS",
+    "check_ladder",
     "energy",
     "EnergyInequality",
     "energy_inequality_check",

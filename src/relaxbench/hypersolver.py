@@ -103,6 +103,13 @@ def snapshot_csv(state: FieldState) -> str:
                                      state.uII.reshape(state.m, -1)]))
 
 
+def admissible_fluxes(sys: RelaxationSystem) -> Tuple[str, ...]:
+    """Spectral only for a multiplier system, every flux with constant coefficients, else Rusanov."""
+    if sys.multiplier is not None:
+        return ("spectral",)
+    return FLUXES if sys.constant_coefficients else ("rusanov",)
+
+
 def max_wave_speed(sys: RelaxationSystem, grid: SpatialGrid) -> float:
     """Largest spectral radius of i * principal symbol over points and directions.
 
@@ -133,14 +140,12 @@ class _Workspace:
         self.speed = max_wave_speed(sys, grid)
         self.clamp_events = 0
 
-        if sys.multiplier is not None and opts.flux != "spectral":
-            raise SolverError("multiplier transport requires the spectral flux")
+        if opts.flux not in admissible_fluxes(sys):
+            raise SolverError(f"flux {opts.flux} is not admissible for {sys.name or 'this system'}; "
+                              f"it admits {', '.join(admissible_fluxes(sys))} (a multiplier needs "
+                              f"spectral; spectral and upwind-characteristic need constant coefficients)")
         if sys.multiplier is not None and sys.multiplier.grid != grid:
             raise SolverError(f"multiplier was tabulated on {sys.multiplier.grid}, not on {grid}")
-        if opts.flux == "spectral" and sys.multiplier is None and not sys.constant_coefficients:
-            raise SolverError("spectral transport requires constant coefficients")
-        if opts.flux == "upwind-characteristic" and not sys.constant_coefficients:
-            raise SolverError("characteristic upwind requires constant coefficients")
 
         if opts.flux in ("rusanov", "upwind-characteristic"):
             self._build_grid_transport()
@@ -173,14 +178,13 @@ class _Workspace:
         self.absc = []   # dissipation per axis: |C_j| (characteristic) or radius * I (Rusanov)
         for j in range(grid.d):
             if self.opts.flux == "upwind-characteristic":
-                vals, vecs = np.linalg.eig(tab[j, :, :, 0])
-                if np.max(np.abs(vals.imag)) > 1e-9 * max(1.0, np.max(np.abs(vals))):
-                    raise SolverError("characteristic upwind needs real characteristic speeds")
                 try:
-                    absc = eig_function(vecs, np.abs(vals.real), np.linalg.inv(vecs))
+                    vals, vecs, vecs_inv = eig_factors(tab[j, :, :, 0])
                 except np.linalg.LinAlgError as err:
                     raise SolverError("transport matrix is not diagonalizable") from err
-                self.absc.append(absc.real)
+                if np.max(np.abs(vals.imag)) > 1e-9 * max(1.0, np.max(np.abs(vals))):
+                    raise SolverError("characteristic upwind needs real characteristic speeds")
+                self.absc.append(eig_function(vecs, np.abs(vals.real), vecs_inv).real)
             else:
                 self.absc.append(float(radii[j]) * np.eye(n))
 
@@ -375,6 +379,7 @@ def well_prepared_state(
 __all__ = [
     "SolverError",
     "SolverOptions",
+    "admissible_fluxes",
     "NEWTON_TOL",
     "NEWTON_MAXITER",
     "StepRecord",

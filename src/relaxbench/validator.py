@@ -142,19 +142,21 @@ def check_rank_condition(sys: RelaxationSystem, samples: SampleSet) -> CheckResu
     return CheckResult("rank_condition", best > DET_FLOOR, best - DET_FLOOR, witness)
 
 
+def _xuv_lattice(samples: SampleSet) -> Tuple[Array, Array, Array]:
+    """Every (x, u, v) sample as paired columns: x outer, then u, v fastest."""
+    xs, us, vs = samples.x_points, samples.u_points, samples.v_points
+    mx, mu, mv = xs.shape[1], us.shape[1], vs.shape[1]
+    return np.repeat(xs, mu * mv, axis=1), np.tile(np.repeat(us, mv, axis=1), mx), np.tile(vs, mx * mu)
+
+
 def check_dissipativity(sys: RelaxationSystem, samples: SampleSet) -> CheckResult:
     """Certified negative-definiteness margin of the stiff source derivative.
 
     lambda0 is minus the largest eigenvalue of the symmetric part of the
     jacobian over all sampled (x, u, z); the check passes when it is positive.
     """
-    xs, us, vs = samples.x_points, samples.u_points, samples.v_points
-    mx, mu, mv = xs.shape[1], us.shape[1], vs.shape[1]
-    jac = sys.stiff_source_jacobian(
-        np.repeat(xs, mu * mv, axis=1), np.tile(np.repeat(us, mv, axis=1), mx), np.tile(vs, mx * mu),
-    )
-    jac = np.moveaxis(jac, -1, 0)
-    finite = np.isfinite(jac).all(axis=(1, 2)).reshape(mx * mu, mv).all(axis=1)
+    jac = np.moveaxis(sys.stiff_source_jacobian(*_xuv_lattice(samples)), -1, 0)
+    finite = np.isfinite(jac).all(axis=(1, 2)).reshape(-1, samples.v_points.shape[1]).all(axis=1)
     if not finite.all():
         return CheckResult(
             "dissipativity", False, -np.inf,
@@ -257,8 +259,8 @@ def check_source_structure(sys: RelaxationSystem, samples: SampleSet) -> CheckRe
     Verifies that the transport coefficient fields are finite on the sampled
     points, that the stiff source vanishes at zero non-conserved state, that
     the scaled conserved source vanishes there for several epsilon probes,
-    and that sampled difference quotients of the order-one sources stay
-    bounded over the box.
+    that difference quotients of the order-one sources stay bounded over the
+    u box, and that a source flagged linear in v is q_nu(x, u, 0) z there.
     """
     xs, us = samples.x_points, samples.u_points
     mx, mu = xs.shape[1], us.shape[1]
@@ -281,19 +283,26 @@ def check_source_structure(sys: RelaxationSystem, samples: SampleSet) -> CheckRe
         witness = {"x": xs[:, ix], "u": us[:, iu], "value": worst}
         if which > 0:
             witness["eps"] = (0.1, 0.01)[which - 1]
-    quotients_ok = True
-    step = 1e-5
-    u0 = samples.u_points[:, :1]
-    z0 = np.zeros((sys.m, 1))
-    for comp in range(sys.m):
-        dz = np.zeros((sys.m, 1))
-        dz[comp] = step
-        quot = (sys.lower_order_II(u0, z0 + dz) - sys.lower_order_II(u0, z0 - dz)) / (2 * step)
-        if not np.all(np.isfinite(quot)):
-            quotients_ok = False
-            witness = {"u": u0[:, 0], "value": "non-finite difference quotient"}
-    passed = worst <= ZERO_TOL and quotients_ok
-    return CheckResult("source_structure", passed, ZERO_TOL - worst, witness)
+    margin = ZERO_TOL - worst
+    dz = np.repeat(1e-5 * np.eye(sys.m)[:, :, None], mu, axis=2)  # (component, m, Mu)
+    with np.errstate(invalid="ignore", over="ignore"):
+        quot = np.stack([sys.lower_order_II(us, z) - sys.lower_order_II(us, -z) for z in dz]) / 2e-5
+    bad = ~np.isfinite(quot).all(axis=1).T  # (Mu, component), u outer
+    if bad.any():
+        iu, comp = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        witness = {"u": us[:, iu], "component": int(comp), "value": "non-finite difference quotient"}
+        margin = -np.inf
+    if sys.source_linear_in_v:
+        x3, u3, z3 = _xuv_lattice(samples)
+        q = sys.stiff_source(x3, u3, z3)
+        lin = np.einsum("abm,bm->am", sys.stiff_source_jacobian(x3, u3, np.zeros_like(z3)), z3)
+        scale = np.maximum(np.abs(q), np.abs(lin)).max(axis=0)
+        defect = np.max(np.abs(q - lin), axis=0) / np.maximum(scale, 1e-300)
+        i = int(np.argmax(defect))
+        if defect[i] > EIG_RTOL:
+            witness = _witness(samples, ("x", "u", "v"), i, defect=float(defect[i]))
+            margin = min(margin, EIG_RTOL - float(defect[i]))
+    return CheckResult("source_structure", bool(margin >= 0.0), margin, witness)
 
 
 def validate_all(

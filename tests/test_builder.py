@@ -24,6 +24,12 @@ from conftest import sine_mode
 TWO_PI = 2.0 * np.pi
 
 
+def _constant_jacobian(mat):
+    """b_jac of a source linear in W: the (N, N) matrix at every point, (N, N, M)."""
+    mat = np.asarray(mat, dtype=float)
+    return lambda x, w: np.broadcast_to(mat[:, :, None], mat.shape + (w.shape[-1],))
+
+
 class TestDecouple:
     def test_carleman_blocks_and_source(self):
         raw, transform, sys = carleman()
@@ -44,7 +50,7 @@ class TestDecouple:
             return np.stack([np.zeros_like(w[0]), -w[1]])
 
         raw = RawSystem(n=2, d=1, a=(np.array([[0.0, 1.0], [1.0, 0.0]]),),
-                        b=b, source_range_dim=1)
+                        b=b, source_range_dim=1, b_jac=_constant_jacobian([[0.0, 0.0], [0.0, -1.0]]))
         sys = decouple(raw, DecouplingTransform(np.eye(2), k=1))
         x = np.array([[0.0]])
         assert np.allclose(rb.core.eval_matrix_field(sys.m12[0], x)[:, :, 0], 1.0)
@@ -54,7 +60,8 @@ class TestDecouple:
         def b(x, w):
             return np.stack([w[0], -w[1]])  # first row does not vanish
 
-        raw = RawSystem(n=2, d=1, a=(np.eye(2),), b=b, source_range_dim=1)
+        raw = RawSystem(n=2, d=1, a=(np.eye(2),), b=b, source_range_dim=1,
+                        b_jac=_constant_jacobian([[1.0, 0.0], [0.0, -1.0]]))
         with pytest.raises(BuildError, match="annihilate"):
             decouple(raw, DecouplingTransform(np.eye(2), k=1))
 
@@ -83,7 +90,8 @@ class TestDecouple:
             return np.stack([0.5 * diff, 0.5 * diff])
 
         raw = RawSystem(n=2, d=1, a=(np.array([[0.0, 1.0], [1.0, 0.0]]),),
-                        b=b, source_range_dim=1, d_lower=d_lower)
+                        b=b, source_range_dim=1, d_lower=d_lower,
+                        b_jac=_constant_jacobian([[-0.5, 0.5], [0.5, -0.5]]))
         p = DecouplingTransform(np.array([[1.0, 1.0], [1.0, -1.0]]), k=1)
         sys = decouple(raw, p)
         x = np.array([[0.0]])
@@ -92,6 +100,42 @@ class TestDecouple:
         for eps in (0.1, 0.01, 1e-4):
             got = sys.lower_order_I(x, u, v, eps)
             assert np.allclose(got, v, rtol=1e-10)
+
+    def test_callable_blocks_and_lower_order_match_hand_placed(self):
+        def a(x):
+            s = np.sin(TWO_PI * x[0])
+            return np.array([[1.0 + 0.2 * s, s], [0.5 * s, -1.0 + 0.1 * s]])
+
+        def b(x, w):
+            half = 0.5 * (w[1] - w[0])
+            return np.stack([half, -half])
+
+        def d_lower(w):
+            return np.stack([w[0] * w[1], w[0] ** 2 - w[1]])
+
+        p = np.array([[1.0, 1.0], [1.0, -2.0]])
+        raw = RawSystem(n=2, d=1, a=(a,), b=b, source_range_dim=1, d_lower=d_lower,
+                        b_jac=_constant_jacobian([[-0.5, 0.5], [0.5, -0.5]]))
+        sys = decouple(raw, DecouplingTransform(p, k=1))
+        x = np.array([[0.1, 0.35, 0.8]])
+        got = np.empty((2, 2, 3))
+        for blocks, rows, cols in ((sys.m11, 0, 0), (sys.m12, 0, 1), (sys.m21, 1, 0), (sys.m22, 1, 1)):
+            got[rows, cols] = rb.core.eval_matrix_field(blocks[0], x)[0, 0]
+        want = np.stack([p @ a(x)[:, :, i] @ np.linalg.inv(p) for i in range(3)], axis=-1)
+        assert np.max(np.abs(got - want)) <= 1e-14
+        u, z = np.array([[0.7, -0.2, 1.3]]), np.array([[0.4, 0.9, -0.6]])
+        w = np.linalg.solve(p, np.vstack([u, z]))
+        assert np.max(np.abs(sys.lower_order_II(u, z) - (p @ d_lower(w))[1:])) <= 1e-14
+
+    def test_exact_jacobian_is_required(self):
+        def b(x, w):
+            return np.stack([np.zeros_like(w[0]), -w[1]])
+
+        with pytest.raises(TypeError, match="b_jac"):
+            RawSystem(n=2, d=1, a=(np.eye(2),), b=b, source_range_dim=1)
+        raw = RawSystem(n=2, d=1, a=(np.eye(2),), b=b, source_range_dim=1, b_jac=None)
+        with pytest.raises(BuildError, match="b_jac must be the exact Jacobian"):
+            decouple(raw, DecouplingTransform(np.eye(2), k=1))
 
 
 class TestReactionDiffusion:

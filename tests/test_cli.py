@@ -153,6 +153,15 @@ class TestRunCommand:
         assert "experiment.T" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_inadmissible_flux_is_config_error(self, tmp_path, capsys):
+        # sqrt-heat transports by a Fourier multiplier, and [solver] flux defaults to rusanov
+        cfg = write_cfg(tmp_path, CARLEMAN_CFG.replace("carleman", "sqrt-heat"))
+        out = tmp_path / "o"
+        assert cli.main(["run", cfg, "--out", str(out)]) == 2
+        assert "solver.flux = rusanov is not admissible for demo sqrt-heat; choose from spectral" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_system_needs_flag(self, tmp_path):
         body = CARLEMAN_CFG.replace("carleman", "null-limit")
         cfg = write_cfg(tmp_path, body)
@@ -200,6 +209,30 @@ class TestConvergeCommand:
         assert cli.main(["converge", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "experiment.well_prepared = false" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (("T = 0.05", "T = 0.0"), "positive horizon T, got 0"),
+        (("epsilons = 0.2, 0.1, 0.05", "epsilons = 0.2, 0.1, 0.0"), "stay positive, got [0.2, 0.1, 0.0]"),
+    ], ids=["zero-horizon", "zero-epsilon"])
+    def test_ladder_inputs_checked_before_any_work(self, tmp_path, monkeypatch, capsys, edit, message):
+        def no_reference(*args, **kwargs):
+            raise AssertionError("the reference ran")
+
+        monkeypatch.setattr(cli.diagnostics.parasolver, "run_reference", no_reference)
+        cfg = write_cfg(tmp_path, HEAT_CFG.replace(*edit))
+        assert cli.main(["converge", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_linear_algebra_failure_is_a_run_error(self, tmp_path, monkeypatch, capsys):
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(cli.diagnostics.parasolver, "run_reference", singular)
+        cfg = write_cfg(tmp_path, HEAT_CFG)
+        assert cli.main(["converge", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "error: Singular matrix" in err and "config error" not in err
 
     def test_non_decreasing_ladder_rejected(self, tmp_path):
         cfg = write_cfg(tmp_path, HEAT_CFG.replace("epsilons = 0.2, 0.1, 0.05",

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import relaxbench as rb
-from relaxbench import builder, hypersolver
+from relaxbench import builder, hypersolver, parasolver
 from relaxbench.core import ConvergenceTable, LadderRow
 from relaxbench.diagnostics import (
     convergence_study,
@@ -134,6 +134,20 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError, match="strictly"):
             convergence_study(bundle.system, bundle.target, bundle.u0(grid64),
                               grid64, 0.01, [0.1, 0.2, 0.05])
+
+    @pytest.mark.parametrize("T, eps_list, message", [
+        (0.0, [0.2, 0.1, 0.05], "positive horizon"),
+        (0.01, [0.2, 0.1, 0.0], "stay positive"),
+        (0.01, [0.2, 0.1, -0.1], "stay positive"),
+    ])
+    def test_ladder_rules_checked_before_the_reference(self, grid64, monkeypatch, T, eps_list, message):
+        def no_reference(*args, **kwargs):
+            raise AssertionError("the reference ran")
+
+        monkeypatch.setattr(parasolver, "run_reference", no_reference)
+        bundle = builder.demo("heat1d", grid64)
+        with pytest.raises(ValueError, match=message):
+            convergence_study(bundle.system, bundle.target, bundle.u0(grid64), grid64, T, eps_list)
 
     def test_mini_heat_ladder_monotone(self, grid128):
         bundle = builder.demo("heat1d", grid128)

@@ -119,6 +119,32 @@ class TestStep:
         with pytest.raises(SymbolError, match=r"lengths=\(1\.0,\).*lengths=\(2\.0,\)"):
             hypersolver.well_prepared_state(sys, other, sine_mode(other), 0.1)
 
+    @pytest.mark.parametrize("name", builder.DEMO_NAMES)
+    def test_admissible_fluxes_are_what_the_integrator_accepts(self, name):
+        d = builder.DEMO_DIMS[name]
+        grid = rb.SpatialGrid((16,) * d, (1.0,) * d)
+        sys = builder.demo(name, grid).system
+        want = {"sqrt-heat": ("spectral",), "null-limit": ("rusanov",)}.get(name, hypersolver.FLUXES)
+        assert hypersolver.admissible_fluxes(sys) == want
+        for flux in hypersolver.FLUXES:
+            try:
+                hypersolver._Workspace(sys, grid, 0.1, SolverOptions(flux=flux))
+            except SolverError as err:
+                assert flux not in want and "not admissible" in str(err)
+                assert ", ".join(want) in str(err)
+            else:
+                assert flux in want
+
+    def test_upwind_refuses_complex_characteristic_speeds(self, grid64):
+        # m21 = -m12 makes C = [[0, 1], [-1/eps^2, 0]], whose eigenvalues are +-i/eps
+        sys = rb.RelaxationSystem(
+            k=1, m=1, d=1, m12=(np.eye(1),), m21=(-np.eye(1),),
+            q=lambda x, u, z: -z, q_nu=lambda x, u, z: -np.ones((1, 1, z.shape[-1])),
+        )
+        state = rb.FieldState(grid64, sine_mode(grid64), np.zeros((1, 64)), 0.0, 0.1)
+        with pytest.raises(SolverError, match="real characteristic speeds"):
+            step(sys, state, 1e-6, SolverOptions(flux="upwind-characteristic"))
+
 
 class TestSingleModeDecay:
     def test_discrete_rate_approaches_slow_root(self, grid256):
@@ -248,8 +274,30 @@ class TestSourceSolvers:
         rhs = 1e-4 * (q(None, None, eps * v_new) / eps)
         assert np.allclose(lhs, rhs, atol=1e-12)
 
+    def test_newton_failure_names_the_cell(self, grid64):
+        # a jacobian of the wrong sign makes every Newton update overshoot by 3x
+        sys = replace(builder.demo("heat1d", grid64).system, source_linear_in_v=False,
+                      q_nu=lambda x, u, z: np.ones((1, 1, z.shape[-1])))
+        eps = 0.1
+        state = rb.FieldState(grid64, sine_mode(grid64), sine_mode(grid64), 0.0, eps)
+        with pytest.raises(SolverError, match=r"newton source solve failed to converge at cell \d+ "
+                                              r"\(last update [0-9.e+]+\)"):
+            step(sys, state, 0.5 * eps ** 2, SolverOptions(flux="spectral"))
+
 
 class TestRunBookkeeping:
+    def test_non_finite_state_names_time_and_cell(self, grid64):
+        # one Rusanov step spreads the spike to 2.2 in cell 10 and 0.9 in cells 9 and 11;
+        # the explicit reaction 1e308 u^2 overflows only where |u| > 1.34
+        sys = replace(builder.demo("heat1d", grid64).system, reaction=lambda u: 1e308 * u ** 2)
+        uI = np.zeros((1, 64))
+        uI[0, 10] = 4.0
+        init = rb.FieldState(grid64, uI, np.zeros((1, 64)), 0.0, 0.1)
+        dt = hypersolver._Workspace(sys, grid64, 0.1, SolverOptions()).max_dt()
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SolverError, match=f"state became non-finite at t={dt:.6g}, cell 10$"):
+                run(sys, init, 0.01)
+
     def test_zero_horizon_gives_initial_snapshot(self, grid64):
         sys = builder.demo("heat1d", grid64).system
         init = rb.FieldState(grid64, np.zeros((1, 64)), np.zeros((1, 64)), 0.0, 0.1)

@@ -294,6 +294,19 @@ class TestLinearStep:
         assert np.max(np.abs(got - u)) > 1e-3  # the step moves the state
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
+    def test_singular_callable_diffusion_raises_reference_error(self):
+        # a(x) = (-1/2, 0, 1, 1) on 4 cells with dt / h^2 = 1 zeroes column 0 of I - dt L
+        grid = rb.SpatialGrid((4,), (1.0,))
+        table = np.array([-0.5, 0.0, 1.0, 1.0])
+
+        def diffusion(x):
+            return table[(4 * x[0]).astype(int)].reshape(1, 1, 1, 1, -1)
+
+        target = ReactionDiffusion(k=1, d=1, diffusion=diffusion)
+        with pytest.raises(ReferenceError, match="linear solve failed: tridiagonal part is singular") as info:
+            parasolver._LinearRD(target, grid).step(np.ones((1, 4)), 1 / 16)
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
 
 class TestPicardStep:
     @pytest.mark.parametrize("name", ["carleman", "quasilinear-bu2"])
@@ -312,6 +325,29 @@ class TestPicardStep:
         target = builder.scalar_quasilinear(b=lambda u: -np.ones_like(u))
         with pytest.raises(ReferenceError, match="linear solve failed") as info:
             run_reference(target, np.ones((1, 4)), grid, 1 / 32, dt=1 / 32)
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+    def test_scalar_source_step_matches_dense_picard(self, grid64):
+        target = builder.scalar_quasilinear(b=lambda u: 1.0 + u ** 2, g=lambda u: 5.0 * u * (1.0 - u))
+        u, dt = sine_mode(grid64, 0.5, 0.3), 1e-3
+        got = parasolver._PicardQL(target, grid64).step(u, dt)
+        no_source = builder.scalar_quasilinear(b=lambda u: 1.0 + u ** 2)
+        without_g = parasolver._PicardQL(no_source, grid64).step(u, dt)
+        assert np.max(np.abs(got - without_g)) > 1e-4  # the source moves the step
+        assert np.max(np.abs(got - _dense_picard_step(target, grid64, u, dt))) <= 1e-12
+
+    # b(u) = u on 4 cells with dt / h^2 = 1: at u = (1, -1, 1, -3) the face coefficients
+    # are 0 at 1/2 and -1 at -1/2, so column 0 of the tridiagonal part is exactly zero
+    @pytest.mark.parametrize("b, u0, message", [
+        (lambda u: u, [1.0, -1.0, 1.0, -3.0], r"tridiagonal part is singular \(dgtsv info = 1\)"),
+        (lambda u: 1e308 * u, [1.0, 1.0, 1.0, 1.0], "periodic tridiagonal solution is not finite"),
+    ], ids=["zero-pivot", "overflow"])
+    def test_cyclic_solve_failure_raises_reference_error(self, b, u0, message):
+        grid = rb.SpatialGrid((4,), (1.0,))
+        stepper = parasolver._PicardQL(builder.scalar_quasilinear(b=b), grid)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ReferenceError, match="linear solve failed: " + message) as info:
+                stepper.step(np.array([u0]), 1 / 16)
         assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
     def test_singular_2d_system_raises_reference_error(self):

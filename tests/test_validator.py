@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,12 +11,14 @@ from relaxbench.core import CheckResult, unit_directions
 from relaxbench.validator import (
     EIG_RTOL,
     NULL_LIMIT_NOTE,
+    ZERO_TOL,
     SampleSet,
     check_conserved_block,
     check_dissipativity,
     check_hyperbolicity,
     check_petrowski,
     check_rank_condition,
+    check_source_structure,
     check_symmetrizer,
     validate_all,
 )
@@ -241,6 +244,33 @@ class TestPetrowski:
         limit = check_petrowski(sys, samples, mode="petrowski")
         assert limit.passed
         assert limit.margin >= strong.margin - 1e-9
+
+
+class TestSourceStructure:
+    def test_flagged_nonlinear_source_fails_with_witness(self, samples):
+        # flagged linear, so the integrator would freeze the jacobian at z = 0
+        linear = _simple_system()
+        cubic = replace(linear, q=lambda x, u, z: -z - z ** 3)
+        passing = check_source_structure(linear, samples)
+        assert passing.passed and passing.margin == ZERO_TOL
+        res = check_source_structure(cubic, samples)
+        assert not res.passed
+        assert set(res.witness) == {"x", "u", "v", "defect"}
+        # the first worst sample: z = -1, where q = 2 and q_nu(x, u, 0) z = 1
+        assert res.witness["v"].tolist() == [-1.0] and res.witness["defect"] == 0.5
+        assert res.margin == EIG_RTOL - 0.5
+        x, u, v = (res.witness[a].reshape(-1, 1) for a in ("x", "u", "v"))
+        assert abs(cubic.stiff_source(x, u, v) - cubic.stiff_source_jacobian(x, u, 0 * v)[0] @ v) == 1.0
+        assert check_source_structure(replace(cubic, source_linear_in_v=False), samples).passed
+
+    def test_difference_quotients_cover_the_whole_box(self, grid):
+        # d_II is infinite for u > 0.5 only; u = -1, 0 would miss it
+        sys = replace(_simple_system(), d_II=lambda u, z: np.where(u > 0.5, np.inf, 0.0) + 0.0 * z)
+        s = SampleSet.build(grid, 1, 1, u_box=((-1.0,), (1.0,)))
+        res = check_source_structure(sys, s)
+        assert not res.passed and res.margin == -np.inf
+        assert res.witness["u"].tolist() == [1.0] and res.witness["component"] == 0
+        assert res.witness["value"] == "non-finite difference quotient"
 
 
 class TestValidateAll:
