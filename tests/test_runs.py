@@ -7,7 +7,10 @@ varying in x along both axes, so it exercises every block placement.
 `aniso2d` has a cross diffusion term, so its 2-d spectral transport and its
 Fourier reference (`run_aniso2d_reference.csv`, the final field) mix both axes
 in every mode; these two were written before the per-mode solver primitives
-moved into `core`.
+moved into `core`.  `carleman` (a u-dependent source jacobian with m = 1)
+and `quasilinear-bu2` (a `d_II` term) pin the stiff source step on systems
+whose source is not a constant linear map; they were written before the
+spectral step's per-call costs were cut.
 """
 
 from pathlib import Path
@@ -40,8 +43,10 @@ RUNS = {
         four_block_2d(), rb.SpatialGrid((12, 10), (1.0, 1.0)),
         sine_mode(rb.SpatialGrid((12, 10), (1.0, 1.0)), offset=0.5), "rusanov", 0.1, 0.02),
     "aniso2d_spectral": lambda: _demo("aniso2d", (8, 12), "spectral", 0.1, 0.02),
+    "carleman_spectral": lambda: _demo("carleman", (32,), "spectral", 0.1, 0.02),
     "heat1d_spectral": lambda: _demo("heat1d", (32,), "spectral", 0.1, 0.02),
     "heat1d_upwind-characteristic": lambda: _demo("heat1d", (32,), "upwind-characteristic", 0.1, 0.02),
+    "quasilinear-bu2_spectral": lambda: _demo("quasilinear-bu2", (32,), "spectral", 0.1, 0.02),
     "sqrt-heat_spectral": lambda: _demo("sqrt-heat", (32,), "spectral", 0.1, 0.02),
 }
 
