@@ -4,8 +4,11 @@
 Runs `relaxbench run --allow-invalid` (eps 0.1, T 0.01, reference on) for every
 demo, every flux its system admits and two small grids, and hashes the run's
 `steps.csv`, its final snapshot, every `reference_*.csv` and `report.csv`.
-Two source trees produce the same artifacts exactly when they print the same
-lines.  From the root of a source checkout:
+Then runs `relaxbench converge` (n = 32, spectral, T 0.01, eps 0.2/0.1/0.05)
+on carleman and heat1d and hashes `convergence.csv`, so the ladder path is
+covered too; heat1d's errI does not decrease on so short a ladder, so its
+line ends in "(exit code 1)".  Two source trees produce the same artifacts
+exactly when they print the same lines.  From the root of a source checkout:
 
     PYTHONPATH=src python scripts/artifact_hashes.py
 """
@@ -23,21 +26,40 @@ import relaxbench as rb  # noqa: E402
 from relaxbench import builder, cli, hypersolver  # noqa: E402
 
 GRIDS = {1: ((16,), (24,)), 2: ((12, 12), (16, 20))}
+CONVERGE_DEMOS = ("carleman", "heat1d")
 
 
-def artifact_hash(name, flux, ns, tmp):
+def _cli(command, name, flux, ns, tmp, experiment, *flags):
+    """Run one CLI command on a demo config; (exit code, output directory)."""
     cfg = tmp / "exp.cfg"
     cfg.write_text(
         f"[system]\nkind = demo\nname = {name}\n[grid]\nn = {','.join(map(str, ns))}\n"
-        f"[solver]\nflux = {flux}\n[experiment]\nT = 0.01\nepsilon = 0.1\nreference = true\n"
+        f"[solver]\nflux = {flux}\n[experiment]\nT = 0.01\n{experiment}"
     )
-    out = tmp / f"{name}_{flux}_{'x'.join(map(str, ns))}"
+    out = tmp / f"{command}_{name}_{flux}_{'x'.join(map(str, ns))}"
     with contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main(["run", str(cfg), "--out", str(out), "--allow-invalid"])
+        code = cli.main([command, str(cfg), "--out", str(out), *flags])
+    return code, out
+
+
+def artifact_hash(name, flux, ns, tmp):
+    code, out = _cli("run", name, flux, ns, tmp, "epsilon = 0.1\nreference = true\n", "--allow-invalid")
     if code != 0:
         return f"exit code {code}"
     files = ["steps.csv", sorted(out.glob("snapshot_*.csv"))[-1].name, "report.csv"]
     files += sorted(p.name for p in out.glob("reference_*.csv"))
+    return _digest(out, files)
+
+
+def convergence_hash(name, tmp):
+    """Hash of convergence.csv, which exit code 1 (errI not decreasing) also writes."""
+    code, out = _cli("converge", name, "spectral", (32,), tmp, "epsilons = 0.2, 0.1, 0.05\n")
+    if not (out / "convergence.csv").exists():
+        return f"exit code {code}"
+    return _digest(out, ["convergence.csv"]) + ("" if code == 0 else f" (exit code {code})")
+
+
+def _digest(out, files):
     digest = hashlib.sha256()
     for fname in files:
         digest.update(fname.encode() + b"\0" + (out / fname).read_bytes())
@@ -53,6 +75,9 @@ def main():
                 for flux in hypersolver.admissible_fluxes(sys):
                     label = f"{name} {flux} n={'x'.join(map(str, ns))}"
                     print(f"{label:<44} {artifact_hash(name, flux, ns, Path(tmp))}")
+        for name in CONVERGE_DEMOS:
+            label = f"converge {name} spectral n=32"
+            print(f"{label:<44} {convergence_hash(name, Path(tmp))}")
 
 
 if __name__ == "__main__":

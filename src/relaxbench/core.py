@@ -135,11 +135,17 @@ def spectral_gradient(grid: SpatialGrid, fields: Array) -> Array:
 
 
 def apply_modes(grid: SpatialGrid, table: Array, fields: Array) -> Array:
-    """Per-mode action of a matrix table (*ns, r, c) on real fields (c, *ns) -> (r, *ns)."""
+    """Per-mode action of a matrix table (*ns, r, c) on real fields (c, *ns) -> (r, *ns).
+
+    fft/ifft run axis by axis, last first: fftn's order and bits, without its per-call set-up.
+    """
     spax = tuple(range(1, 1 + grid.d))
-    fhat = np.fft.fftn(fields, axes=spax).transpose(spax + (0,))[..., None]
-    out = (table @ fhat)[..., 0]
-    return np.fft.ifftn(out.transpose((grid.d,) + tuple(range(grid.d))), axes=spax).real
+    for ax in spax[::-1]:
+        fields = np.fft.fft(fields, axis=ax)
+    out = (table @ fields.transpose(spax + (0,))[..., None])[..., 0].transpose((grid.d, 0) + spax[:-1])
+    for ax in spax[::-1]:
+        out = np.fft.ifft(out, axis=ax)
+    return out.real
 
 
 def plan_times(T: float, snapshot_times: Optional[Sequence[float]]) -> List[float]:
@@ -191,13 +197,16 @@ def eig_factors(mats: Array) -> Tuple[Array, Array, Array]:
     """(vals, vecs, vecs^-1) with mats = vecs diag(vals) vecs^-1 for a stack of matrices.
 
     A stack symmetric to 1e-12 relative goes through eigh (vals real, vecs^-1
-    the transpose); any other through eig and inv.
+    the transpose); any other through eig and inv, or LinAlgError if cond(vecs)
+    > 1e12, as for a defective matrix ([[0, 1], [0, 0]] gives ~1e292; inv accepts it).
     """
     sym_defect = np.max(np.abs(mats - np.swapaxes(mats, -1, -2)))
     if sym_defect <= 1e-12 * max(1.0, np.max(np.abs(mats))):
         vals, vecs = np.linalg.eigh(mats)
         return vals, vecs, np.swapaxes(vecs, -1, -2)
     vals, vecs = np.linalg.eig(mats)
+    if not (cond := np.max(np.linalg.cond(vecs))) <= 1e12:
+        raise np.linalg.LinAlgError(f"matrix is not diagonalizable: eigenvector condition number {cond:.3g}")
     return vals, vecs, np.linalg.inv(vecs)
 
 
@@ -208,6 +217,10 @@ def eig_function(vecs: Array, values: Array, vecs_inv: Array) -> Array:
 
 def solve_points(mats: Array, rhs: Array) -> Array:
     """Solve mats[:, :, p] x[:, p] = rhs[:, p] at every point p; mats (m, m, M), rhs (m, M)."""
+    if mats.shape[0] == 1:  # a division is LAPACK's 1 x 1 solve bit for bit; rhs * (1 / mats) is not
+        if not mats.all():
+            raise np.linalg.LinAlgError("Singular matrix")
+        return rhs / mats[0]
     sol = np.linalg.solve(mats.transpose(2, 0, 1), rhs.T[..., None])
     return sol[..., 0].T
 

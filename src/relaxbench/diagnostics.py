@@ -24,6 +24,7 @@ from .core import (
     RelaxationSystem,
     SpatialGrid,
     apply_m21_gradient,
+    plan_times,
 )
 from .hypersolver import SolverOptions, Trajectory, squared_norms
 
@@ -113,10 +114,14 @@ class LadderEntry:
 
 
 def check_ladder(T: float, eps_list: Sequence[float]) -> List[float]:
-    """The ladder's epsilons; ValueError unless T > 0 and >= 3 positive epsilons decrease strictly."""
+    """The ladder's epsilons; ValueError unless T > 0 keeps the comparison times apart in
+    plan_times and >= 3 positive epsilons decrease strictly."""
     eps_list = [float(e) for e in eps_list]
     if not T > 0:
         raise ValueError(f"a ladder needs a positive horizon T, got {T:g}")
+    if len(plan_times(T, np.linspace(0.0, T, LADDER_SNAPSHOTS))) != LADDER_SNAPSHOTS - 1:
+        raise ValueError(f"a ladder horizon T = {T:g} is too short: its {LADDER_SNAPSHOTS} comparison "
+                         f"times must lie more than 1e-12 * max(T, 1) apart")
     if len(eps_list) < 3:
         raise ValueError("epsilon ladder needs at least three entries")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:] + [0.0])):  # the last must exceed 0

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -138,6 +139,8 @@ class _Workspace:
         self.n, self.k, self.m = sys.n, sys.k, sys.m
         self.xflat = grid.flat_points()
         self.speed = max_wave_speed(sys, grid)
+        self.eps2_eye = eps ** 2 * np.eye(self.m)[:, :, None]  # the eps^2 I of every source solve
+        self.zero_v = np.zeros((self.m, grid.cell_count))
         self.clamp_events = 0
 
         if opts.flux not in admissible_fluxes(sys):
@@ -239,16 +242,18 @@ class _Workspace:
         uflat = uI.reshape(self.k, -1)
         vflat = uII.reshape(self.m, -1)
 
-        du = sys.lower_order_I(self.xflat, uflat, vflat, eps) + sys.reaction_term(uflat)
+        # absent lower-order terms are not evaluated; a scalar 0.0 gives the bits of dt * zeros
+        absent = sys.dtilde_I is None and sys.reaction is None
+        du = 0.0 if absent else sys.lower_order_I(self.xflat, uflat, vflat, eps) + sys.reaction_term(uflat)
         unew = uflat + dt * du
 
-        d2 = sys.lower_order_II(unew, eps * vflat)
+        d2 = 0.0 if sys.d_II is None else sys.lower_order_II(unew, eps * vflat)
         rhs = eps ** 2 * vflat + dt * d2
 
         # a source linear in v is solved exactly with its jacobian at v = 0; any other by Newton
         if sys.source_linear_in_v:
-            cmat = sys.stiff_source_jacobian(self.xflat, unew, np.zeros_like(vflat))
-            vnew = solve_points(eps ** 2 * np.eye(self.m)[:, :, None] - dt * cmat, rhs)
+            cmat = sys.stiff_source_jacobian(self.xflat, unew, self.zero_v)
+            vnew = solve_points(self.eps2_eye - dt * cmat, rhs)
         else:
             vnew = self._newton_source(unew, vflat, rhs, dt)
 
@@ -257,11 +262,10 @@ class _Workspace:
     def _newton_source(self, u: Array, v0: Array, rhs: Array, dt: float) -> Array:
         sys, eps = self.sys, self.eps
         v = v0.copy()
-        eye = np.eye(self.m)[:, :, None]
         for _ in range(NEWTON_MAXITER):
             res = eps ** 2 * v - (dt / eps) * sys.stiff_source(self.xflat, u, eps * v) - rhs
             jac = sys.stiff_source_jacobian(self.xflat, u, eps * v)
-            delta = solve_points(eps ** 2 * eye - dt * jac, res)
+            delta = solve_points(self.eps2_eye - dt * jac, res)
             v = v - delta
             if float(np.max(np.abs(delta))) <= NEWTON_TOL * (1.0 + float(np.max(np.abs(v)))):
                 return v
@@ -343,13 +347,13 @@ def run(
             dt = min(dt, pending[0] - t)
         records.append(StepRecord(t, dt, nI2 + eps ** 2 * nII2, speed_scaled, nII2))
         uI, uII = ws.step(uI, uII, dt)
-        if not (np.all(np.isfinite(uI)) and np.all(np.isfinite(uII))):
-            flat = np.abs(np.concatenate([uI.reshape(sys.k, -1), uII.reshape(sys.m, -1)]))
-            cell = int(np.argmax(~np.isfinite(flat).all(axis=0)))
-            raise SolverError(f"state became non-finite at t={t + dt:.6g}, cell {cell}")
+        nI2, nII2 = squared_norms(uI, uII, vol)
+        if not math.isfinite(nI2 + nII2):  # a non-finite entry, or a finite state whose norm overflows
+            bad = ~np.isfinite(np.concatenate([uI.reshape(sys.k, -1), uII.reshape(sys.m, -1)])).all(axis=0)
+            if bad.any():
+                raise SolverError(f"state became non-finite at t={t + dt:.6g}, cell {int(np.argmax(bad))}")
         t += dt
         nsteps += 1
-        nI2, nII2 = squared_norms(uI, uII, vol)
         sup_uI = max(sup_uI, float(np.sqrt(nI2)))
         sup_eps_uII = max(sup_eps_uII, eps * float(np.sqrt(nII2)))
         due = bisect.bisect_right(pending, t + tiny)  # T among them at the last step

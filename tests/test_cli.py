@@ -212,8 +212,9 @@ class TestConvergeCommand:
 
     @pytest.mark.parametrize("edit, message", [
         (("T = 0.05", "T = 0.0"), "positive horizon T, got 0"),
+        (("T = 0.05", "T = 1e-13"), "horizon T = 1e-13 is too short: its 11 comparison times"),
         (("epsilons = 0.2, 0.1, 0.05", "epsilons = 0.2, 0.1, 0.0"), "stay positive, got [0.2, 0.1, 0.0]"),
-    ], ids=["zero-horizon", "zero-epsilon"])
+    ], ids=["zero-horizon", "tiny-horizon", "zero-epsilon"])
     def test_ladder_inputs_checked_before_any_work(self, tmp_path, monkeypatch, capsys, edit, message):
         def no_reference(*args, **kwargs):
             raise AssertionError("the reference ran")

@@ -12,6 +12,8 @@ from relaxbench.core import (
     SingularSourceError,
     SpatialGrid,
     apply_modes,
+    eig_factors,
+    eig_function,
     equilibrium_uII,
     principal_symbols,
     solve_points,
@@ -212,18 +214,28 @@ class TestEquilibrium:
 
 
 class TestModePrimitives:
-    """apply_modes and solve_points against their np.moveaxis formulation, bit for bit."""
+    """apply_modes and solve_points against their plain NumPy formulation, bit for bit; eig_factors' bound."""
 
-    @pytest.mark.parametrize("ns", [(16,), (8, 6)])
-    def test_apply_modes_matches_moveaxis(self, ns):
+    @staticmethod
+    def _check_apply_modes(ns, rows, cols):
+        # the fftn/ifftn formulation: apply_modes transforms axis by axis and must match it exactly
         grid = SpatialGrid(ns, (1.0,) * len(ns))
-        rng = np.random.default_rng(len(ns))
-        table = rng.normal(size=ns + (2, 2)) + 1j * rng.normal(size=ns + (2, 2))
-        fields = rng.normal(size=(2,) + ns)
+        rng = np.random.default_rng(len(ns) + 10 * rows + cols)
+        table = rng.normal(size=ns + (rows, cols)) + 1j * rng.normal(size=ns + (rows, cols))
+        fields = rng.normal(size=(cols,) + ns)
         spax = tuple(range(1, 1 + grid.d))
         fhat = np.moveaxis(np.fft.fftn(fields, axes=spax), 0, -1)[..., None]
         want = np.fft.ifftn(np.moveaxis((table @ fhat)[..., 0], -1, 0), axes=spax).real
         assert np.array_equal(apply_modes(grid, table, fields), want)
+
+    @pytest.mark.parametrize("ns", [(16,), (8, 6)])
+    def test_apply_modes_matches_moveaxis(self, ns):
+        for rows, cols in ((2, 2), (1, 1), (3, 3), (3, 2)):
+            self._check_apply_modes(ns, rows, cols)
+
+    def test_apply_modes_matches_moveaxis_on_larger_2d_grids(self):
+        self._check_apply_modes((128, 128), 1, 1)
+        self._check_apply_modes((32, 40), 3, 3)
 
     def test_solve_points_matches_moveaxis(self):
         rng = np.random.default_rng(5)
@@ -231,3 +243,30 @@ class TestModePrimitives:
         rhs = rng.normal(size=(2, 40))
         sol = np.linalg.solve(np.moveaxis(mats, -1, 0), np.moveaxis(rhs, -1, 0)[..., None])
         assert np.array_equal(solve_points(mats, rhs), np.moveaxis(sol[..., 0], 0, -1))
+
+    def test_solve_points_one_by_one_is_lapack_bit_for_bit(self):
+        # m = 1 is a division; it must give LAPACK's 1 x 1 solve exactly, over +-8 decades
+        rng = np.random.default_rng(6)
+        count = 20000
+        mats = rng.choice([-1.0, 1.0], count) * 10.0 ** rng.uniform(-8, 8, count)
+        rhs = rng.choice([-1.0, 1.0], count) * 10.0 ** rng.uniform(-8, 8, count)
+        want = np.linalg.solve(mats.reshape(count, 1, 1), rhs.reshape(count, 1, 1))
+        got = solve_points(mats.reshape(1, 1, count), rhs.reshape(1, count))
+        assert got.shape == (1, count)
+        assert np.array_equal(got[0], want[:, 0, 0])
+
+    def test_solve_points_one_by_one_refuses_a_zero_pivot(self):
+        mats = np.array([[[2.0, 0.0, 1.0]]])
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            solve_points(mats, np.ones((1, 3)))
+
+    def test_eig_factors_refuses_a_defective_matrix(self):
+        jordan = np.array([[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [0.0, 0.0]]])
+        with pytest.raises(np.linalg.LinAlgError, match="not diagonalizable"):
+            eig_factors(jordan)
+
+    def test_eig_factors_keeps_a_non_normal_diagonalizable_matrix(self):
+        # C = [[0, 1], [1/eps^2, 0]] at eps = 1e-3: eigenvector condition number ~1e3
+        mats = np.array([[0.0, 1.0], [1e6, 0.0]])
+        vals, vecs, vecs_inv = eig_factors(mats)
+        assert np.allclose(eig_function(vecs, vals, vecs_inv).real, mats)

@@ -139,6 +139,7 @@ class TestConvergenceStudy:
         (0.0, [0.2, 0.1, 0.05], "positive horizon"),
         (0.01, [0.2, 0.1, 0.0], "stay positive"),
         (0.01, [0.2, 0.1, -0.1], "stay positive"),
+        (1e-13, [0.2, 0.1, 0.05], "too short"),
     ])
     def test_ladder_rules_checked_before_the_reference(self, grid64, monkeypatch, T, eps_list, message):
         def no_reference(*args, **kwargs):

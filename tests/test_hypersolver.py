@@ -145,6 +145,16 @@ class TestStep:
         with pytest.raises(SolverError, match="real characteristic speeds"):
             step(sys, state, 1e-6, SolverOptions(flux="upwind-characteristic"))
 
+    def test_upwind_refuses_defective_transport(self, grid64):
+        # m21 = 0 makes C = [[0, 1], [0, 0]], a Jordan block: |C| does not exist
+        sys = rb.RelaxationSystem(
+            k=1, m=1, d=1, m12=(np.eye(1),), m21=(np.zeros((1, 1)),),
+            q=lambda x, u, z: -z, q_nu=lambda x, u, z: -np.ones((1, 1, z.shape[-1])),
+        )
+        state = rb.FieldState(grid64, sine_mode(grid64), np.zeros((1, 64)), 0.0, 0.1)
+        with pytest.raises(SolverError, match="not diagonalizable"):
+            step(sys, state, 1e-6, SolverOptions(flux="upwind-characteristic"))
+
 
 class TestSingleModeDecay:
     def test_discrete_rate_approaches_slow_root(self, grid256):
@@ -297,6 +307,17 @@ class TestRunBookkeeping:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(SolverError, match=f"state became non-finite at t={dt:.6g}, cell 10$"):
                 run(sys, init, 0.01)
+
+    def test_finite_state_with_overflowing_norm_runs(self, grid64):
+        # ||uI||^2 of a 1e200 amplitude overflows to inf, yet every entry stays finite
+        sys = builder.demo("heat1d", grid64).system
+        init = hypersolver.well_prepared_state(sys, grid64, sine_mode(grid64, amplitude=1e200), 0.1)
+        dt = hypersolver._Workspace(sys, grid64, 0.1, SolverOptions()).max_dt()
+        with np.errstate(over="ignore"):
+            traj = run(sys, init, dt)
+        assert [r.t for r in traj.records] == [0.0, dt]
+        assert traj.records[-1].energy == np.inf
+        assert np.all(np.isfinite(traj.final.uI)) and np.all(np.isfinite(traj.final.uII))
 
     def test_zero_horizon_gives_initial_snapshot(self, grid64):
         sys = builder.demo("heat1d", grid64).system
