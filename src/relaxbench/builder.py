@@ -452,6 +452,7 @@ def decouple(raw: RawSystem, transform: DecouplingTransform) -> RelaxationSystem
 
     def q_nu(x, u, z):
         jac = np.asarray(raw.b_jac(x, to_w(u, z)), dtype=float)  # (n, n, M)
+        # not two products or optimize=True: their summation orders move carleman's source by round-off
         return np.einsum("ab,bcm,cd->adm", transform.p_II, jac, pinv[:, k:])
 
     dtilde_I = None

@@ -17,6 +17,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, fields
@@ -221,6 +222,15 @@ def solve_points(mats: Array, rhs: Array) -> Array:
         if not mats.all():
             raise np.linalg.LinAlgError("Singular matrix")
         return rhs / mats[0]
+    # a diagonal stack is LAPACK's solve bit for bit, except that LAPACK may flip the sign of a -0.0 in rhs
+    if not mats[~np.eye(len(mats), dtype=bool)].any() and not np.signbit(rhs[rhs == 0]).any():
+        diag = np.einsum("ii...->i...", mats)
+        if not diag.all():
+            raise np.linalg.LinAlgError("Singular matrix")
+        # LAPACK's point-major layout: np.sum follows memory order, and C order moves steps.csv energies
+        sol = np.empty(rhs.shape[::-1])
+        np.divide(rhs, diag, out=sol.T)
+        return sol.T
     sol = np.linalg.solve(mats.transpose(2, 0, 1), rhs.T[..., None])
     return sol[..., 0].T
 
@@ -581,8 +591,9 @@ def csv_text(header: Sequence[str], columns: Sequence) -> str:
     """CSV text of a table: the header line, then one line per row, one %-format per chunk.
 
     Numbers are written with %.17g, which reads back to the same float64.  An
-    array column holds numbers; any other column holds text (commas become
-    spaces, so every row keeps its fields), numbers, or None for an empty field.
+    array column holds numbers, or finished text if its dtype is object; any other
+    column holds text (commas become spaces, so every row keeps its fields),
+    numbers, or None for an empty field.
     Rows are formatted 1024 at a time, so only one chunk's cells are Python
     objects at once.
     """
@@ -590,7 +601,7 @@ def csv_text(header: Sequence[str], columns: Sequence) -> str:
     formats, cols = [], []
     for col in columns:
         if isinstance(col, np.ndarray):
-            formats.append(number)
+            formats.append("%s" if col.dtype == object else number)
             cols.append(col)
         else:
             formats.append("%s")
@@ -603,6 +614,20 @@ def csv_text(header: Sequence[str], columns: Sequence) -> str:
         values = tuple(itertools.chain.from_iterable(zip(*cells)))
         parts.append((row * len(cells[0])) % values)
     return "".join(parts)
+
+
+@functools.lru_cache(maxsize=8)  # grids are small frozen keys; a 128^2 grid's text is ~2 MB
+def _coordinate_text(grid: SpatialGrid) -> Array:
+    """Each cell center's `x[,y]` text, as csv_text formats it, once per grid."""
+    fmt = ",".join(["%.17g"] * grid.d)
+    text = np.array([fmt % p for p in map(tuple, grid.flat_points().T.tolist())], dtype=object)
+    text.flags.writeable = False  # every caller gets this one array
+    return text
+
+
+def field_csv(grid: SpatialGrid, names: Sequence[str], rows) -> str:
+    """Fields on a grid, one row of cell values per name, in the export schema x[,y],<names>."""
+    return csv_text(["x", "y"][: grid.d] + list(names), [_coordinate_text(grid), *rows])
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from .core import (
     csv_text,
     eig_factors,
     eig_function,
+    field_csv,
     plan_times,
     principal_symbols,
     solve_points,
@@ -96,12 +97,8 @@ class Trajectory:
 
 def snapshot_csv(state: FieldState) -> str:
     """One snapshot in the export schema x[,y],uI_*,uII_*."""
-    grid = state.grid
-    cols = ["x", "y"][: grid.d]
-    cols += [f"uI_{i + 1}" for i in range(state.k)]
-    cols += [f"uII_{i + 1}" for i in range(state.m)]
-    return csv_text(cols, np.vstack([grid.flat_points(), state.uI.reshape(state.k, -1),
-                                     state.uII.reshape(state.m, -1)]))
+    names = [f"uI_{i + 1}" for i in range(state.k)] + [f"uII_{i + 1}" for i in range(state.m)]
+    return field_csv(state.grid, names, [*state.uI.reshape(state.k, -1), *state.uII.reshape(state.m, -1)])
 
 
 def admissible_fluxes(sys: RelaxationSystem) -> Tuple[str, ...]:
@@ -165,7 +162,7 @@ class _Workspace:
     # -- transport tabulation --------------------------------------------------
 
     def _build_grid_transport(self):
-        """Tabulate C_j per cell: M12_j, M21_j / eps^2, and M11_j, M22_j / eps.
+        """Tabulate C_j: M12_j, M21_j / eps^2, and M11_j, M22_j / eps.
 
         C_j is similar to T_j / eps, so eps times its largest spectral radius is a
         wave speed; it raises self.speed where the sampled max_wave_speed missed it.
@@ -174,7 +171,9 @@ class _Workspace:
         div = np.full((n, n, 1), eps)
         div[:k, k:], div[k:, :k] = 1.0, eps ** 2
         tab = transport_blocks(self.sys, self.xflat) / div
-        self.cmat = tab.reshape((grid.d, n, n) + grid.ns)  # C_j per axis j
+        # one C_j per axis if constant (einsum broadcasts it with the per-cell table's bits), else per cell
+        self.cmat = (tab[..., 0].copy() if self.sys.constant_coefficients
+                     else tab.reshape((grid.d, n, n) + grid.ns))
         radii = np.max(np.abs(np.linalg.eigvals(np.moveaxis(tab, -1, 1))), axis=(1, 2))
         if eps * radii.max() > self.speed * (1.0 + 1e-9):
             self.speed = eps * float(radii.max())

@@ -19,7 +19,7 @@ from scipy.linalg.lapack import dgtsv
 from scipy.sparse.linalg import splu
 
 from .builder import ParabolicTarget, QuasilinearDivergence, ReactionDiffusion
-from .core import Array, SpatialGrid, apply_modes, csv_text, eig_factors, eig_function, plan_times
+from .core import Array, SpatialGrid, apply_modes, eig_factors, eig_function, field_csv, plan_times
 
 PICARD_TOL = 1e-11
 PICARD_MAXITER = 50
@@ -31,8 +31,7 @@ class ReferenceError(RuntimeError):
 
 def reference_csv(grid: SpatialGrid, u: Array) -> str:
     """One reference snapshot in the export schema x[,y],u_1..u_k."""
-    cols = ["x", "y"][: grid.d] + [f"u_{i + 1}" for i in range(len(u))]
-    return csv_text(cols, np.vstack([grid.flat_points(), u.reshape(len(u), -1)]))
+    return field_csv(grid, [f"u_{i + 1}" for i in range(len(u))], u.reshape(len(u), -1))
 
 
 # ---------------------------------------------------------------------------

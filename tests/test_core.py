@@ -260,6 +260,46 @@ class TestModePrimitives:
         with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
             solve_points(mats, np.ones((1, 3)))
 
+    @staticmethod
+    def _lapack(mats, rhs):
+        return np.linalg.solve(mats.transpose(2, 0, 1), rhs.T[..., None])[..., 0].T
+
+    @staticmethod
+    def _diagonal_stack(rng, m, count):
+        signed = lambda shape: rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-8, 8, shape)
+        mats = np.zeros((m, m, count))
+        mats[range(m), range(m)] = signed((m, count))
+        return mats, signed((m, count))
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("broadcast", [False, True], ids=["full", "stride0"])
+    def test_solve_points_diagonal_is_lapack_bit_for_bit(self, m, broadcast):
+        # a diagonal stack is a division; it must give LAPACK's solve exactly, over +-8 decades
+        mats, rhs = self._diagonal_stack(np.random.default_rng(7 + m), m, 20000)
+        rhs[:, ::5] = 0.0  # +0.0 right-hand sides keep their bits too
+        if broadcast:
+            mats = np.broadcast_to(mats[:, :, :1], mats.shape)
+        want, got = self._lapack(mats, rhs), solve_points(mats, rhs)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert got.strides == want.strides  # point-major, as LAPACK returns it
+
+    def test_solve_points_diagonal_refuses_a_zero_pivot(self):
+        mats = np.zeros((2, 2, 3))
+        mats[0, 0], mats[1, 1] = 1.0, [2.0, 0.0, 1.0]
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            solve_points(mats, np.ones((2, 3)))
+
+    @pytest.mark.parametrize("case", ["off_diagonal", "negative_zero"])
+    def test_solve_points_nearly_diagonal_matches_lapack(self, case):
+        # one nonzero off-diagonal entry, or a -0.0 in rhs (whose sign LAPACK may flip), goes to LAPACK
+        mats, rhs = self._diagonal_stack(np.random.default_rng(9), 2, 200)
+        if case == "off_diagonal":
+            mats[0, 1, 17] = 0.5 * mats[0, 0, 17]
+        else:
+            rhs[:, ::3] = -0.0
+        want, got = self._lapack(mats, rhs), solve_points(mats, rhs)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_eig_factors_refuses_a_defective_matrix(self):
         jordan = np.array([[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [0.0, 0.0]]])
         with pytest.raises(np.linalg.LinAlgError, match="not diagonalizable"):

@@ -156,3 +156,26 @@ def test_formatting_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * len(text)
+
+
+@pytest.mark.parametrize("ns, lengths", [((256,), (3.0,)), ((12, 12), (2.0, 7e-6)), ((16, 20), (1e20, 0.3))])
+def test_field_csv_matches_csv_text(ns, lengths):
+    """The cached coordinate text gives plain csv_text's bytes, for snapshots and references."""
+    grid = rb.SpatialGrid(ns, lengths)
+    u = _fields(ns, 2, 3)
+    names = ["x", "y"][: grid.d] + ["u_1", "u_2"]
+    expected = csv_text(names, np.vstack([grid.flat_points(), u.reshape(2, -1)]))
+    assert parasolver.reference_csv(grid, u) == expected
+    state = rb.FieldState(grid, u[:1], u, 0.0, 0.1)
+    names = names[: grid.d] + ["uI_1", "uII_1", "uII_2"]
+    expected = csv_text(names, np.vstack([grid.flat_points(), u[:1].reshape(1, -1), u.reshape(2, -1)]))
+    assert snapshot_csv(state) == expected
+
+
+def test_field_csv_keys_its_coordinates_by_the_whole_grid():
+    """Grids that differ only in their lengths do not share coordinate text."""
+    u = np.zeros((1, 12, 12))
+    texts = [parasolver.reference_csv(rb.SpatialGrid((12, 12), lengths), u)
+             for lengths in ((1.0, 1.0), (1.0, 2.0), (1.0, 1.0))]
+    assert texts[0] != texts[1] and texts[0] == texts[2]
+    assert texts[1].split("\n")[1] == "0.041666666666666664,0.083333333333333329,0"

@@ -10,9 +10,15 @@ in every mode; these two were written before the per-mode solver primitives
 moved into `core`.  `carleman` (a u-dependent source jacobian with m = 1)
 and `quasilinear-bu2` (a `d_II` term) pin the stiff source step on systems
 whose source is not a constant linear map; they were written before the
-spectral step's per-call costs were cut.
+spectral step's per-call costs were cut.  `artifact_hashes.txt` is the
+output of `scripts/artifact_hashes.py` (every demo, admissible flux and grid
+through `relaxbench run`, plus two short `converge` ladders), written before
+the 2-d grid-flux run's fixed costs were cut.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -25,6 +31,7 @@ from relaxbench.parasolver import reference_csv, run_reference
 from conftest import four_block_2d, sine_mode
 
 GOLDEN = Path(__file__).parent / "data"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _run(sys, grid, u0, flux, eps, T):
@@ -63,3 +70,11 @@ def test_reference_matches_golden():
     bundle = builder.demo("aniso2d", grid)
     _, fields = run_reference(bundle.target, bundle.u0(grid), grid, 0.02)
     assert reference_csv(grid, fields[-1]) == (GOLDEN / "run_aniso2d_reference.csv").read_text()
+
+
+def test_artifact_hashes_match_golden():
+    """Every artifact of every demo's run and of two ladders, byte for byte, by sha256."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, str(ROOT / "scripts" / "artifact_hashes.py")], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == (GOLDEN / "artifact_hashes.txt").read_text()
