@@ -14,7 +14,7 @@ import bisect
 import functools
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -124,6 +124,26 @@ def squared_norms(uI: Array, uII: Array, vol: float) -> Tuple[float, float]:
     return float(np.sum(uI ** 2) * vol), float(np.sum(uII ** 2) * vol)
 
 
+def _coefficient_product(mat: Array) -> Callable[[Array], Array]:
+    """x -> einsum("ab...,b...->a...", mat, x), multiplying only mat's nonzero coefficients where that has its bits.
+
+    A row of at most two nonzero products sums to the same bits in any order, and
+    einsum's zero products add nothing but a +0.0 start, which a zeroed output
+    supplies.  Three nonzero products sum in an order that follows the operand's
+    memory layout, so such a matrix, and a per-cell table (n, n, *ns), keep einsum.
+    """
+    if mat.ndim != 2 or np.count_nonzero(mat, axis=1).max() > 2:
+        return functools.partial(np.einsum, "ab...,b...->a...", mat)
+    terms = [(a, b, mat[a, b]) for a, b in zip(*np.nonzero(mat))]
+
+    def product(x: Array) -> Array:
+        out = np.zeros(mat.shape[:1] + x.shape[1:])
+        for a, b, coef in terms:
+            out[a] += coef * x[b]
+        return out
+    return product
+
+
 class _Workspace:
     """Tabulated coefficients and cached propagators for one (system, grid, eps)."""
 
@@ -171,13 +191,16 @@ class _Workspace:
         div = np.full((n, n, 1), eps)
         div[:k, k:], div[k:, :k] = 1.0, eps ** 2
         tab = transport_blocks(self.sys, self.xflat) / div
-        # one C_j per axis if constant (einsum broadcasts it with the per-cell table's bits), else per cell
-        self.cmat = (tab[..., 0].copy() if self.sys.constant_coefficients
-                     else tab.reshape((grid.d, n, n) + grid.ns))
-        radii = np.max(np.abs(np.linalg.eigvals(np.moveaxis(tab, -1, 1))), axis=(1, 2))
+        # one C_j per axis if constant (its product has the per-cell table's bits), else per cell
+        if self.sys.constant_coefficients:
+            cmat = tab[..., 0].copy()
+            radii = np.max(np.abs(np.linalg.eigvals(cmat)), axis=1)
+        else:
+            cmat = tab.reshape((grid.d, n, n) + grid.ns)
+            radii = np.max(np.abs(np.linalg.eigvals(np.moveaxis(tab, -1, 1))), axis=(1, 2))
         if eps * radii.max() > self.speed * (1.0 + 1e-9):
             self.speed = eps * float(radii.max())
-        self.absc = []   # dissipation per axis: |C_j| (characteristic) or radius * I (Rusanov)
+        absc = []   # dissipation per axis: |C_j| (characteristic) or radius * I (Rusanov)
         for j in range(grid.d):
             if self.opts.flux == "upwind-characteristic":
                 try:
@@ -186,9 +209,12 @@ class _Workspace:
                     raise SolverError("transport matrix is not diagonalizable") from err
                 if np.max(np.abs(vals.imag)) > 1e-9 * max(1.0, np.max(np.abs(vals))):
                     raise SolverError("characteristic upwind needs real characteristic speeds")
-                self.absc.append(eig_function(vecs, np.abs(vals.real), vecs_inv).real)
+                absc.append(eig_function(vecs, np.abs(vals.real), vecs_inv).real)
             else:
-                self.absc.append(float(radii[j]) * np.eye(n))
+                absc.append(float(radii[j]) * np.eye(n))
+        self.cmat = cmat
+        self.advect = [_coefficient_product(c) for c in cmat]
+        self.dissipate = [_coefficient_product(a) for a in absc]
 
     def _transport_grid(self, y: Array, dt: float) -> Array:
         grid = self.grid
@@ -198,8 +224,8 @@ class _Workspace:
             h = grid.h[j]
             up = np.roll(y, -1, axis=ax)
             dn = np.roll(y, +1, axis=ax)
-            adv = np.einsum("ab...,b...->a...", self.cmat[j], (up - dn) / (2.0 * h))
-            diss = np.einsum("ab,b...->a...", self.absc[j], (up - 2.0 * y + dn) / (2.0 * h))
+            adv = self.advect[j]((up - dn) / (2.0 * h))
+            diss = self.dissipate[j]((up - 2.0 * y + dn) / (2.0 * h))
             out += dt * (diss - adv)
         return out
 

@@ -1,3 +1,4 @@
+import functools
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,7 @@ from relaxbench import builder, hypersolver, parasolver
 from relaxbench.core import SymbolError, apply_modes, l2_norm
 from relaxbench.hypersolver import SolverError, SolverOptions, max_wave_speed, run, snapshot_csv, step
 
-from conftest import sine_mode
+from conftest import four_block_2d, sine_mode
 
 TWO_PI = 2.0 * np.pi
 
@@ -154,6 +155,68 @@ class TestStep:
         state = rb.FieldState(grid64, sine_mode(grid64), np.zeros((1, 64)), 0.0, 0.1)
         with pytest.raises(SolverError, match="not diagonalizable"):
             step(sys, state, 1e-6, SolverOptions(flux="upwind-characteristic"))
+
+
+ARTIFACT_GRIDS = {1: ((16,), (24,)), 2: ((12, 12), (16, 20))}  # those of scripts/artifact_hashes.py
+
+
+def _operands(ns, n, seed):
+    """Fields (n, *ns) laid out as the grid fluxes meet them, with +-0.0 entries mixed in."""
+    rng = np.random.default_rng(seed)
+    c_ordered = rng.standard_normal((n,) + ns)
+    c_ordered[rng.random(c_ordered.shape) < 0.2] = 0.0
+    c_ordered[rng.random(c_ordered.shape) < 0.2] = -0.0
+    # uII comes out of the source solve point-major, so the concatenated state is not C-ordered
+    point_major = rng.standard_normal(ns[::-1] + (n - 1,)).T
+    return {
+        "C-ordered": c_ordered,
+        "concatenated": np.concatenate([c_ordered[:1], point_major], axis=0),
+        "Fortran-ordered": np.asfortranarray(c_ordered),
+        "strided": np.repeat(c_ordered, 2, axis=1)[:, ::2],
+        "signed zeros": np.where(rng.random(c_ordered.shape) < 0.5, 0.0, -0.0),
+    }
+
+
+class TestCoefficientProduct:
+    @pytest.mark.parametrize("name", builder.DEMO_NAMES)
+    def test_bit_equal_to_einsum_on_every_grid_flux_run(self, name):
+        d = builder.DEMO_DIMS[name]
+        for ns in ARTIFACT_GRIDS[d]:
+            grid = rb.SpatialGrid(ns, (1.0,) * d)
+            sys = builder.demo(name, grid).system
+            for flux in set(hypersolver.admissible_fluxes(sys)) - {"spectral"}:
+                ws = hypersolver._Workspace(sys, grid, 0.1, SolverOptions(flux=flux))
+                for j in range(d):
+                    # the dissipation matrix is recovered from its product with the identity
+                    for product, mat in ((ws.advect[j], ws.cmat[j]),
+                                         (ws.dissipate[j], ws.dissipate[j](np.eye(sys.n)))):
+                        for label, x in _operands(ns, sys.n, seed=j).items():
+                            want = np.einsum("ab...,b...->a...", mat, x)
+                            assert product(x).tobytes() == want.tobytes(), (name, ns, flux, j, label)
+
+    def test_signed_zero_rows(self):
+        mat = np.array([[0.0, -1.0, 0.0], [2.0, 0.0, -0.0], [0.0, 0.0, 0.0]])
+        product = hypersolver._coefficient_product(mat)
+        assert not isinstance(product, functools.partial)
+        for label, x in _operands((7, 5), 3, seed=3).items():
+            got, want = product(x), np.einsum("ab...,b...->a...", mat, x)
+            assert got.tobytes() == want.tobytes(), label
+            assert not np.signbit(got[2]).any()
+
+    def test_two_term_rows_take_the_sparse_path(self):
+        grid = rb.SpatialGrid((16, 16), (1.0, 1.0))
+        ws = hypersolver._Workspace(builder.demo("heat2d", grid).system, grid, 0.05, SolverOptions())
+        assert not any(isinstance(p, functools.partial) for p in ws.advect + ws.dissipate)
+
+    def test_dense_rows_and_per_cell_tables_keep_einsum(self):
+        grid = rb.SpatialGrid((12, 12), (1.0, 1.0))
+        ws = hypersolver._Workspace(builder.demo("aniso2d", grid).system, grid, 0.1,
+                                    SolverOptions(flux="upwind-characteristic"))
+        dense = [p for p in ws.dissipate if isinstance(p, functools.partial)]
+        assert dense and all(p.func is np.einsum for p in dense)
+        assert np.count_nonzero(dense[0].args[1], axis=1).max() >= 3
+        ws = hypersolver._Workspace(four_block_2d(), grid, 0.1, SolverOptions())
+        assert all(isinstance(p, functools.partial) and p.func is np.einsum for p in ws.advect)
 
 
 class TestSingleModeDecay:
