@@ -29,7 +29,8 @@ from .core import (
 from .hypersolver import SolverOptions, Trajectory, squared_norms
 
 LADDER_SNAPSHOTS = 11   # comparison times of a ladder, 0 and T included
-LADDER_REFERENCE_STEPS = 4000  # reference step T / 4000, 4x finer than run_reference's default
+LADDER_REFERENCE_STEPS = 4000  # a sub-stepped reference's step T / 4000, 4x finer than run_reference's
+                               # default; an exact one (constant diffusion, no reaction) ignores it
 
 
 def energy(state: FieldState) -> float:

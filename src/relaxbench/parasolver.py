@@ -178,8 +178,11 @@ def run_reference(
     """Integrate the parabolic target to time T.
 
     Returns (times, fields) where fields[s] is the solution at times[s]; the
-    initial state is always the first entry.  Parabolicity of the target is
-    the caller's responsibility to have verified.
+    initial state is always the first entry.  A reaction-free target with
+    constant diffusion is propagated exactly, one step per output span, and
+    ignores dt; any other takes ceil(span / dt) equal steps per span (dt
+    defaults to T / 1000).  Parabolicity of the target is the caller's
+    responsibility to have verified.
     """
     u0 = np.asarray(u0, dtype=float)
     if dt is None:
@@ -199,7 +202,7 @@ def run_reference(
         span = t_next - t
         if span <= 0:
             continue
-        nsub = max(1, int(np.ceil(span / dt - 1e-12)))
+        nsub = 1 if stepper.exact else max(1, int(np.ceil(span / dt - 1e-12)))
         dti = span / nsub
         for _ in range(nsub):
             u = stepper.step(u, dti)
@@ -211,11 +214,15 @@ def run_reference(
 
 class _LinearRD:
     """Explicit reaction, then exact Fourier propagation (constant diffusion) or
-    backward Euler with second-order central differences (callable diffusion)."""
+    backward Euler with second-order central differences (callable diffusion).
+
+    Without a reaction, constant diffusion is exact in time for any step.
+    """
 
     def __init__(self, target: ReactionDiffusion, grid: SpatialGrid):
         self.target = target
         self.k = target.k
+        self.exact = target.f is None and not callable(target.diffusion)
         if callable(target.diffusion):
             op = _BlockOperator(grid, self.k, divergence=False)
             blocks = target.diffusion_at(grid.flat_points())  # (d, d, k, k, M)
@@ -229,7 +236,9 @@ class _LinearRD:
             def diffusion(dt: float) -> Callable[[Array], Array]:
                 prop = eig_function(vecs, np.exp(dt * vals), vecs_inv).astype(complex)
                 return lambda u: apply_modes(grid, prop, u)
-        self._diffusion = functools.cache(diffusion)  # one map per distinct dt
+        # one map per distinct dt; an exact step is one per output span, and spans that
+        # differ by an ulp would each keep a table, so that map is built per call
+        self._diffusion = diffusion if self.exact else functools.cache(diffusion)
 
     def step(self, u: Array, dt: float) -> Array:
         if self.target.f is not None:
@@ -242,6 +251,8 @@ class _LinearRD:
 
 class _PicardQL:
     """Divergence-form diffusion with lagged coefficients, explicit advection."""
+
+    exact = False
 
     def __init__(self, target: QuasilinearDivergence, grid: SpatialGrid):
         self.target = target

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,6 +97,83 @@ class TestSpectralReference:
         _, fields = run_reference(tgt, u0, grid64, 0.5, dt=1e-5)
         exact = 0.25 * np.exp(0.5) / (1 + 0.25 * (np.exp(0.5) - 1))
         assert fields[-1][0, 0] == pytest.approx(exact, rel=1e-4)
+
+
+EXACT_DEMOS = [("heat2d", (128, 128)), ("aniso2d", (8, 12)), ("heat1d", (256,)), ("sqrt-heat", (32,))]
+
+
+def _count_steps(monkeypatch, cls):
+    calls = []
+    step = cls.step
+    monkeypatch.setattr(cls, "step", lambda self, u, dt: calls.append(dt) or step(self, u, dt))
+    return calls
+
+
+class TestExactReference:
+    """A reaction-free target with constant diffusion takes one exact step per output span."""
+
+    @pytest.mark.parametrize("name, ns", EXACT_DEMOS)
+    def test_matches_sub_stepped_propagation(self, name, ns):
+        grid = rb.SpatialGrid(ns, (1.0,) * len(ns))
+        bundle = builder.demo(name, grid)
+        u0, T = bundle.u0(grid), 0.02
+        times, fields = run_reference(bundle.target, u0, grid, T, snapshot_times=np.linspace(0, T, 11))
+        stepper, u = parasolver._LinearRD(bundle.target, grid), u0
+        for s in range(1, 11):  # each span in 100 steps: T / 1000 as run_reference sub-stepped it
+            for _ in range(100):
+                u = stepper.step(u, (times[s] - times[s - 1]) / 100)
+            assert np.max(np.abs(fields[s] - u)) <= 1e-12 * np.max(np.abs(u0))
+
+    @pytest.mark.parametrize("name, ns", EXACT_DEMOS)
+    def test_every_mode_decays_by_its_symbol(self, name, ns):
+        grid = rb.SpatialGrid(ns, (1.0,) * len(ns))
+        target = builder.demo(name, grid).target
+        rng = np.random.default_rng(7)
+        low = np.zeros(ns, dtype=complex)
+        low[tuple(slice(0, 4) for _ in ns)] = rng.standard_normal((4,) * len(ns)) + 1j
+        u0 = np.fft.ifftn(low).real[None] * grid.cell_count
+        T = 0.005
+        _, fields = run_reference(target, u0, grid, T)
+        fh0, fhT = np.fft.fftn(u0[0]), np.fft.fftn(fields[-1][0])
+        kappa = grid.wavenumbers()
+        for idx in np.ndindex((4,) * len(ns)):
+            want = exact_mode_oracle(target.diffusion, kappa[(slice(None),) + idx], T)
+            assert fhT[idx] / fh0[idx] == pytest.approx(want, rel=1e-12)
+
+    def test_one_step_per_span_whatever_dt(self, grid64, monkeypatch):
+        calls = _count_steps(monkeypatch, parasolver._LinearRD)
+        target = builder.demo("heat1d", grid64).target
+        run_reference(target, sine_mode(grid64), grid64, 0.01, dt=1e-5, snapshot_times=[0.0025, 0.005])
+        assert calls == pytest.approx([0.0025, 0.0025, 0.005], rel=1e-12)
+
+    @pytest.mark.parametrize("kind", ["reaction", "callable diffusion"])
+    def test_other_targets_still_sub_step(self, grid64, monkeypatch, kind):
+        if kind == "reaction":
+            target = ReactionDiffusion(k=1, d=1, diffusion=isotropic_diffusion(1, 1), f=lambda u: u * (1 - u))
+        else:
+            target = ReactionDiffusion(k=1, d=1, diffusion=lambda x: np.ones((1, 1, 1, 1, x.shape[-1])))
+        calls = _count_steps(monkeypatch, parasolver._LinearRD)
+        run_reference(target, sine_mode(grid64), grid64, 0.01, dt=1e-3, snapshot_times=[0.0025, 0.005])
+        assert len(calls) == 3 + 3 + 5  # ceil(span / dt) per span
+
+    def test_distinct_spans_keep_no_table(self):
+        # spans from subtracting accumulated floats differ by an ulp; none may leave a memo behind
+        grid = rb.SpatialGrid((64, 64), (1.0, 1.0))
+        target = builder.demo("heat2d", grid).target
+        stepper, u = parasolver._LinearRD(target, grid), sine_mode(grid)
+        spans = [1e-4]
+        while len(spans) < 200:
+            spans.append(np.nextafter(spans[-1], 1.0))
+        stepper.step(u, spans[0])
+        tracemalloc.start()
+        try:
+            for span in spans:
+                stepper.step(u, span)
+            grown = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        table = grid.cell_count * np.dtype(complex).itemsize  # 64 KiB, one per span if memoised
+        assert grown < 2 * table
 
 
 class TestImplicitReference:

@@ -7,13 +7,17 @@ varying in x along both axes, so it exercises every block placement.
 `aniso2d` has a cross diffusion term, so its 2-d spectral transport and its
 Fourier reference (`run_aniso2d_reference.csv`, the final field) mix both axes
 in every mode; these two were written before the per-mode solver primitives
-moved into `core`.  `carleman` (a u-dependent source jacobian with m = 1)
+moved into `core`, and the reference was rewritten when a constant-diffusion
+reference began to take one exact step per output span instead of T / 1000
+(every value moved by at most 8.7e-15).  `carleman` (a u-dependent source jacobian with m = 1)
 and `quasilinear-bu2` (a `d_II` term) pin the stiff source step on systems
 whose source is not a constant linear map; they were written before the
 spectral step's per-call costs were cut.  `artifact_hashes.txt` is the
 output of `scripts/artifact_hashes.py` (every demo, admissible flux and grid
 through `relaxbench run`, plus two short `converge` ladders), written before
-the 2-d grid-flux run's fixed costs were cut.
+the 2-d grid-flux run's fixed costs were cut; its 21 heat1d, heat2d, aniso2d,
+sqrt-heat and `converge heat1d` lines were rewritten with that exact
+reference, and every other line is unchanged.
 """
 
 import os
