@@ -125,7 +125,7 @@ def squared_norms(uI: Array, uII: Array, vol: float) -> Tuple[float, float]:
 
 
 def _coefficient_product(mat: Array) -> Callable[[Array], Array]:
-    """x -> einsum("ab...,b...->a...", mat, x), multiplying only mat's nonzero coefficients where that has its bits.
+    """x -> einsum("ab...,b...->a...", mat, x), over mat's nonzero coefficients where the bits allow.
 
     A row of at most two nonzero products sums to the same bits in any order, and
     einsum's zero products add nothing but a +0.0 start, which a zeroed output
@@ -191,12 +191,12 @@ class _Workspace:
         div = np.full((n, n, 1), eps)
         div[:k, k:], div[k:, :k] = 1.0, eps ** 2
         tab = transport_blocks(self.sys, self.xflat) / div
-        # one C_j per axis if constant (its product has the per-cell table's bits), else per cell
+        # one C_j per axis if constant, so one spectral radius per axis, else one per cell
         if self.sys.constant_coefficients:
-            cmat = tab[..., 0].copy()
-            radii = np.max(np.abs(np.linalg.eigvals(cmat)), axis=1)
+            self.cmat = tab[..., 0].copy()
+            radii = np.max(np.abs(np.linalg.eigvals(self.cmat)), axis=1)
         else:
-            cmat = tab.reshape((grid.d, n, n) + grid.ns)
+            self.cmat = tab.reshape((grid.d, n, n) + grid.ns)
             radii = np.max(np.abs(np.linalg.eigvals(np.moveaxis(tab, -1, 1))), axis=(1, 2))
         if eps * radii.max() > self.speed * (1.0 + 1e-9):
             self.speed = eps * float(radii.max())
@@ -212,8 +212,7 @@ class _Workspace:
                 absc.append(eig_function(vecs, np.abs(vals.real), vecs_inv).real)
             else:
                 absc.append(float(radii[j]) * np.eye(n))
-        self.cmat = cmat
-        self.advect = [_coefficient_product(c) for c in cmat]
+        self.advect = [_coefficient_product(c) for c in self.cmat]
         self.dissipate = [_coefficient_product(a) for a in absc]
 
     def _transport_grid(self, y: Array, dt: float) -> Array:

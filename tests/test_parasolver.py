@@ -103,9 +103,13 @@ EXACT_DEMOS = [("heat2d", (128, 128)), ("aniso2d", (8, 12)), ("heat1d", (256,)),
 
 
 def _count_steps(monkeypatch, cls):
-    calls = []
-    step = cls.step
-    monkeypatch.setattr(cls, "step", lambda self, u, dt: calls.append(dt) or step(self, u, dt))
+    """The dt of every later cls.step call, in order."""
+    calls, step = [], cls.step
+
+    def counted(self, u, dt):
+        calls.append(dt)
+        return step(self, u, dt)
+    monkeypatch.setattr(cls, "step", counted)
     return calls
 
 
