@@ -29,8 +29,9 @@ from .core import (
 from .hypersolver import SolverOptions, Trajectory, squared_norms
 
 LADDER_SNAPSHOTS = 11   # comparison times of a ladder, 0 and T included
-LADDER_REFERENCE_STEPS = 4000  # a sub-stepped reference's step T / 4000, 4x finer than run_reference's
-                               # default; an exact one (constant diffusion, no reaction) ignores it
+# a sub-stepped reference's step is T / 500: test_parasolver.py::TestSecondOrderReference shows the
+# Crank-Nicolson carleman reference within 1e-7 of one at T / 2000; an exact one ignores it
+LADDER_REFERENCE_STEPS = 500
 
 
 def energy(state: FieldState) -> float:

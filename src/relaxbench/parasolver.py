@@ -2,8 +2,10 @@
 
 These integrators are deliberately a different discretization family from
 the stiff hyperbolic solver (exact Fourier propagation for constant
-coefficients, implicit central differences otherwise), so that agreement
-between the two is evidence of the analytic limit rather than shared bias.
+coefficients, implicit central differences otherwise: Crank-Nicolson for
+quasilinear targets, backward Euler for callable diffusion), so that
+agreement between the two is evidence of the analytic limit rather than
+shared bias.
 """
 
 from __future__ import annotations
@@ -62,8 +64,9 @@ class _BlockOperator:
     on the diagonal, D1_i diag(B_ij) D1_j across; non-divergence placement is
     sum_ij diag(B_ij) d_i d_j.  Linear in B, so the CSC pattern is built once and
     data = P @ B.ravel(); every block enters the pattern, zero or not.  A 1-d
-    scalar operator on n >= 3 cells is periodic tridiagonal, and `factor` reads
-    its three diagonals straight out of data instead of factorizing.
+    scalar operator on n >= 3 cells is periodic tridiagonal: `factor` and
+    `crank_nicolson` read its three diagonals straight out of data, multiply by
+    slices and solve without factorizing.
     """
 
     def __init__(self, grid: SpatialGrid, k: int, divergence: bool):
@@ -119,11 +122,24 @@ class _BlockOperator:
         A singular system raises RuntimeError on the SuperLU path and
         LinAlgError on the periodic tridiagonal path.
         """
+        return self._pair(self._data(blocks, dt))[1]
+
+    def crank_nicolson(self, blocks: Array, dt: float) -> Tuple[Callable[[Array], Array], Callable[[Array], Array]]:
+        """(u -> (I + dt/2 * L) u, rhs -> (I - dt/2 * L)^-1 rhs) at coefficient blocks (d, d, k, k, M).
+
+        Both come from one assembly of A = I - dt/2 * L: the explicit half is 2u - A u.
+        """
+        product, solve = self._pair(self._data(blocks, 0.5 * dt))
+        return (lambda u: 2.0 * u - product(u)), solve
+
+    def _pair(self, data: Array) -> Tuple[Callable[[Array], Array], Callable[[Array], Array]]:
+        """(u -> A u, rhs -> A^-1 rhs) for the matrix A with these data."""
         if self.lower is None:
-            return _factorize(self.backward_euler(blocks, dt)).solve
-        data = self._data(blocks, dt)
+            matrix = sp.csc_matrix((data, self.indices, self.indptr))
+            return (lambda u: matrix @ u), _factorize(matrix).solve
         lower, diag, upper = data[self.lower], data[self.diag], data[self.upper]
-        return lambda rhs: _cyclic_tridiagonal(lower, diag, upper, rhs)
+        return (lambda u: _cyclic_product(lower, diag, upper, u),
+                lambda rhs: _cyclic_tridiagonal(lower, diag, upper, rhs))
 
 
 def _factorize(matrix: sp.csc_matrix):
@@ -138,6 +154,16 @@ def _factorize(matrix: sp.csc_matrix):
         raise RuntimeError(f"matrix is numerically singular: smallest LU pivot {pivots.min():.3g}, "
                            f"largest {pivots.max():.3g}")
     return lu
+
+
+def _cyclic_product(lower: Array, diag: Array, upper: Array, u: Array) -> Array:
+    """lower[i] u[i-1] + diag[i] u[i] + upper[i] u[i+1], indices mod n >= 3."""
+    out = diag * u
+    out[1:] += lower[1:] * u[:-1]
+    out[0] += lower[0] * u[-1]
+    out[:-1] += upper[:-1] * u[1:]
+    out[-1] += upper[-1] * u[0]
+    return out
 
 
 def _cyclic_tridiagonal(lower: Array, diag: Array, upper: Array, rhs: Array) -> Array:
@@ -156,9 +182,16 @@ def _cyclic_tridiagonal(lower: Array, diag: Array, upper: Array, rhs: Array) -> 
     _, _, _, sol, info = dgtsv(lower[1:], diag, upper[:-1], b, overwrite_b=True)
     if info != 0:
         raise np.linalg.LinAlgError(f"tridiagonal part is singular (dgtsv info = {info})")
-    vt_sol = np.array([[lower[0]], [upper[-1]]]) * sol[[-1, 0]]  # V^T [y, Z], (2, 3)
-    x = sol[:, 0] - sol[:, 1:] @ np.linalg.solve(np.eye(2) + vt_sol[:, 1:], vt_sol[:, 0])
-    if not np.all(np.isfinite(x)):
+    # V^T y = (r0, r1) and C = I + V^T Z in Python floats: the 2 x 2 solve is in closed form
+    a, c = float(lower[0]), float(upper[-1])
+    (y0, z00, z01), (yn, zn0, zn1) = sol[0].tolist(), sol[-1].tolist()
+    r0, c00, c01 = a * yn, 1.0 + a * zn0, a * zn1
+    r1, c10, c11 = c * y0, c * z00, 1.0 + c * z01
+    det = c00 * c11 - c01 * c10
+    if det == 0.0:
+        raise np.linalg.LinAlgError("periodic corner correction is singular")
+    x = sol[:, 0] - sol[:, 1:] @ np.array([(c11 * r0 - c01 * r1) / det, (c00 * r1 - c10 * r0) / det])
+    if not np.isfinite(x).all():
         raise np.linalg.LinAlgError("periodic tridiagonal solution is not finite")
     return x
 
@@ -181,8 +214,10 @@ def run_reference(
     initial state is always the first entry.  A reaction-free target with
     constant diffusion is propagated exactly, one step per output span, and
     ignores dt; any other takes ceil(span / dt) equal steps per span (dt
-    defaults to T / 1000).  Parabolicity of the target is the caller's
-    responsibility to have verified.
+    defaults to T / 1000).  A quasilinear target's step is Crank-Nicolson,
+    second order in dt; a reaction-diffusion one's is first order (see
+    _LinearRD).  Parabolicity of the target is the caller's responsibility to
+    have verified.
     """
     u0 = np.asarray(u0, dtype=float)
     if dt is None:
@@ -250,7 +285,12 @@ class _LinearRD:
 
 
 class _PicardQL:
-    """Divergence-form diffusion with lagged coefficients, explicit advection."""
+    """Crank-Nicolson step of u_t = div(B(u) grad u) - div f(u) + g(u), central differences.
+
+    Each Picard sweep evaluates B, f and g at the midpoint m = (u^n + guess) / 2
+    and solves (I - dt/2 L(m)) u = (I + dt/2 L(m)) u^n - dt div f(m) + dt g(m);
+    the sweeps stop once no entry moves by more than PICARD_TOL.
+    """
 
     exact = False
 
@@ -264,21 +304,14 @@ class _PicardQL:
         self.op = _BlockOperator(grid, self.k, divergence=True)
 
     def step(self, u: Array, dt: float) -> Array:
-        grid, k = self.grid, self.k
+        grid, k, target = self.grid, self.k, self.target
         shape = u.shape
         uflat2 = u.reshape(k, -1)
-        rhs = u.reshape(-1).copy()
-        if self.target.flux is not None:
-            fl = np.asarray(self.target.flux(uflat2), dtype=float)  # (d, k, M)
-            div = sum(w * fl[i][:, idx] for i in range(grid.d) for idx, w in self.d1[i])
-            rhs -= dt * div.reshape(-1)
-        if self.target.g is not None:
-            rhs += dt * np.asarray(self.target.g(uflat2), dtype=float).reshape(-1)
-
-        guess = u.reshape(-1)
+        start = u.reshape(-1)
+        guess = start
         for _ in range(PICARD_MAXITER):
-            lagged = guess.reshape(k, -1)
-            blocks = np.asarray(self.target.diffusion(lagged), dtype=float)
+            lagged = (0.5 * (start + guess)).reshape(k, -1)  # the midpoint of the step
+            blocks = np.asarray(target.diffusion(lagged), dtype=float)
             bad = np.flatnonzero(~np.isfinite(blocks))
             if bad.size:
                 i, j, a, b, cell = np.unravel_index(bad[0], blocks.shape)
@@ -287,8 +320,16 @@ class _PicardQL:
                     f"{float(blocks.flat[bad[0]])} at cell {cell} "
                     f"(x = {grid.flat_points()[:, cell].tolist()}, u = {lagged[:, cell].tolist()})"
                 )
+            forcing = 0.0
+            if target.flux is not None:
+                fl = np.asarray(target.flux(lagged), dtype=float)  # (d, k, M)
+                div = sum(w * fl[i][:, idx] for i in range(grid.d) for idx, w in self.d1[i])
+                forcing -= dt * div.reshape(-1)
+            if target.g is not None:
+                forcing += dt * np.asarray(target.g(lagged), dtype=float).reshape(-1)
             try:
-                new = self.op.factor(blocks, dt)(rhs)
+                explicit, solve = self.op.crank_nicolson(blocks, dt)
+                new = solve(explicit(start) + forcing)
             except (RuntimeError, np.linalg.LinAlgError) as err:
                 raise ReferenceError(f"linear solve failed: {err}") from err
             inc = np.abs(new - guess)

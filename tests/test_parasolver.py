@@ -1,3 +1,4 @@
+import functools
 import re
 import tracemalloc
 
@@ -6,7 +7,7 @@ import pytest
 from scipy.sparse.linalg import splu
 
 import relaxbench as rb
-from relaxbench import builder, parasolver
+from relaxbench import builder, diagnostics, parasolver
 from relaxbench.builder import QuasilinearDivergence, ReactionDiffusion, isotropic_diffusion
 from relaxbench.core import l2_norm
 from relaxbench.parasolver import ReferenceError, exact_mode_oracle, run_reference
@@ -14,6 +15,7 @@ from relaxbench.parasolver import ReferenceError, exact_mode_oracle, run_referen
 from conftest import sine_mode
 
 TWO_PI = 2.0 * np.pi
+LADDER_T = 0.1  # the acceptance ladders' horizon
 
 
 class TestModeOracle:
@@ -258,6 +260,35 @@ class TestQuasilinearReference:
         assert fields.shape[0] == 4
 
 
+@functools.cache
+def _ladder_reference(name, n, steps):
+    """A demo's reference at the carleman ladder's 11 comparison times, with step T / steps."""
+    grid = rb.SpatialGrid((n,), (1.0,))
+    bundle = builder.demo(name, grid)
+    times = np.linspace(0.0, LADDER_T, diagnostics.LADDER_SNAPSHOTS)
+    _, fields = run_reference(bundle.target, bundle.u0(grid), grid, LADDER_T, dt=LADDER_T / steps,
+                              snapshot_times=times)
+    return times, fields, grid
+
+
+def _step_distance(name, n, coarse, fine):
+    times, coarse_fields, grid = _ladder_reference(name, n, coarse)
+    return diagnostics.space_time_error(times, coarse_fields, _ladder_reference(name, n, fine)[1], grid)
+
+
+class TestSecondOrderReference:
+    """The quasilinear reference is second order in time, so the ladder's step is converged."""
+
+    def test_ladder_step_agrees_with_a_quarter_of_it(self):
+        steps = diagnostics.LADDER_REFERENCE_STEPS
+        assert _step_distance("carleman", 256, steps, 4 * steps) <= 1e-7
+
+    @pytest.mark.parametrize("name, n", [("carleman", 256), ("quasilinear-bu2", 128)])
+    def test_observed_time_order(self, name, n):
+        order = np.log2(_step_distance(name, n, 250, 500) / _step_distance(name, n, 500, 1000))
+        assert order >= 1.9
+
+
 def _dense_differences(grid, axis):
     """Dense periodic central (D1) and forward (D+) differences along one axis."""
     m = grid.cell_count
@@ -296,19 +327,21 @@ def _dense_operator(grid, blocks, divergence=True):
 
 
 def _dense_picard_step(target, grid, u, dt):
-    """One lagged-coefficient backward-Euler step with dense solves."""
+    """One Crank-Nicolson step with coefficients lagged at the midpoint, by dense solves."""
     k, m = target.k, grid.cell_count
-    rhs = u.reshape(-1).copy()
-    if target.flux is not None:
-        fl = target.flux(u.reshape(k, -1))
-        for i in range(grid.d):
-            rhs -= dt * (_dense_differences(grid, i)[0] @ fl[i].T).T.reshape(-1)
-    if target.g is not None:
-        rhs += dt * target.g(u.reshape(k, -1)).reshape(-1)
-    guess = u.reshape(-1)
+    start = u.reshape(-1)
+    guess = start
     for _ in range(parasolver.PICARD_MAXITER):
-        lmat = _dense_operator(grid, target.diffusion(guess.reshape(k, -1)))
-        new = np.linalg.solve(np.eye(k * m) - dt * lmat, rhs)
+        mid = 0.5 * (start + guess).reshape(k, -1)
+        half = 0.5 * dt * _dense_operator(grid, target.diffusion(mid))
+        rhs = start + half @ start
+        if target.flux is not None:
+            fl = target.flux(mid)
+            for i in range(grid.d):
+                rhs -= dt * (_dense_differences(grid, i)[0] @ fl[i].T).T.reshape(-1)
+        if target.g is not None:
+            rhs += dt * target.g(mid).reshape(-1)
+        new = np.linalg.solve(np.eye(k * m) - half, rhs)
         if np.max(np.abs(new - guess)) <= parasolver.PICARD_TOL:
             return new.reshape(u.shape)
         guess = new
@@ -402,11 +435,11 @@ class TestPicardStep:
         assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_singular_system_raises_reference_error(self):
-        # backward diffusion b = -1 with dt / h^2 = 1/2 makes I - dt L exactly singular
+        # backward diffusion b = -1 with dt / h^2 = 1 makes I - (dt/2) L exactly singular
         grid = rb.SpatialGrid((4,), (1.0,))
         target = builder.scalar_quasilinear(b=lambda u: -np.ones_like(u))
         with pytest.raises(ReferenceError, match="linear solve failed") as info:
-            run_reference(target, np.ones((1, 4)), grid, 1 / 32, dt=1 / 32)
+            run_reference(target, np.ones((1, 4)), grid, 1 / 16, dt=1 / 16)
         assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
     def test_scalar_source_step_matches_dense_picard(self, grid64):
@@ -418,8 +451,9 @@ class TestPicardStep:
         assert np.max(np.abs(got - without_g)) > 1e-4  # the source moves the step
         assert np.max(np.abs(got - _dense_picard_step(target, grid64, u, dt))) <= 1e-12
 
-    # b(u) = u on 4 cells with dt / h^2 = 1: at u = (1, -1, 1, -3) the face coefficients
-    # are 0 at 1/2 and -1 at -1/2, so column 0 of the tridiagonal part is exactly zero
+    # b(u) = u on 4 cells with dt / h^2 = 2: at u = (1, -1, 1, -3) the first sweep's face
+    # coefficients are 0 at 1/2 and -1 at -1/2, so column 0 of the tridiagonal part of
+    # I - (dt/2) L is exactly zero
     @pytest.mark.parametrize("b, u0, message", [
         (lambda u: u, [1.0, -1.0, 1.0, -3.0], r"tridiagonal part is singular \(dgtsv info = 1\)"),
         (lambda u: 1e308 * u, [1.0, 1.0, 1.0, 1.0], "periodic tridiagonal solution is not finite"),
@@ -429,7 +463,7 @@ class TestPicardStep:
         stepper = parasolver._PicardQL(builder.scalar_quasilinear(b=b), grid)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ReferenceError, match="linear solve failed: " + message) as info:
-                stepper.step(np.array([u0]), 1 / 16)
+                stepper.step(np.array([u0]), 1 / 8)
         assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
     def test_singular_2d_system_raises_reference_error(self):
@@ -439,7 +473,7 @@ class TestPicardStep:
         target = QuasilinearDivergence(k=1, d=2, diffusion=_constant_diffusion(-np.eye(2)[:, :, None, None]),
                                        state_box=((-1.0,), (1.0,)))
         with pytest.raises(ReferenceError, match="linear solve failed") as info:
-            run_reference(target, sine_mode(grid, offset=1.0), grid, 1 / 32, dt=1 / 32)
+            run_reference(target, sine_mode(grid, offset=1.0), grid, 1 / 16, dt=1 / 16)
         assert isinstance(info.value.__cause__, RuntimeError)
 
     def test_non_finite_coefficient_names_cell(self, grid64):
@@ -486,6 +520,13 @@ class TestCyclicSolve:
             got = parasolver._cyclic_tridiagonal(lower, diag, upper, rhs)
             want = np.linalg.solve(dense, rhs)
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_singular_corner_correction_raises(self):
+        # the periodic Laplacian stencil (-1, 2, -1) on 4 cells annihilates constants, while its
+        # tridiagonal part is regular: the 2 x 2 capacitance determinant is exactly zero
+        lower = upper = -np.ones(4)
+        with pytest.raises(np.linalg.LinAlgError, match="periodic corner correction is singular"):
+            parasolver._cyclic_tridiagonal(lower, np.full(4, 2.0), upper, np.ones(4))
 
     @staticmethod
     def _splu_calls(monkeypatch, target, u0, grid):

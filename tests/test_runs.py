@@ -17,7 +17,10 @@ output of `scripts/artifact_hashes.py` (every demo, admissible flux and grid
 through `relaxbench run`, plus two short `converge` ladders), written before
 the 2-d grid-flux run's fixed costs were cut; its 21 heat1d, heat2d, aniso2d,
 sqrt-heat and `converge heat1d` lines were rewritten with that exact
-reference, and every other line is unchanged.
+reference, and its 12 carleman and quasilinear-bu2 run lines and
+`converge carleman` when the quasilinear reference became Crank-Nicolson
+(and the periodic corner correction a closed-form 2 x 2 solve); every other
+line is unchanged.
 """
 
 import os
