@@ -188,8 +188,12 @@ def _cyclic_tridiagonal(lower: Array, diag: Array, upper: Array, rhs: Array) -> 
     r0, c00, c01 = a * yn, 1.0 + a * zn0, a * zn1
     r1, c10, c11 = c * y0, c * z00, 1.0 + c * z01
     det = c00 * c11 - c01 * c10
-    if det == 0.0:
-        raise np.linalg.LinAlgError("periodic corner correction is singular")
+    # det = 1 + a zn0 + c z01 + a c (zn0 z01 - zn1 z00); one within round-off of those terms is
+    # noise, like an LU pivot within n * eps of the largest (_factorize)
+    terms = 1.0 + abs(a * zn0) + abs(c * z01) + abs(a * c) * (abs(zn0 * z01) + abs(zn1 * z00))
+    if abs(det) <= n * np.finfo(float).eps * terms:
+        raise np.linalg.LinAlgError(f"periodic corner correction is singular: determinant {det:.3g} "
+                                    f"is round-off against terms of size {terms:.3g}")
     x = sol[:, 0] - sol[:, 1:] @ np.array([(c11 * r0 - c01 * r1) / det, (c00 * r1 - c10 * r0) / det])
     if not np.isfinite(x).all():
         raise np.linalg.LinAlgError("periodic tridiagonal solution is not finite")

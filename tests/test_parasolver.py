@@ -494,11 +494,12 @@ class TestPicardStep:
         match = re.search(r"was ([0-9.e+-]+) in component 1 at cell (\d+)", str(info.value))
         assert match is not None
         assert float(match.group(1)) > parasolver.PICARD_TOL
-        assert u0[0, int(match.group(2))] < 0.0
-        # the start state's first non-positive cell: a witness independent of round-off
-        start = re.search(r"not positive definite at cell (\d+) .*smallest eigenvalue", str(info.value))
+        # where the last max increment lands is round-off luck; the witness named after it is
+        # the start state's first cell with u < 0, where B(u) = 1 / (2u) is negative
+        start = re.search(r"at the step's start B\(u\) is not positive definite at cell (\d+) "
+                          r".*smallest eigenvalue", str(info.value))
         assert start is not None
-        assert u0[0, int(start.group(1))] < 0.0
+        assert int(start.group(1)) == np.flatnonzero(u0[0] < 0.0)[0]
 
 
 def _periodic_tridiagonal(rng, n):
@@ -527,6 +528,24 @@ class TestCyclicSolve:
         lower = upper = -np.ones(4)
         with pytest.raises(np.linalg.LinAlgError, match="periodic corner correction is singular"):
             parasolver._cyclic_tridiagonal(lower, np.full(4, 2.0), upper, np.ones(4))
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_nearly_singular_corner_correction_raises(self, n):
+        # the same stencil on 3 or 5 cells: the determinant is round-off (1.1e-16), not zero
+        lower = upper = -np.ones(n)
+        with pytest.raises(np.linalg.LinAlgError, match="periodic corner correction is singular"):
+            parasolver._cyclic_tridiagonal(lower, np.full(n, 2.0), upper, np.ones(n))
+
+    def test_nearly_singular_crank_nicolson_step_raises_reference_error(self):
+        # b = -1 makes I - (dt/2) L = I + dt/(2 h^2) (-1, 2, -1), singular on the first Fourier
+        # mode at this dt; solving it anyway returned max |u| = 1.2e16
+        grid = rb.SpatialGrid((8,), (1.0,))
+        h = grid.h[0]
+        stepper = parasolver._PicardQL(builder.scalar_quasilinear(b=lambda u: -np.ones_like(u)), grid)
+        u0 = 1.0 + 0.3 * np.sin(2.0 * np.pi * grid.points())
+        with pytest.raises(ReferenceError, match="periodic corner correction is singular") as info:
+            stepper.step(u0, 2.0 * h ** 2 / (4.0 * np.sin(np.pi / 8) ** 2))
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
     @staticmethod
     def _splu_calls(monkeypatch, target, u0, grid):
