@@ -279,8 +279,8 @@ def cmd_run(config: str, out: str, allow_invalid: bool = False) -> int:
     return 0
 
 
-def cmd_converge(config: str, out: str, threads: int = 1) -> int:
-    if threads < 1:
+def cmd_converge(config: str, out: str, threads: Optional[int] = None) -> int:
+    if threads is not None and threads < 1:
         raise ConfigError(f"threads must be at least 1, got {threads}")
     cfg = parse_config(config)
     exp = build_experiment(cfg)
@@ -320,8 +320,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             p.add_argument("--allow-invalid", action="store_true",
                            help="run even if validation fails")
         if name == "converge":
-            p.add_argument("--threads", type=int, default=1,
-                           help="concurrent ladder runs (default 1)")
+            p.add_argument("--threads", type=int, default=None,
+                           help="at most this many worker processes run the ladder's reference "
+                                "and rungs (default: one per job, up to the usable CPUs; 1 runs "
+                                "them in this process); the results are bit-identical for any N")
     args = parser.parse_args(argv)
 
     try:

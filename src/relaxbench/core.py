@@ -41,6 +41,9 @@ class SingularSourceError(SymbolError):
         self.smallest_singular_value = smallest_singular_value
         self.sample = sample  # flat (x, u) index of the singular sample in a stacked call
 
+    def __reduce__(self):  # the default rebuilds from args = (message,) alone
+        return type(self), (self.args[0], self.smallest_singular_value, self.sample)
+
 
 # ---------------------------------------------------------------------------
 # grid

@@ -8,7 +8,7 @@ reference solver.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
@@ -131,6 +131,67 @@ def check_ladder(T: float, eps_list: Sequence[float]) -> List[float]:
     return eps_list
 
 
+# a worker process's ladder, set by _set_worker_ladder right after the fork: the system's
+# callables cannot be pickled, and a forked worker inherits them instead
+_WORKER_LADDER: Optional[tuple] = None
+
+
+def _set_worker_ladder(ladder: tuple) -> None:
+    global _WORKER_LADDER
+    _WORKER_LADDER = ladder
+
+
+def _ladder_job(eps: Optional[float], ladder: Optional[tuple] = None):
+    """One job of `ladder` (this worker's by default): the reference's (times, fields) for
+    eps None, else the stiff run's Trajectory from well-prepared data at eps."""
+    sys, target, u0, grid, T, times, opts = ladder or _WORKER_LADDER
+    if eps is None:
+        return parasolver.run_reference(
+            target, u0, grid, T, dt=T / LADDER_REFERENCE_STEPS, snapshot_times=times,
+        )
+    init = hypersolver.well_prepared_state(sys, grid, u0, eps)
+    return hypersolver.run(sys, init, T, opts, snapshot_times=times)
+
+
+def ladder_workers(jobs: int, threads: Optional[int] = None) -> int:
+    """Worker processes for a ladder of `jobs` jobs: min(jobs, usable CPUs, threads).
+
+    Usable CPUs are os.sched_getaffinity(0), else os.cpu_count(); threads None means
+    no further bound.  1 where os.fork is missing.  ValueError if threads < 1.
+    """
+    if threads is not None and threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return min(jobs, cpus, threads or jobs)
+
+
+def _run_jobs(ladder: tuple, jobs: List[Optional[float]], workers: int) -> list:
+    """_ladder_job over jobs, in this process for one worker, else in forked worker processes.
+
+    Results come back in job order, so either path raises the first failing job's error;
+    on an error, jobs not yet started are cancelled and the pool is joined before it
+    propagates, so no worker outlives the call.
+    """
+    if workers == 1:
+        return [_ladder_job(job, ladder) for job in jobs]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_set_worker_ladder, initargs=(ladder,)) as pool:
+        futures = [pool.submit(_ladder_job, job) for job in jobs]
+        try:
+            return [f.result() for f in futures]
+        finally:
+            for f in futures:
+                f.cancel()
+
+
 def ladder_runs(
     sys: RelaxationSystem,
     target: Optional[ParabolicTarget],
@@ -139,7 +200,7 @@ def ladder_runs(
     T: float,
     eps_list: Sequence[float],
     opts: Optional[SolverOptions] = None,
-    threads: int = 1,
+    threads: Optional[int] = None,
 ) -> Tuple[List[LadderEntry], Array, Array]:
     """Run the stiff solver once per epsilon and compare against the reference.
 
@@ -147,36 +208,41 @@ def ladder_runs(
     when there is no target (a system whose limit is the null solution).
     Returns the per-epsilon entries plus the shared snapshot times and the
     reference fields on those times.  The inputs must pass check_ladder.
+
+    The reference and each rung are independent jobs, listed longest first: the
+    smallest epsilon (a rung's step count is proportional to 1 / eps), the
+    reference, then the other rungs.  They run in ladder_workers(jobs, threads)
+    worker processes forked from this one, or in this process when that is 1;
+    errI, errII_weak and the limit residual are computed here either way.  Every
+    job does the same arithmetic wherever it runs, so the results are
+    bit-identical for any worker count.
     """
     eps_list = check_ladder(T, eps_list)
     opts = replace(opts or SolverOptions(), snapshot_stride=0)
     u0 = np.asarray(u0, dtype=float)
     times = np.linspace(0.0, T, LADDER_SNAPSHOTS)
 
+    rungs = sorted(eps_list)
+    jobs = rungs[:1] + ([None] if target is not None else []) + rungs[1:]
+    ladder = (sys, target, u0, grid, T, times, opts)
+    results = dict(zip(jobs, _run_jobs(ladder, jobs, ladder_workers(len(jobs), threads))))
+
     if target is not None:
-        ref_times, ref_fields = parasolver.run_reference(
-            target, u0, grid, T, dt=T / LADDER_REFERENCE_STEPS, snapshot_times=times,
-        )
+        ref_times, ref_fields = results[None]
         if len(ref_times) != len(times):
             raise RuntimeError("reference did not land on the requested times")
     else:
         ref_fields = np.zeros((len(times),) + u0.shape)
 
-    def one(eps: float) -> LadderEntry:
-        init = hypersolver.well_prepared_state(sys, grid, u0, eps)
-        traj = hypersolver.run(sys, init, T, opts, snapshot_times=times)
+    entries = []
+    for eps in eps_list:
+        traj = results[eps]
         fields = np.stack([s.uI for s in traj.snapshots[: len(times)]])
         if fields.shape[0] != len(times):
             raise RuntimeError("run did not produce the requested snapshots")
         err = space_time_error(times, fields, ref_fields, grid)
         res = limit_residual(traj.final, sys)
-        return LadderEntry(eps, traj, err, res)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            entries = list(pool.map(one, eps_list))
-    else:
-        entries = [one(e) for e in eps_list]
+        entries.append(LadderEntry(eps, traj, err, res))
     return entries, times, ref_fields
 
 
@@ -188,7 +254,7 @@ def convergence_study(
     T: float,
     eps_list: Sequence[float],
     opts: Optional[SolverOptions] = None,
-    threads: int = 1,
+    threads: Optional[int] = None,
 ) -> ConvergenceTable:
     """Epsilon-ladder study: errors, weak residuals, and observed orders."""
     entries, _, _ = ladder_runs(sys, target, u0, grid, T, eps_list, opts=opts, threads=threads)
@@ -214,7 +280,7 @@ def study_for_bundle(
     T: float,
     eps_list: Sequence[float],
     opts: Optional[SolverOptions] = None,
-    threads: int = 1,
+    threads: Optional[int] = None,
 ) -> ConvergenceTable:
     """Convergence study with the bundle's own initial data and reference."""
     return convergence_study(
@@ -233,6 +299,7 @@ __all__ = [
     "limit_residual",
     "space_time_error",
     "LadderEntry",
+    "ladder_workers",
     "ladder_runs",
     "convergence_study",
     "study_for_bundle",

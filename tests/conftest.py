@@ -1,3 +1,6 @@
+import concurrent.futures
+import os
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -32,6 +35,22 @@ def grid256():
 @pytest.fixture(scope="session")
 def grid2d():
     return rb.SpatialGrid((32, 32), (1.0, 1.0))
+
+
+@pytest.fixture
+def process_pools(monkeypatch):
+    """Report 64 usable CPUs, so a ladder takes the worker-process path on any host, and
+    record the max_workers of every ProcessPoolExecutor started."""
+    started = []
+
+    class Recorded(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+    return started
 
 
 def sine_mode(grid, mode=1, amplitude=1.0, offset=0.0):

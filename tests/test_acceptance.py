@@ -238,7 +238,7 @@ def test_criterion_09_conservation(grid):
 
 
 def test_criterion_10_determinism(tmp_path):
-    """Identical configs give bit-identical CSVs, threaded or not."""
+    """Identical configs give bit-identical CSVs, in worker processes or not."""
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(
         "[system]\nkind = demo\nname = heat1d\n"
@@ -247,11 +247,12 @@ def test_criterion_10_determinism(tmp_path):
         "[experiment]\nT = 0.05\nepsilon = 0.05\nepsilons = 0.2, 0.1, 0.05\n"
     )
     blobs = []
-    for label, threads in (("c1", "1"), ("c4", "4"), ("c1b", "1")):
+    for label, flags in (("c1", ["--threads", "1"]), ("c4", ["--threads", "4"]),
+                         ("c1b", ["--threads", "1"]), ("default", [])):
         out = tmp_path / label
-        assert cli.main(["converge", str(cfg), "--out", str(out), "--threads", threads]) == 0
+        assert cli.main(["converge", str(cfg), "--out", str(out), *flags]) == 0
         blobs.append((out / "convergence.csv").read_bytes())
-    assert blobs[0] == blobs[1] == blobs[2]
+    assert blobs[0] == blobs[1] == blobs[2] == blobs[3]
 
     runs = []
     for label in ("r1", "r2"):

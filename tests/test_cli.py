@@ -1,3 +1,5 @@
+import multiprocessing
+import pickle
 import re
 from pathlib import Path
 
@@ -5,6 +7,10 @@ import numpy as np
 import pytest
 
 from relaxbench import cli
+from relaxbench.builder import BuildError
+from relaxbench.core import SingularSourceError, SymbolError
+from relaxbench.hypersolver import SolverError
+from relaxbench.parasolver import ReferenceError
 
 
 def write_cfg(tmp_path, body, name="exp.cfg"):
@@ -180,6 +186,18 @@ class TestRunCommand:
         assert ref and ref[0].read_text().startswith("x,u_1")
 
 
+# a ladder job's error crosses from its worker process to the parent by pickle
+@pytest.mark.parametrize("err", [
+    BuildError("b"), cli.ConfigError("c"), SymbolError("s"), SingularSourceError("m", 1e-3, 2),
+    SolverError("v"), ReferenceError("r"),
+], ids=lambda e: type(e).__name__)
+def test_errors_survive_pickling(err):
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is type(err)
+    assert str(back) == str(err) and back.args == err.args
+    assert vars(back) == vars(err)
+
+
 class TestConvergeCommand:
     def test_heat_mini_ladder(self, tmp_path):
         cfg = write_cfg(tmp_path, HEAT_CFG)
@@ -240,14 +258,38 @@ class TestConvergeCommand:
                                                    "epsilons = 0.1, 0.2, 0.05"))
         assert cli.main(["converge", cfg, "--out", str(tmp_path / "o")]) == 2
 
-    def test_bitwise_determinism_across_threads(self, tmp_path):
+    def test_bitwise_determinism_across_threads(self, tmp_path, process_pools):
+        # the default runs one worker process per job (4 here), --threads 4 too, 1 none
+        carleman = CARLEMAN_CFG + "epsilons = 0.2, 0.1, 0.05\n"
+        for name, body in (("heat1d", HEAT_CFG), ("carleman", carleman)):
+            cfg = write_cfg(tmp_path, body, name=f"{name}.cfg")
+            outs = []
+            for label, flags in (("default", []), ("1", ["--threads", "1"]), ("4", ["--threads", "4"])):
+                out = tmp_path / f"{name}-{label}"
+                assert cli.main(["converge", cfg, "--out", str(out), *flags]) in (0, 1)
+                outs.append((out / "convergence.csv").read_bytes())
+                assert multiprocessing.active_children() == []
+            assert outs[0] == outs[1] == outs[2], name
+        assert process_pools == [4, 4, 4, 4]
+
+    def test_worker_error_matches_in_process_error(self, tmp_path, monkeypatch, capsys, process_pools):
+        run = cli.diagnostics.hypersolver.run
+
+        def failing(sys, init, *args, **kwargs):
+            if init.eps == 0.1:
+                raise SolverError(f"stiff step failed at eps = {init.eps}")
+            return run(sys, init, *args, **kwargs)
+
+        monkeypatch.setattr(cli.diagnostics.hypersolver, "run", failing)
         cfg = write_cfg(tmp_path, HEAT_CFG)
-        outs = []
-        for label, threads in (("a", "1"), ("b", "4")):
-            out = tmp_path / label
-            assert cli.main(["converge", cfg, "--out", str(out), "--threads", threads]) == 0
-            outs.append((out / "convergence.csv").read_bytes())
-        assert outs[0] == outs[1]
+        errs = []
+        for flags in (["--threads", "1"], []):
+            assert cli.main(["converge", cfg, "--out", str(tmp_path / "o"), *flags]) == 1
+            errs.append(capsys.readouterr().err)
+            assert multiprocessing.active_children() == []
+        assert errs[0] == errs[1] == "error: stiff step failed at eps = 0.1\n"
+        assert process_pools == [4]
+        assert not (tmp_path / "o").exists()
 
     def test_threads_environment_variable_is_ignored(self, tmp_path, monkeypatch):
         monkeypatch.setenv("RELAXBENCH_THREADS", "abc")

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -10,6 +12,7 @@ from relaxbench.diagnostics import (
     convergence_study,
     energy,
     energy_inequality_check,
+    ladder_workers,
     limit_residual,
     space_time_error,
 )
@@ -175,7 +178,30 @@ class TestConvergenceStudy:
         kw = dict(opts=SolverOptions(flux="spectral"))
         t1 = convergence_study(*args, **kw, threads=1)
         t4 = convergence_study(*args, **kw, threads=4)
-        assert t1.to_csv() == t4.to_csv()
+        default = convergence_study(*args, **kw)
+        assert t1.to_csv() == t4.to_csv() == default.to_csv()
+
+    def test_never_more_workers_than_jobs(self, grid64, process_pools):
+        # 64 usable CPUs: a 3-rung ladder has 4 jobs with a reference and 3 without one
+        heat, null = builder.demo("heat1d", grid64), builder.demo("null-limit", grid64)
+        opts = SolverOptions(flux="rusanov")
+        for bundle, threads in ((heat, None), (null, None), (heat, 2), (heat, 1)):
+            convergence_study(bundle.system, bundle.target, bundle.u0(grid64), grid64, 0.01,
+                              [0.2, 0.1, 0.05], opts=opts, threads=threads)
+        assert process_pools == [4, 3, 2]
+
+    def test_worker_count(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert [ladder_workers(5, t) for t in (None, 1, 2, 8)] == [2, 1, 2, 2]
+        assert ladder_workers(1) == 1
+        for bad in (0, -5):
+            with pytest.raises(ValueError, match="threads must be at least 1"):
+                ladder_workers(5, bad)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert ladder_workers(5) == 3
+        monkeypatch.delattr(os, "fork")
+        assert ladder_workers(5) == 1
 
 
 class TestConvergenceTable:
