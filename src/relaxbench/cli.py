@@ -280,8 +280,6 @@ def cmd_run(config: str, out: str, allow_invalid: bool = False) -> int:
 
 
 def cmd_converge(config: str, out: str, threads: Optional[int] = None) -> int:
-    if threads is not None and threads < 1:
-        raise ConfigError(f"threads must be at least 1, got {threads}")
     cfg = parse_config(config)
     exp = build_experiment(cfg)
     expcfg = cfg["experiment"]
@@ -292,7 +290,7 @@ def cmd_converge(config: str, out: str, threads: Optional[int] = None) -> int:
         raise ConfigError("converge starts every rung well-prepared; "
                           "experiment.well_prepared = false applies to run only")
     try:
-        diagnostics.check_ladder(expcfg["T"], eps_list)
+        diagnostics.check_ladder(expcfg["T"], eps_list, threads)
     except ValueError as err:
         raise ConfigError(str(err)) from err
     _initial_field(exp)

@@ -115,10 +115,12 @@ class LadderEntry:
     errII_weak: float
 
 
-def check_ladder(T: float, eps_list: Sequence[float]) -> List[float]:
+def check_ladder(T: float, eps_list: Sequence[float], threads: Optional[int] = None) -> List[float]:
     """The ladder's epsilons; ValueError unless T > 0 keeps the comparison times apart in
-    plan_times and >= 3 positive epsilons decrease strictly."""
+    plan_times, >= 3 positive epsilons decrease strictly and threads is None or >= 1."""
     eps_list = [float(e) for e in eps_list]
+    if threads is not None and threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     if not T > 0:
         raise ValueError(f"a ladder needs a positive horizon T, got {T:g}")
     if len(plan_times(T, np.linspace(0.0, T, LADDER_SNAPSHOTS))) != LADDER_SNAPSHOTS - 1:
@@ -153,14 +155,12 @@ def _ladder_job(eps: Optional[float], ladder: Optional[tuple] = None):
     return hypersolver.run(sys, init, T, opts, snapshot_times=times)
 
 
-def ladder_workers(jobs: int, threads: Optional[int] = None) -> int:
+def _ladder_workers(jobs: int, threads: Optional[int] = None) -> int:
     """Worker processes for a ladder of `jobs` jobs: min(jobs, usable CPUs, threads).
 
     Usable CPUs are os.sched_getaffinity(0), else os.cpu_count(); threads None means
-    no further bound.  1 where os.fork is missing.  ValueError if threads < 1.
+    no further bound.  1 where os.fork is missing.
     """
-    if threads is not None and threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
     if not hasattr(os, "fork"):
         return 1
     try:
@@ -211,13 +211,13 @@ def ladder_runs(
 
     The reference and each rung are independent jobs, listed longest first: the
     smallest epsilon (a rung's step count is proportional to 1 / eps), the
-    reference, then the other rungs.  They run in ladder_workers(jobs, threads)
+    reference, then the other rungs.  They run in _ladder_workers(jobs, threads)
     worker processes forked from this one, or in this process when that is 1;
     errI, errII_weak and the limit residual are computed here either way.  Every
     job does the same arithmetic wherever it runs, so the results are
     bit-identical for any worker count.
     """
-    eps_list = check_ladder(T, eps_list)
+    eps_list = check_ladder(T, eps_list, threads)
     opts = replace(opts or SolverOptions(), snapshot_stride=0)
     u0 = np.asarray(u0, dtype=float)
     times = np.linspace(0.0, T, LADDER_SNAPSHOTS)
@@ -225,7 +225,7 @@ def ladder_runs(
     rungs = sorted(eps_list)
     jobs = rungs[:1] + ([None] if target is not None else []) + rungs[1:]
     ladder = (sys, target, u0, grid, T, times, opts)
-    results = dict(zip(jobs, _run_jobs(ladder, jobs, ladder_workers(len(jobs), threads))))
+    results = dict(zip(jobs, _run_jobs(ladder, jobs, _ladder_workers(len(jobs), threads))))
 
     if target is not None:
         ref_times, ref_fields = results[None]
@@ -299,7 +299,6 @@ __all__ = [
     "limit_residual",
     "space_time_error",
     "LadderEntry",
-    "ladder_workers",
     "ladder_runs",
     "convergence_study",
     "study_for_bundle",

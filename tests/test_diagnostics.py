@@ -6,13 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import relaxbench as rb
-from relaxbench import builder, hypersolver, parasolver
+from relaxbench import builder, diagnostics, hypersolver, parasolver
 from relaxbench.core import ConvergenceTable, LadderRow
 from relaxbench.diagnostics import (
+    check_ladder,
     convergence_study,
     energy,
     energy_inequality_check,
-    ladder_workers,
     limit_residual,
     space_time_error,
 )
@@ -191,17 +191,18 @@ class TestConvergenceStudy:
         assert process_pools == [4, 3, 2]
 
     def test_worker_count(self, monkeypatch):
+        workers = diagnostics._ladder_workers
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        assert [ladder_workers(5, t) for t in (None, 1, 2, 8)] == [2, 1, 2, 2]
-        assert ladder_workers(1) == 1
+        assert [workers(5, t) for t in (None, 1, 2, 8)] == [2, 1, 2, 2]
+        assert workers(1) == 1
         for bad in (0, -5):
             with pytest.raises(ValueError, match="threads must be at least 1"):
-                ladder_workers(5, bad)
+                check_ladder(0.1, [0.2, 0.1, 0.05], bad)
         monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert ladder_workers(5) == 3
+        assert workers(5) == 3
         monkeypatch.delattr(os, "fork")
-        assert ladder_workers(5) == 1
+        assert workers(5) == 1
 
 
 class TestConvergenceTable:
