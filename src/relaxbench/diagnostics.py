@@ -175,21 +175,28 @@ def _run_jobs(ladder: tuple, jobs: List[Optional[float]], workers: int) -> list:
 
     Results come back in job order, so either path raises the first failing job's error;
     on an error, jobs not yet started are cancelled and the pool is joined before it
-    propagates, so no worker outlives the call.
+    propagates, so no worker outlives the call.  This process's objects stay frozen
+    (gc.freeze) while the workers run: the workers' collections then leave them alone, and
+    the pages they share with this process copy-on-write stay shared.
     """
     if workers == 1:
         return [_ladder_job(job, ladder) for job in jobs]
+    import gc
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_set_worker_ladder, initargs=(ladder,)) as pool:
-        futures = [pool.submit(_ladder_job, job) for job in jobs]
-        try:
-            return [f.result() for f in futures]
-        finally:
-            for f in futures:
-                f.cancel()
+    gc.freeze()
+    try:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_set_worker_ladder, initargs=(ladder,)) as pool:
+            futures = [pool.submit(_ladder_job, job) for job in jobs]
+            try:
+                return [f.result() for f in futures]
+            finally:
+                for f in futures:
+                    f.cancel()
+    finally:
+        gc.unfreeze()
 
 
 def ladder_runs(

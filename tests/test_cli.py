@@ -1,3 +1,4 @@
+import gc
 import multiprocessing
 import pickle
 import re
@@ -269,7 +270,7 @@ class TestConvergeCommand:
                 out = tmp_path / f"{name}-{label}"
                 codes.append(cli.main(["converge", cfg, "--out", str(out), *flags]))
                 outs.append((out / "convergence.csv").read_bytes())
-                assert multiprocessing.active_children() == []
+                assert multiprocessing.active_children() == [] and gc.get_freeze_count() == 0
             assert codes == [codes[0]] * 3 and (name != "heat1d" or codes[0] == 0), (name, codes)
             assert outs[0] == outs[1] == outs[2], name
         assert process_pools == [4, 4, 4, 4]
@@ -288,7 +289,7 @@ class TestConvergeCommand:
         for flags in (["--threads", "1"], []):
             assert cli.main(["converge", cfg, "--out", str(tmp_path / "o"), *flags]) == 1
             errs.append(capsys.readouterr().err)
-            assert multiprocessing.active_children() == []
+            assert multiprocessing.active_children() == [] and gc.get_freeze_count() == 0
         assert errs[0] == errs[1] == "error: stiff step failed at eps = 0.1\n"
         assert process_pools == [4]
         assert not (tmp_path / "o").exists()
