@@ -110,7 +110,9 @@ def space_time_error(
 @dataclass(frozen=True)
 class LadderEntry:
     eps: float
-    trajectory: Trajectory
+    snapshots: List[FieldState]  # at the ladder's comparison times
+    sup_uI: float
+    sup_eps_uII: float
     errI: float
     errII_weak: float
 
@@ -145,14 +147,16 @@ def _set_worker_ladder(ladder: tuple) -> None:
 
 def _ladder_job(eps: Optional[float], ladder: Optional[tuple] = None):
     """One job of `ladder` (this worker's by default): the reference's (times, fields) for
-    eps None, else the stiff run's Trajectory from well-prepared data at eps."""
+    eps None, else the stiff run's (snapshots, sup_uI, sup_eps_uII) from well-prepared data
+    at eps; only these go back from a worker, not the run's per-step records."""
     sys, target, u0, grid, T, times, opts = ladder or _WORKER_LADDER
     if eps is None:
         return parasolver.run_reference(
             target, u0, grid, T, dt=T / LADDER_REFERENCE_STEPS, snapshot_times=times,
         )
     init = hypersolver.well_prepared_state(sys, grid, u0, eps)
-    return hypersolver.run(sys, init, T, opts, snapshot_times=times)
+    traj = hypersolver.run(sys, init, T, opts, snapshot_times=times)
+    return traj.snapshots, traj.sup_uI, traj.sup_eps_uII
 
 
 def _ladder_workers(jobs: int, threads: Optional[int] = None) -> int:
@@ -243,13 +247,13 @@ def ladder_runs(
 
     entries = []
     for eps in eps_list:
-        traj = results[eps]
-        fields = np.stack([s.uI for s in traj.snapshots[: len(times)]])
+        snapshots, sup_uI, sup_eps_uII = results[eps]
+        fields = np.stack([s.uI for s in snapshots[: len(times)]])
         if fields.shape[0] != len(times):
             raise RuntimeError("run did not produce the requested snapshots")
         err = space_time_error(times, fields, ref_fields, grid)
-        res = limit_residual(traj.final, sys)
-        entries.append(LadderEntry(eps, traj, err, res))
+        res = limit_residual(snapshots[-1], sys)
+        entries.append(LadderEntry(eps, snapshots, sup_uI, sup_eps_uII, err, res))
     return entries, times, ref_fields
 
 
@@ -275,7 +279,7 @@ def convergence_study(
         rows.append(
             LadderRow(
                 eps=e.eps, errI=e.errI, errII_weak=e.errII_weak,
-                sup_eps_uII=e.trajectory.sup_eps_uII, observed_order=order,
+                sup_eps_uII=e.sup_eps_uII, observed_order=order,
             )
         )
     return ConvergenceTable(rows=tuple(rows))

@@ -2,10 +2,9 @@
 
 These integrators are deliberately a different discretization family from
 the stiff hyperbolic solver (exact Fourier propagation for constant
-coefficients, implicit central differences otherwise: Crank-Nicolson for
-quasilinear targets, backward Euler for callable diffusion), so that
-agreement between the two is evidence of the analytic limit rather than
-shared bias.
+diffusion, Crank-Nicolson with central differences for callable diffusion,
+both second order in time), so that agreement between the two is evidence
+of the analytic limit rather than shared bias.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import dgtsv
 from scipy.sparse.linalg import splu
 
-from .builder import ParabolicTarget, QuasilinearDivergence, ReactionDiffusion
+from .builder import ParabolicTarget, QuasilinearDivergence, ReactionDiffusion, _block_matrix
 from .core import Array, SpatialGrid, apply_modes, eig_factors, eig_function, field_csv, plan_times
 
 PICARD_TOL = 1e-11
@@ -64,9 +63,9 @@ class _BlockOperator:
     on the diagonal, D1_i diag(B_ij) D1_j across; non-divergence placement is
     sum_ij diag(B_ij) d_i d_j.  Linear in B, so the CSC pattern is built once and
     data = P @ B.ravel(); every block enters the pattern, zero or not.  A 1-d
-    scalar operator on n >= 3 cells is periodic tridiagonal: `factor` and
-    `crank_nicolson` read its three diagonals straight out of data, multiply by
-    slices and solve without factorizing.
+    scalar operator on n >= 3 cells is periodic tridiagonal: `crank_nicolson`
+    reads its three diagonals straight out of data, multiplies by slices and
+    solves without factorizing.
     """
 
     def __init__(self, grid: SpatialGrid, k: int, divergence: bool):
@@ -112,33 +111,19 @@ class _BlockOperator:
         data[self.diag] += 1.0
         return data
 
-    def backward_euler(self, blocks: Array, dt: float) -> sp.csc_matrix:
-        """I - dt * L at coefficient blocks (d, d, k, k, M)."""
-        return sp.csc_matrix((self._data(blocks, dt), self.indices, self.indptr))
-
-    def factor(self, blocks: Array, dt: float) -> Callable[[Array], Array]:
-        """rhs -> (I - dt * L)^-1 rhs at coefficient blocks (d, d, k, k, M).
-
-        A singular system raises RuntimeError on the SuperLU path and
-        LinAlgError on the periodic tridiagonal path.
-        """
-        return self._pair(self._data(blocks, dt))[1]
-
     def crank_nicolson(self, blocks: Array, dt: float) -> Tuple[Callable[[Array], Array], Callable[[Array], Array]]:
         """(u -> (I + dt/2 * L) u, rhs -> (I - dt/2 * L)^-1 rhs) at coefficient blocks (d, d, k, k, M).
 
-        Both come from one assembly of A = I - dt/2 * L: the explicit half is 2u - A u.
+        Both come from one assembly of A = I - dt/2 * L: the explicit half is 2u - A u.  A
+        singular A raises RuntimeError on the SuperLU path and LinAlgError on the periodic
+        tridiagonal path.
         """
-        product, solve = self._pair(self._data(blocks, 0.5 * dt))
-        return (lambda u: 2.0 * u - product(u)), solve
-
-    def _pair(self, data: Array) -> Tuple[Callable[[Array], Array], Callable[[Array], Array]]:
-        """(u -> A u, rhs -> A^-1 rhs) for the matrix A with these data."""
+        data = self._data(blocks, 0.5 * dt)
         if self.lower is None:
             matrix = sp.csc_matrix((data, self.indices, self.indptr))
-            return (lambda u: matrix @ u), _factorize(matrix).solve
+            return (lambda u: 2.0 * u - matrix @ u), _factorize(matrix).solve
         lower, diag, upper = data[self.lower], data[self.diag], data[self.upper]
-        return (lambda u: _cyclic_product(lower, diag, upper, u),
+        return (lambda u: 2.0 * u - _cyclic_product(lower, diag, upper, u),
                 lambda rhs: _cyclic_tridiagonal(lower, diag, upper, rhs))
 
 
@@ -215,20 +200,25 @@ def run_reference(
     """Integrate the parabolic target to time T.
 
     Returns (times, fields) where fields[s] is the solution at times[s]; the
-    initial state is always the first entry.  A reaction-free target with
-    constant diffusion is propagated exactly, one step per output span, and
-    ignores dt; any other takes ceil(span / dt) equal steps per span (dt
-    defaults to T / 1000).  A quasilinear target's step is Crank-Nicolson,
-    second order in dt; a reaction-diffusion one's is first order (see
-    _LinearRD).  Parabolicity of the target is the caller's responsibility to
-    have verified.
+    initial state is always the first entry.  Constant diffusion goes through
+    _LinearRD: without a reaction it is propagated exactly, one step per output
+    span, and ignores dt.  Any other target takes ceil(span / dt) equal steps
+    per span (dt defaults to T / 1000), each second order in dt: a Strang step
+    around the exact map for constant diffusion with a reaction, a
+    Crank-Nicolson step (_PicardQL) for callable diffusion.  T < 0 or dt <= 0
+    raises ValueError.  Parabolicity of the target is the caller's
+    responsibility to have verified.
     """
+    if T < 0:
+        raise ValueError("cannot integrate to negative time")
+    if dt is not None and not dt > 0:
+        raise ValueError(f"reference step dt must be positive, got {dt:g}")
     u0 = np.asarray(u0, dtype=float)
     if dt is None:
         dt = T / 1000.0 if T > 0 else 1.0
-    if isinstance(target, ReactionDiffusion):
+    if isinstance(target, ReactionDiffusion) and not callable(target.diffusion):
         stepper = _LinearRD(target, grid)
-    elif isinstance(target, QuasilinearDivergence):
+    elif isinstance(target, (ReactionDiffusion, QuasilinearDivergence)):
         stepper = _PicardQL(target, grid)
     else:
         raise TypeError(f"unsupported target {type(target)!r}")
@@ -252,70 +242,75 @@ def run_reference(
 
 
 class _LinearRD:
-    """Explicit reaction, then exact Fourier propagation (constant diffusion) or
-    backward Euler with second-order central differences (callable diffusion).
+    """Exact Fourier propagation of constant diffusion, exact in time for any step.
 
-    Without a reaction, constant diffusion is exact in time for any step.
+    A reaction f joins by Strang splitting: half a step of the exact map, one
+    Heun step of u' = f(u), then half a step of the exact map.
     """
 
     def __init__(self, target: ReactionDiffusion, grid: SpatialGrid):
-        self.target = target
-        self.k = target.k
-        self.exact = target.f is None and not callable(target.diffusion)
-        if callable(target.diffusion):
-            op = _BlockOperator(grid, self.k, divergence=False)
-            blocks = target.diffusion_at(grid.flat_points())  # (d, d, k, k, M)
+        self.f, self.k = target.f, target.k
+        self.exact = self.f is None
+        vals, vecs, vecs_inv = eig_factors(-target.mode_symbols(grid))
 
-            def diffusion(dt: float) -> Callable[[Array], Array]:
-                solve = op.factor(blocks, dt)
-                return lambda u: solve(u.reshape(-1)).reshape(u.shape)
-        else:
-            vals, vecs, vecs_inv = eig_factors(-target.mode_symbols(grid))
-
-            def diffusion(dt: float) -> Callable[[Array], Array]:
-                prop = eig_function(vecs, np.exp(dt * vals), vecs_inv).astype(complex)
-                return lambda u: apply_modes(grid, prop, u)
+        def diffusion(dt: float) -> Callable[[Array], Array]:
+            prop = eig_function(vecs, np.exp(dt * vals), vecs_inv).astype(complex)
+            return lambda u: apply_modes(grid, prop, u)
         # one map per distinct dt; an exact step is one per output span, and spans that
         # differ by an ulp would each keep a table, so that map is built per call
         self._diffusion = diffusion if self.exact else functools.cache(diffusion)
 
     def step(self, u: Array, dt: float) -> Array:
-        if self.target.f is not None:
-            u = u + dt * self.target.f(u.reshape(self.k, -1)).reshape(u.shape)
-        try:
+        if self.f is None:
             return self._diffusion(dt)(u)
-        except (RuntimeError, np.linalg.LinAlgError) as err:
-            raise ReferenceError(f"linear solve failed: {err}") from err
+        half = self._diffusion(0.5 * dt)
+        v = half(u).reshape(self.k, -1)
+        rate = self.f(v)
+        v = v + 0.5 * dt * (rate + self.f(v + dt * rate))
+        return half(v.reshape(u.shape))
 
 
 class _PicardQL:
-    """Crank-Nicolson step of u_t = div(B(u) grad u) - div f(u) + g(u), central differences.
+    """Crank-Nicolson step of any callable diffusion, central differences.
 
-    Each Picard sweep evaluates B, f and g at the midpoint m = (u^n + guess) / 2
-    and solves (I - dt/2 L(m)) u = (I + dt/2 L(m)) u^n - dt div f(m) + dt g(m);
+    A quasilinear target u_t = div(B(u) grad u) - div f(u) + g(u) takes
+    divergence placement.  A reaction-diffusion target u_t = sum A_ij(x) d_i d_j u
+    + f(u) takes non-divergence placement with g = f and no flux; its blocks come
+    from diffusion_at once, so its operator is assembled and factorized once per
+    distinct dt.  Each Picard sweep evaluates B, f and g at the midpoint
+    m = (u^n + guess) / 2 and solves
+    (I - dt/2 L(m)) u = (I + dt/2 L(m)) u^n - dt div f(m) + dt g(m);
     the sweeps stop once no entry moves by more than PICARD_TOL.
     """
 
     exact = False
 
-    def __init__(self, target: QuasilinearDivergence, grid: SpatialGrid):
-        self.target = target
+    def __init__(self, target: ParabolicTarget, grid: SpatialGrid):
         self.grid = grid
         self.k = target.k
         # central difference taps per axis as (shifted flat index, weight)
         self.d1 = [[(_shifted(grid, o), w) for o, w in _differences(grid, i)[0]]
                    for i in range(grid.d)]
-        self.op = _BlockOperator(grid, self.k, divergence=True)
+        rd = isinstance(target, ReactionDiffusion)
+        op = _BlockOperator(grid, self.k, divergence=not rd)
+        if rd:
+            blocks = target.diffusion_at(grid.flat_points())
+            frozen = functools.cache(functools.partial(op.crank_nicolson, blocks))
+            self.diffusion, self.flux, self.g = (lambda u: blocks), None, target.f
+            self._crank_nicolson = lambda _, dt: frozen(dt)
+        else:
+            self.diffusion, self.flux, self.g = target.diffusion, target.flux, target.g
+            self._crank_nicolson = op.crank_nicolson
 
     def step(self, u: Array, dt: float) -> Array:
-        grid, k, target = self.grid, self.k, self.target
+        grid, k = self.grid, self.k
         shape = u.shape
         uflat2 = u.reshape(k, -1)
         start = u.reshape(-1)
         guess = start
         for _ in range(PICARD_MAXITER):
             lagged = (0.5 * (start + guess)).reshape(k, -1)  # the midpoint of the step
-            blocks = np.asarray(target.diffusion(lagged), dtype=float)
+            blocks = np.asarray(self.diffusion(lagged), dtype=float)
             bad = np.flatnonzero(~np.isfinite(blocks))
             if bad.size:
                 i, j, a, b, cell = np.unravel_index(bad[0], blocks.shape)
@@ -325,14 +320,14 @@ class _PicardQL:
                     f"(x = {grid.flat_points()[:, cell].tolist()}, u = {lagged[:, cell].tolist()})"
                 )
             forcing = 0.0
-            if target.flux is not None:
-                fl = np.asarray(target.flux(lagged), dtype=float)  # (d, k, M)
+            if self.flux is not None:
+                fl = np.asarray(self.flux(lagged), dtype=float)  # (d, k, M)
                 div = sum(w * fl[i][:, idx] for i in range(grid.d) for idx, w in self.d1[i])
                 forcing -= dt * div.reshape(-1)
-            if target.g is not None:
-                forcing += dt * np.asarray(target.g(lagged), dtype=float).reshape(-1)
+            if self.g is not None:
+                forcing += dt * np.asarray(self.g(lagged), dtype=float).reshape(-1)
             try:
-                explicit, solve = self.op.crank_nicolson(blocks, dt)
+                explicit, solve = self._crank_nicolson(blocks, dt)
                 new = solve(explicit(start) + forcing)
             except (RuntimeError, np.linalg.LinAlgError) as err:
                 raise ReferenceError(f"linear solve failed: {err}") from err
@@ -345,7 +340,7 @@ class _PicardQL:
         msg = (f"lagged-coefficient iteration did not reach {PICARD_TOL:g} "
                f"in {PICARD_MAXITER} sweeps; the last max increment was {inc[worst]:.3g} "
                f"in component {comp + 1} at cell {cell} (x = {grid.flat_points()[:, cell].tolist()})")
-        bmat = self.target.big_b(uflat2).transpose(2, 0, 1)
+        bmat = _block_matrix(np.asarray(self.diffusion(uflat2), dtype=float), grid.cell_count).transpose(2, 0, 1)
         lowest = np.linalg.eigvalsh(0.5 * (bmat + bmat.transpose(0, 2, 1)))[:, 0]
         bad = np.flatnonzero(lowest <= 0.0)
         if bad.size:  # a witness that does not depend on where the iteration wandered

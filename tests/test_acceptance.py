@@ -153,11 +153,11 @@ def test_criterion_05_uniform_bounds(heat_ladder, carleman_ladder, grid):
     """sup_t norms bounded uniformly; eps-weighted sup scales like eps."""
     for bundle, entries, _, _ in (heat_ladder, carleman_ladder):
         u0 = bundle.u0(grid)
-        sup_uI = [e.trajectory.sup_uI for e in entries]
+        sup_uI = [e.sup_uI for e in entries]
         assert max(sup_uI) <= 1.5 * l2_norm(u0, grid), bundle.name
-        fitted_c = [e.trajectory.sup_eps_uII / e.eps for e in entries]
+        fitted_c = [e.sup_eps_uII / e.eps for e in entries]
         assert max(fitted_c) / min(fitted_c) <= 1.2, (bundle.name, fitted_c)
-        assert max(e.trajectory.sup_eps_uII for e in entries) <= 2.0 * max(fitted_c) * EPS_LADDER[0]
+        assert max(e.sup_eps_uII for e in entries) <= 2.0 * max(fitted_c) * EPS_LADDER[0]
     report(5, "uniform bounds")
 
 

@@ -181,6 +181,23 @@ class TestConvergenceStudy:
         default = convergence_study(*args, **kw)
         assert t1.to_csv() == t4.to_csv() == default.to_csv()
 
+    def test_rung_entries_carry_snapshots_and_sup_norms(self, grid64, process_pools):
+        # a rung sends back its snapshots and sup norms only, the same from a worker as in process
+        bundle = builder.demo("heat1d", grid64)
+        u0, eps_list, opts = bundle.u0(grid64), [0.2, 0.1, 0.05], SolverOptions(flux="rusanov")
+        args = (bundle.system, bundle.target, u0, grid64, 0.01, eps_list)
+        forked, times, _ = diagnostics.ladder_runs(*args, opts=opts)
+        local, _, _ = diagnostics.ladder_runs(*args, opts=opts, threads=1)
+        assert process_pools == [4]
+        for eps, a, b in zip(eps_list, forked, local):
+            init = hypersolver.well_prepared_state(bundle.system, grid64, u0, eps)
+            traj = hypersolver.run(bundle.system, init, 0.01, opts, snapshot_times=times)
+            for entry in (a, b):
+                assert (entry.sup_uI, entry.sup_eps_uII) == (traj.sup_uI, traj.sup_eps_uII)
+                assert [s.t for s in entry.snapshots] == list(times)
+                for got, want in zip(entry.snapshots, traj.snapshots):
+                    assert np.array_equal(got.uI, want.uI) and np.array_equal(got.uII, want.uII)
+
     def test_never_more_workers_than_jobs(self, grid64, process_pools):
         # 64 usable CPUs: a 3-rung ladder has 4 jobs with a reference and 3 without one
         heat, null = builder.demo("heat1d", grid64), builder.demo("null-limit", grid64)

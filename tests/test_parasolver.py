@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 import relaxbench as rb
@@ -156,9 +157,11 @@ class TestExactReference:
     def test_other_targets_still_sub_step(self, grid64, monkeypatch, kind):
         if kind == "reaction":
             target = ReactionDiffusion(k=1, d=1, diffusion=isotropic_diffusion(1, 1), f=lambda u: u * (1 - u))
+            stepper = parasolver._LinearRD
         else:
             target = ReactionDiffusion(k=1, d=1, diffusion=lambda x: np.ones((1, 1, 1, 1, x.shape[-1])))
-        calls = _count_steps(monkeypatch, parasolver._LinearRD)
+            stepper = parasolver._PicardQL
+        calls = _count_steps(monkeypatch, stepper)
         run_reference(target, sine_mode(grid64), grid64, 0.01, dt=1e-3, snapshot_times=[0.0025, 0.005])
         assert len(calls) == 3 + 3 + 5  # ceil(span / dt) per span
 
@@ -180,6 +183,23 @@ class TestExactReference:
             tracemalloc.stop()
         table = grid.cell_count * np.dtype(complex).itemsize  # 64 KiB, one per span if memoised
         assert grown < 2 * table
+
+
+class TestReferenceInputs:
+    @pytest.mark.parametrize("name", ["heat1d", "carleman"])
+    def test_negative_horizon_raises(self, name):
+        grid = rb.SpatialGrid((16,), (1.0,))
+        bundle = builder.demo(name, grid)
+        with pytest.raises(ValueError, match="cannot integrate to negative time"):
+            run_reference(bundle.target, bundle.u0(grid), grid, -0.1)
+
+    @pytest.mark.parametrize("name", ["heat1d", "carleman"])
+    @pytest.mark.parametrize("dt", [-1e-3, 0.0])
+    def test_non_positive_step_raises(self, name, dt):
+        grid = rb.SpatialGrid((16,), (1.0,))
+        bundle = builder.demo(name, grid)
+        with pytest.raises(ValueError, match="reference step dt must be positive"):
+            run_reference(bundle.target, bundle.u0(grid), grid, 0.1, dt=dt)
 
 
 class TestImplicitReference:
@@ -260,14 +280,41 @@ class TestQuasilinearReference:
         assert fields.shape[0] == 4
 
 
+def _reaction2(grid):
+    """The k=2 system with cross-diffusion [[1, 0.3], [0.3, 0.5]] and a cubic reaction."""
+    x = grid.flat_points()[0]
+    target = ReactionDiffusion(k=2, d=1, diffusion=np.array([[[[1.0, 0.3], [0.3, 0.5]]]]),
+                               f=lambda u: np.stack([u[0] - u[0] ** 3 - u[1], 0.5 * (u[0] - u[1])]))
+    return target, np.stack([np.sin(TWO_PI * x), 0.5 * np.cos(TWO_PI * x)])
+
+
+def _callable(grid, f=None, offset=0.0):
+    """Callable diffusion _variable_diffusion with reaction f, from a sine of amplitude 1/2."""
+    target = ReactionDiffusion(k=1, d=grid.d, diffusion=_variable_diffusion(grid.d), f=f)
+    return target, sine_mode(grid, amplitude=0.5, offset=offset)
+
+
+# (target, u0) of the references that are not a demo's, by name
+REFERENCE_CASES = {
+    "reaction2": _reaction2,
+    "callable": _callable,
+    "callable-logistic": functools.partial(_callable, f=lambda u: u * (1 - u), offset=0.5),
+}
+
+
 @functools.cache
 def _ladder_reference(name, n, steps):
-    """A demo's reference at the carleman ladder's 11 comparison times, with step T / steps."""
-    grid = rb.SpatialGrid((n,), (1.0,))
-    bundle = builder.demo(name, grid)
+    """A reference at the carleman ladder's 11 comparison times, with step T / steps, on n
+    cells (a tuple for a 2-d grid): a demo's, or one of REFERENCE_CASES."""
+    ns = n if isinstance(n, tuple) else (n,)
+    grid = rb.SpatialGrid(ns, (1.0,) * len(ns))
+    if name in REFERENCE_CASES:
+        target, u0 = REFERENCE_CASES[name](grid)
+    else:
+        bundle = builder.demo(name, grid)
+        target, u0 = bundle.target, bundle.u0(grid)
     times = np.linspace(0.0, LADDER_T, diagnostics.LADDER_SNAPSHOTS)
-    _, fields = run_reference(bundle.target, bundle.u0(grid), grid, LADDER_T, dt=LADDER_T / steps,
-                              snapshot_times=times)
+    _, fields = run_reference(target, u0, grid, LADDER_T, dt=LADDER_T / steps, snapshot_times=times)
     return times, fields, grid
 
 
@@ -277,13 +324,23 @@ def _step_distance(name, n, coarse, fine):
 
 
 class TestSecondOrderReference:
-    """The quasilinear reference is second order in time, so the ladder's step is converged."""
+    """Every reference that is not exact in time is second order in it, so the ladder's step is
+    converged: Crank-Nicolson for callable diffusion, Strang splitting for a reaction."""
 
     def test_ladder_step_agrees_with_a_quarter_of_it(self):
         steps = diagnostics.LADDER_REFERENCE_STEPS
         assert _step_distance("carleman", 256, steps, 4 * steps) <= 1e-7
 
-    @pytest.mark.parametrize("name, n", [("carleman", 256), ("quasilinear-bu2", 128)])
+    def test_reaction_ladder_step_agrees_with_an_eighth_of_it(self):
+        steps = diagnostics.LADDER_REFERENCE_STEPS
+        assert _step_distance("reaction2", 128, steps, 8 * steps) <= 1e-7
+
+    # the 1-d callable cases take the periodic tridiagonal solve, the 2-d ones SuperLU
+    @pytest.mark.parametrize("name, n", [
+        ("carleman", 256), ("quasilinear-bu2", 128), ("reaction2", 128), ("callable", 256), ("callable", (32, 32)),
+        ("callable-logistic", 256), ("callable-logistic", (32, 32)),
+    ], ids=["carleman-256", "quasilinear-bu2-128", "reaction2-128", "callable-256", "callable-32x32",
+            "callable-logistic-256", "callable-logistic-32x32"])
     def test_observed_time_order(self, name, n):
         order = np.log2(_step_distance(name, n, 250, 500) / _step_distance(name, n, 500, 1000))
         assert order >= 1.9
@@ -327,20 +384,27 @@ def _dense_operator(grid, blocks, divergence=True):
 
 
 def _dense_picard_step(target, grid, u, dt):
-    """One Crank-Nicolson step with coefficients lagged at the midpoint, by dense solves."""
+    """One Crank-Nicolson step with coefficients lagged at the midpoint, by dense solves.
+
+    A reaction-diffusion target takes the non-divergence operator at its blocks on the
+    cells, and its reaction in the place of g.
+    """
     k, m = target.k, grid.cell_count
+    rd = isinstance(target, ReactionDiffusion)
+    flux, g = (None, target.f) if rd else (target.flux, target.g)
     start = u.reshape(-1)
     guess = start
     for _ in range(parasolver.PICARD_MAXITER):
         mid = 0.5 * (start + guess).reshape(k, -1)
-        half = 0.5 * dt * _dense_operator(grid, target.diffusion(mid))
+        blocks = target.diffusion_at(grid.flat_points()) if rd else target.diffusion(mid)
+        half = 0.5 * dt * _dense_operator(grid, blocks, divergence=not rd)
         rhs = start + half @ start
-        if target.flux is not None:
-            fl = target.flux(mid)
+        if flux is not None:
+            fl = flux(mid)
             for i in range(grid.d):
                 rhs -= dt * (_dense_differences(grid, i)[0] @ fl[i].T).T.reshape(-1)
-        if target.g is not None:
-            rhs += dt * target.g(mid).reshape(-1)
+        if g is not None:
+            rhs += dt * g(mid).reshape(-1)
         new = np.linalg.solve(np.eye(k * m) - half, rhs)
         if np.max(np.abs(new - guess)) <= parasolver.PICARD_TOL:
             return new.reshape(u.shape)
@@ -389,7 +453,7 @@ class TestBlockAssembly:
         u = np.random.default_rng(3).uniform(0.5, 1.5, size=(2, grid.cell_count))
         blocks = _coupled_diffusion(zero_block)(u)
         op = parasolver._BlockOperator(grid, 2, divergence=divergence)
-        got = np.eye(2 * grid.cell_count) - op.backward_euler(blocks, 1.0).toarray()
+        got = np.eye(2 * grid.cell_count) - sp.csc_matrix((op._data(blocks, 1.0), op.indices, op.indptr)).toarray()
         want = _dense_operator(grid, blocks, divergence)
         assert np.max(np.abs(want)) > 0
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -397,20 +461,26 @@ class TestBlockAssembly:
 
 class TestLinearStep:
     @pytest.mark.parametrize("ns", [(32,), (8, 6)])  # periodic tridiagonal and SuperLU paths
-    def test_variable_coefficient_step_matches_dense_backward_euler(self, ns):
+    def test_variable_coefficient_step_matches_dense_crank_nicolson(self, ns):
         grid = rb.SpatialGrid(ns, (1.0,) * len(ns))
-        diffusion = _variable_diffusion(grid.d)
-        target = ReactionDiffusion(k=1, d=grid.d, diffusion=diffusion, f=lambda u: u * (1 - u))
+        target = ReactionDiffusion(k=1, d=grid.d, diffusion=_variable_diffusion(grid.d), f=lambda u: u * (1 - u))
         u, dt = sine_mode(grid, 0.5, 0.3), 1e-2
-        got = parasolver._LinearRD(target, grid).step(u, dt)
-        dense = _dense_operator(grid, diffusion(grid.flat_points()), divergence=False)
-        rhs = (u + dt * u * (1 - u)).reshape(-1)
-        want = np.linalg.solve(np.eye(grid.cell_count) - dt * dense, rhs).reshape(u.shape)
+        got = parasolver._PicardQL(target, grid).step(u, dt)
+        want = _dense_picard_step(target, grid, u, dt)  # the reaction at the midpoint
         assert np.max(np.abs(got - u)) > 1e-3  # the step moves the state
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
+    def test_stiff_reaction_non_convergence_reports_last_increment(self, grid64):
+        # the midpoint reaction -40 u at dt = 0.1 makes each Picard sweep double the error of the
+        # mean; the positive definite blocks leave no start-state witness to add
+        target = ReactionDiffusion(k=1, d=1, diffusion=_variable_diffusion(1), f=lambda u: -40.0 * u)
+        with pytest.raises(ReferenceError, match=r"the last max increment was [0-9.e+]+ in component 1 "
+                                                 r"at cell \d+ \(x = \[") as info:
+            run_reference(target, sine_mode(grid64, offset=1.0), grid64, 0.1, dt=0.1)
+        assert "not positive definite" not in str(info.value)
+
     def test_singular_callable_diffusion_raises_reference_error(self):
-        # a(x) = (-1/2, 0, 1, 1) on 4 cells with dt / h^2 = 1 zeroes column 0 of I - dt L
+        # a(x) = (-1/2, 0, 1, 1) on 4 cells with dt / (2 h^2) = 1 zeroes column 0 of I - (dt/2) L
         grid = rb.SpatialGrid((4,), (1.0,))
         table = np.array([-0.5, 0.0, 1.0, 1.0])
 
@@ -419,7 +489,7 @@ class TestLinearStep:
 
         target = ReactionDiffusion(k=1, d=1, diffusion=diffusion)
         with pytest.raises(ReferenceError, match="linear solve failed: tridiagonal part is singular") as info:
-            parasolver._LinearRD(target, grid).step(np.ones((1, 4)), 1 / 16)
+            parasolver._PicardQL(target, grid).step(np.ones((1, 4)), 1 / 8)
         assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
@@ -572,7 +642,7 @@ class TestCyclicSolve:
             state_box=((-1.0,), (1.0,)))
         assert self._splu_calls(monkeypatch, two_d, sine_mode(grid, offset=1.0), grid) >= 2
         rd = ReactionDiffusion(k=1, d=2, diffusion=_variable_diffusion(2))
-        assert self._splu_calls(monkeypatch, rd, sine_mode(grid), grid) >= 1
+        assert self._splu_calls(monkeypatch, rd, sine_mode(grid), grid) == 1  # one per distinct dt
         grid = rb.SpatialGrid((16,), (1.0,))
         two_k = QuasilinearDivergence(
             k=2, d=1, diffusion=_constant_diffusion(np.array([[[[1.0, 0.3], [0.0, 0.5]]]])),
