@@ -9,6 +9,7 @@ formatting, so identical configs yield bit-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import math
 import sys as _sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -40,8 +41,15 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
+def _parse_float(raw: str) -> float:
+    """A finite float: nan, inf and overflowing literals such as 1e400 are refused."""
+    if not math.isfinite(val := float(raw)):
+        raise ValueError(f"not a finite number: {raw.strip()!r}")
+    return val
+
+
 def _parse_float_list(raw: str) -> Tuple[float, ...]:
-    return tuple(float(tok) for tok in raw.split(","))
+    return tuple(_parse_float(tok) for tok in raw.split(","))
 
 
 def _parse_int_list(raw: str) -> Tuple[int, ...]:
@@ -51,7 +59,7 @@ def _parse_int_list(raw: str) -> Tuple[int, ...]:
 _PARSERS = {
     "str": lambda raw: raw.strip(),
     "int": int,
-    "float": float,
+    "float": _parse_float,
     "bool": _parse_bool,
     "floats": _parse_float_list,
     "ints": _parse_int_list,

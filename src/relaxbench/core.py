@@ -11,8 +11,10 @@ Conventions used throughout:
   vectorized callable mapping points (d, M) -> (rows, cols, M);
 * state-dependent sources are vectorized callables, e.g. the stiff source
   q(x, u, z) takes x (d, M), u (k, M), z (m, M) and returns (m, M);
-* principal symbols of differential transport carry the factor -i, so that
-  i * symbol has real spectrum exactly when the system is hyperbolic.
+* transport symbols H are real for differential transport and [[0, -iB], [iB, 0]]
+  for a Fourier multiplier B(D); for every system the principal symbol is -i H, a
+  mode evolves by exp((t / eps) * principal symbol), and H has real spectrum exactly
+  when the system is hyperbolic.
 """
 
 from __future__ import annotations
@@ -157,7 +159,12 @@ def plan_times(T: float, snapshot_times: Optional[Sequence[float]]) -> List[floa
 
     A time that close to 0 or to T merges into the initial state or T (so one
     past T by that much lands on T); a cluster of times keeps its earliest.
+    A negative or non-finite T, which no integration reaches, raises ValueError.
     """
+    if T < 0:
+        raise ValueError("cannot integrate to negative time")
+    if not math.isfinite(T):
+        raise ValueError(f"cannot integrate to non-finite time {T}")
     tol = 1e-12 * max(T, 1.0)
     kept = [0.0]
     if snapshot_times is not None:
@@ -248,29 +255,20 @@ def constant_matrix(f: MatrixField) -> Optional[Array]:
 
 @dataclass(frozen=True)
 class SpectralMultiplier:
-    """Tabulated symmetric positive multiplier B(xi) on a grid's Fourier modes.
+    """Symmetric positive multiplier B(xi) = S(xi)^{1/2}, known through its quadratic symbol S.
 
-    Stores the eigendecomposition of the quadratic symbol S(xi) per mode,
-    so B = V diag(sqrt(s)) V^T and any matrix function of B is cheap.
+    symbol maps wave vectors (d, M) to S on each of them, (M, k, k).
     """
 
-    grid: SpatialGrid
     symbol: Callable[[Array], Array]
-    eigvecs: Array   # (*ns, k, k)
-    sqrt_eigs: Array  # (*ns, k)
 
-    def b_at(self, xi) -> Array:
-        """B(xi) for an arbitrary wave vector, shape (k, k)."""
+    def b_at(self, xi: Array) -> Array:
+        """B on wave vectors (d, M), shape (M, k, k); SymbolError where S is not positive semidefinite."""
         s = np.asarray(self.symbol(np.asarray(xi, dtype=float)), dtype=float)
-        s = np.atleast_2d(s)
-        vals, vecs, vecs_t = eig_factors(0.5 * (s + s.T))  # exactly symmetric, so eigh
+        vals, vecs, vecs_t = eig_factors(0.5 * (s + np.swapaxes(s, -1, -2)))  # exactly symmetric, so eigh
         if np.any(vals < -1e-12 * max(1.0, np.max(np.abs(vals)))):
             raise SymbolError("quadratic symbol is not positive semidefinite")
         return eig_function(vecs, np.sqrt(np.clip(vals, 0.0, None)), vecs_t)
-
-    def table(self) -> Array:
-        """B on every grid mode, shape (*ns, k, k)."""
-        return eig_function(self.eigvecs, self.sqrt_eigs, np.swapaxes(self.eigvecs, -1, -2))
 
 
 # ---------------------------------------------------------------------------
@@ -310,9 +308,7 @@ class RelaxationSystem:
 
     @property
     def constant_coefficients(self) -> bool:
-        """True for multiplier transport and when every transport block is an array."""
-        if self.multiplier is not None:
-            return True
+        """True when every transport block is an array, as for multiplier transport, which has none."""
         fields_ = (self.m11, self.m12, self.m21, self.m22)
         return not any(callable(blk) for per_axis in fields_ for blk in per_axis or ())
 
@@ -394,25 +390,26 @@ def transport_blocks(sys: RelaxationSystem, x_points: Array) -> Array:
 
 
 def transport_symbols(sys: RelaxationSystem, x_points: Array, directions: Array) -> Array:
-    """Real transport symbols sum_j xi_j T_j(x) on every (x, xi) pair, (Mx, Mxi, N, N), x outer.
+    """Transport symbols sum_j xi_j T_j(x) on every (x, xi) pair, (Mx, Mxi, N, N), x outer.
 
-    T_j are the transport_blocks, each field evaluated once; multiplier systems
-    give [[0, B(xi)], [-B(xi), 0]] with B evaluated once per direction.
+    T_j are the transport_blocks, each field evaluated once, so these are real; multiplier
+    systems give the complex [[0, -i B(xi)], [i B(xi), 0]] with B evaluated once per direction.
     """
     directions = np.asarray(directions, dtype=float)
     if directions.shape[0] != sys.d:
         raise SymbolError(f"wave vector has dimension {directions.shape[0]}, system is {sys.d}-d")
     if sys.multiplier is not None:
-        b = _direction_sweep(lambda x, xi: sys.multiplier.b_at(xi), x_points, directions)
-        return np.block([[np.zeros_like(b), b], [-b, np.zeros_like(b)]])
+        mx = np.atleast_2d(x_points).shape[1]
+        ib = np.broadcast_to(1j * sys.multiplier.b_at(directions), (mx, directions.shape[1], sys.k, sys.k))
+        return np.block([[np.zeros_like(ib), -ib], [ib, np.zeros_like(ib)]])
     tab = np.moveaxis(transport_blocks(sys, x_points), -1, 1)  # (d, Mx, N, N)
     return np.sum(directions[:, None, :, None, None] * tab[:, :, None], axis=0)
 
 
 def coupling_symbols(sys: RelaxationSystem, x_points: Array, directions: Array) -> Tuple[Array, Array]:
-    """Real coupling blocks (sum xi_j M12_j(x), sum xi_j M21_j(x)), each (Mx, Mxi, rows, cols).
+    """Coupling blocks (sum xi_j M12_j(x), sum xi_j M21_j(x)), each (Mx, Mxi, rows, cols).
 
-    Multiplier systems give (B(xi), -B(xi)).  Both are contiguous copies, so
+    Multiplier systems give (-i B(xi), i B(xi)).  Both are contiguous copies, so
     matrix products on them take the same path as on freshly built stacks.
     """
     syms, k = transport_symbols(sys, x_points, directions), sys.k
@@ -422,12 +419,11 @@ def coupling_symbols(sys: RelaxationSystem, x_points: Array, directions: Array) 
 def principal_symbols(sys: RelaxationSystem, x_points: Array, directions: Array) -> Array:
     """Principal symbols on every (x, xi) pair, shape (Mx, Mxi, N, N) complex.
 
-    x_points is (d, Mx) and directions (d, Mxi); x varies slowest.  Differential
-    systems give -i sum_j xi_j T_j(x) (see transport_symbols); multiplier
-    systems give the real block matrix [[0, B(xi)], [-B(xi), 0]].
+    x_points is (d, Mx) and directions (d, Mxi); x varies slowest.  This is -i
+    times the transport_symbols: -i sum_j xi_j T_j(x) for differential
+    transport, [[0, -B(xi)], [B(xi), 0]] for a multiplier.
     """
-    syms = transport_symbols(sys, x_points, directions)
-    return syms.astype(complex) if sys.multiplier is not None else -1j * syms
+    return -1j * transport_symbols(sys, x_points, directions)
 
 
 def principal_symbol(sys: RelaxationSystem, x, xi) -> Array:
@@ -450,11 +446,10 @@ def limit_generators(sys: RelaxationSystem, x_points: Array, u_points: Array,
                      directions: Array) -> Array:
     """Second-order generators of the relaxed equation on every (x, u, xi) sample.
 
-    For differential transport this is (sum xi_j M12_j) Qnu^{-1} (sum xi_j M21_j)
-    evaluated at z = 0; for multiplier transport it is B(xi) Qnu^{-1} B(xi).
-    The relaxed dynamics per mode reads du/dt = G u + lower order.  Returns
-    (Mx, Mu, Mxi, k, k), x outer and xi inner; SingularSourceError names the
-    first singular (x, u) in that order.
+    This is m12 Qnu^{-1} m21 of the coupling_symbols at z = 0, so a multiplier
+    gives B(xi) Qnu^{-1} B(xi), of complex dtype.  The relaxed dynamics per mode
+    reads du/dt = G u + lower order.  Returns (Mx, Mu, Mxi, k, k), x outer and
+    xi inner; SingularSourceError names the first singular (x, u) in that order.
     """
     mx, mu = x_points.shape[1], u_points.shape[1]
     us = np.tile(u_points, mx)
@@ -471,8 +466,6 @@ def limit_generators(sys: RelaxationSystem, x_points: Array, u_points: Array,
             float(svals[i, -1]), sample=i,
         )
     m12, m21 = coupling_symbols(sys, x_points, directions)
-    if sys.multiplier is not None:
-        m21 = -m21
     qnu = qnu.reshape(mx, mu, 1, sys.m, sys.m)
     return m12[:, None] @ np.linalg.solve(qnu, m21[:, None])
 
@@ -554,14 +547,13 @@ class Symmetrizer:
 def apply_m21_gradient(sys: RelaxationSystem, grid: SpatialGrid, uI: Array) -> Array:
     """Evaluate sum_j M21_j(x) d_j U^I on the grid with spectral derivatives.
 
-    For multiplier systems this is the action of -B(D) on U^I, applied per
-    Fourier mode from the tabulated square-root symbol.
+    For multiplier systems this is the action of -B(D) = i * (i B(D)) on U^I,
+    applied per Fourier mode with B evaluated at the grid's wavenumbers.
     """
     uI = np.asarray(uI, dtype=float)
     if sys.multiplier is not None:
-        if sys.multiplier.grid != grid:
-            raise SymbolError(f"multiplier was tabulated on {sys.multiplier.grid}, not on {grid}")
-        return -apply_modes(grid, sys.multiplier.table(), uI)
+        b = sys.multiplier.b_at(grid.wavenumbers().reshape(grid.d, -1))
+        return -apply_modes(grid, b.reshape(grid.ns + b.shape[1:]), uI)
     grad = spectral_gradient(grid, uI)  # (d, k, *ns)
     m21 = transport_blocks(sys, grid.flat_points())[:, sys.k:, :sys.k]  # (d, m, k, M)
     out = np.zeros((sys.m,) + grid.ns)

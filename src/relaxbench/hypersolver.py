@@ -5,7 +5,7 @@ dissipation travels at the stiff characteristic speed, followed by a
 pointwise implicit solve of the relaxation source, unconditionally stable in
 the relaxation parameter.  Transport can be done with a Rusanov flux, a
 characteristic upwind flux (constant coefficients), or exactly in Fourier
-space (constant coefficients and multiplier systems).
+space from the transport symbol (constant coefficients, multiplier systems included).
 """
 
 from __future__ import annotations
@@ -164,8 +164,6 @@ class _Workspace:
             raise SolverError(f"flux {opts.flux} is not admissible for {sys.name or 'this system'}; "
                               f"it admits {', '.join(admissible_fluxes(sys))} (a multiplier needs "
                               f"spectral; spectral and upwind-characteristic need constant coefficients)")
-        if sys.multiplier is not None and sys.multiplier.grid != grid:
-            raise SolverError(f"multiplier was tabulated on {sys.multiplier.grid}, not on {grid}")
 
         if opts.flux in ("rusanov", "upwind-characteristic"):
             self._build_grid_transport()
@@ -231,32 +229,20 @@ class _Workspace:
     # -- spectral transport ----------------------------------------------------
 
     def _build_spectral_transport(self):
-        """Set self._propagator: dt -> exp(dt * transport generator) per mode, (*ns, N, N) complex."""
-        grid, sys, eps, n, k = self.grid, self.sys, self.eps, self.n, self.k
-        if sys.multiplier is not None:
-            mult = sys.multiplier
-            vt = np.swapaxes(mult.eigvecs, -1, -2)
+        """Set self._propagator: dt -> S^-1 exp((dt / eps) P) S per mode, (*ns, N, N) complex.
 
-            def propagator(dt: float) -> Array:
-                tau = dt / eps
-                cosb = eig_function(mult.eigvecs, np.cos(tau * mult.sqrt_eigs), vt)
-                sinb = eig_function(mult.eigvecs, np.sin(tau * mult.sqrt_eigs), vt)
-                prop = np.zeros(grid.ns + (n, n), dtype=complex)
-                prop[..., :k, k:] = -eps * sinb
-                prop[..., k:, :k] = sinb / eps
-                prop[..., :k, :k] = cosb
-                prop[..., k:, k:] = cosb
-                return prop
-        else:
-            kappa = grid.wavenumbers().reshape(grid.d, -1)
-            hmat = transport_symbols(sys, self.xflat[:, :1], kappa)[0].reshape(grid.ns + (n, n))
-            vals, vecs, vecs_inv = (a.astype(complex) for a in eig_factors(hmat))
-            scale = np.ones(n)
-            scale[k:] = eps
-            rescale = scale[None, :] / scale[:, None]
+        P = -i H is the principal symbol at the wavenumbers; S = diag(1, eps) as it moves (U^I, eps U^II).
+        """
+        grid, eps, n, k = self.grid, self.eps, self.n, self.k
+        kappa = grid.wavenumbers().reshape(grid.d, -1)
+        hmat = transport_symbols(self.sys, self.xflat[:, :1], kappa)[0].reshape(grid.ns + (n, n))
+        vals, vecs, vecs_inv = (a.astype(complex) for a in eig_factors(hmat))
+        scale = np.ones(n)
+        scale[k:] = eps
+        rescale = scale[None, :] / scale[:, None]
 
-            def propagator(dt: float) -> Array:
-                return eig_function(vecs, np.exp(-1j * (dt / eps) * vals), vecs_inv) * rescale
+        def propagator(dt: float) -> Array:
+            return eig_function(vecs, np.exp(-1j * (dt / eps) * vals), vecs_inv) * rescale
         self._propagator = functools.cache(propagator)  # one propagator per distinct dt
 
     # -- source ---------------------------------------------------------------
@@ -342,18 +328,17 @@ def run(
     Callers are expected to have validated the system (or to be deliberately
     running a structure-violating fixture).  Snapshots are taken at the
     plan_times of snapshot_times, landed on exactly, or every snapshot_stride
-    steps; the initial and final states are always included.
+    steps; the initial and final states are always included.  A negative or
+    non-finite T raises ValueError.
     """
     opts = opts or SolverOptions()
-    if T < 0:
-        raise ValueError("cannot integrate to negative time")
+    pending = plan_times(T, snapshot_times)
     grid = init.grid
     ws = _Workspace(sys, grid, init.eps, opts)
     vol = grid.cell_volume
     eps = init.eps
     speed_scaled = ws.speed / eps
 
-    pending = plan_times(T, snapshot_times)
     uI, uII = init.uI.copy(), init.uII.copy()
     t = 0.0
     snapshots = [FieldState(grid, uI.copy(), uII.copy(), t, eps)]

@@ -205,12 +205,11 @@ def run_reference(
     span, and ignores dt.  Any other target takes ceil(span / dt) equal steps
     per span (dt defaults to T / 1000), each second order in dt: a Strang step
     around the exact map for constant diffusion with a reaction, a
-    Crank-Nicolson step (_PicardQL) for callable diffusion.  T < 0 or dt <= 0
-    raises ValueError.  Parabolicity of the target is the caller's
-    responsibility to have verified.
+    Crank-Nicolson step (_PicardQL) for callable diffusion.  A negative or
+    non-finite T, or dt <= 0, raises ValueError.  Parabolicity of the target
+    is the caller's responsibility to have verified.
     """
-    if T < 0:
-        raise ValueError("cannot integrate to negative time")
+    spans = plan_times(T, snapshot_times)
     if dt is not None and not dt > 0:
         raise ValueError(f"reference step dt must be positive, got {dt:g}")
     u0 = np.asarray(u0, dtype=float)
@@ -227,7 +226,7 @@ def run_reference(
     fields = [u0.copy()]
     u = u0.copy()
     t = 0.0
-    for t_next in plan_times(T, snapshot_times):
+    for t_next in spans:
         span = t_next - t
         if span <= 0:
             continue

@@ -127,7 +127,7 @@ def check_conserved_block(sys: RelaxationSystem, samples: SampleSet) -> CheckRes
 
 
 def check_rank_condition(sys: RelaxationSystem, samples: SampleSet) -> CheckResult:
-    """Gram determinant of the coupling block must stay above the floor."""
+    """Gram determinant m21^H m21 of the coupling block must stay above the floor."""
     if sys.k > sys.m:
         return CheckResult(
             "rank_condition", False, -np.inf,
@@ -135,7 +135,7 @@ def check_rank_condition(sys: RelaxationSystem, samples: SampleSet) -> CheckResu
             note="coupling block is too thin whenever the conserved part dominates",
         )
     _, m21 = coupling_symbols(sys, samples.x_points, samples.directions)
-    dets = np.linalg.det(np.swapaxes(m21, -1, -2) @ m21).ravel()
+    dets = np.linalg.det(np.swapaxes(m21, -1, -2).conj() @ m21).real.ravel()  # Hermitian, so real
     i = int(np.argmin(dets))
     best = float(dets[i])
     witness = _witness(samples, ("x", "xi"), i, determinant=best)

@@ -69,6 +69,13 @@ class TestDecouple:
         with pytest.raises(ValueError, match="singular"):
             DecouplingTransform(np.array([[1.0, 1.0], [1.0, 1.0]]), k=1)
 
+    def test_singularity_is_scale_free(self):
+        # a tiny determinant with condition number 1 is fine; a large one with condition number 4e12 is not
+        tiny = DecouplingTransform(1e-7 * np.eye(2), k=1)
+        assert np.allclose(tiny.p_inv @ tiny.p, np.eye(2), rtol=0.0, atol=1e-15)
+        with pytest.raises(ValueError, match=r"numerically singular: condition number 4e\+12"):
+            DecouplingTransform(np.array([[1e6, 1e6], [1e6, 1e6 + 1e-6]]), k=1)
+
     def test_roundtrip_reassembly(self):
         raw, transform, sys = carleman()
         x = np.array([[0.37]])
@@ -265,32 +272,39 @@ def test_diffusion_block_matrix_layout():
 
 
 class TestSqrtSymbol:
-    def test_absolute_value_symbol_1d(self, grid64):
+    def test_absolute_value_symbol_1d(self):
         target = ReactionDiffusion(k=1, d=1, diffusion=isotropic_diffusion(1, 1))
-        sys = from_sqrt_symbol(target, grid64)
-        assert np.allclose(sys.multiplier.b_at([TWO_PI]), TWO_PI)
-        assert np.allclose(sys.multiplier.b_at([0.0]), 0.0)
+        sys = from_sqrt_symbol(target)
+        assert np.allclose(sys.multiplier.b_at([[TWO_PI, -TWO_PI, 0.0]]), [[[TWO_PI]], [[TWO_PI]], [[0.0]]])
 
-    def test_scalar_anisotropic_symbol(self, grid2d):
+    def test_scalar_anisotropic_symbol(self):
         target = ReactionDiffusion(k=1, d=2, diffusion=scalar_diffusion_matrix([[2.0, 0.3], [0.3, 1.0]]))
-        sys = from_sqrt_symbol(target, grid2d)
-        xi = np.array([1.0, 2.0])
+        sys = from_sqrt_symbol(target)
+        xi = np.array([[1.0, 0.5], [2.0, -3.0]])
         want = np.sqrt(2 * xi[0] ** 2 + 0.6 * xi[0] * xi[1] + xi[1] ** 2)
-        assert np.allclose(sys.multiplier.b_at(xi), want, rtol=1e-12)
+        assert np.allclose(sys.multiplier.b_at(xi), want[:, None, None], rtol=1e-12)
 
-    def test_generator_is_minus_quadratic_symbol(self, grid64):
+    def test_refuses_a_symbol_negative_in_some_direction(self):
+        # S(xi) = xi_1^2 + 4 xi_1 xi_2 + xi_2^2 is -1 at +-(1, -1) / sqrt(2); S is even, so either may be named
+        target = ReactionDiffusion(k=1, d=2, diffusion=scalar_diffusion_matrix([[1.0, 2.0], [2.0, 1.0]]))
+        with pytest.raises(BuildError, match="not positive definite: smallest eigenvalue -1 at xi=") as err:
+            from_sqrt_symbol(target)
+        xi = np.array(str(err.value).split("xi=[")[1].rstrip("]").split(), dtype=float)
+        assert np.allclose(np.abs(xi), np.sqrt(0.5), rtol=1e-8) and xi[0] == -xi[1]
+
+    def test_generator_is_minus_quadratic_symbol(self):
         target = ReactionDiffusion(k=1, d=1, diffusion=isotropic_diffusion(1, 1))
-        sys = from_sqrt_symbol(target, grid64)
+        sys = from_sqrt_symbol(target)
         got = rb.limit_generator(sys, [0.0], [0.0], [TWO_PI])
         assert np.allclose(got, -TWO_PI ** 2, rtol=1e-12)
 
-    def test_requires_constant_coefficients(self, grid64):
+    def test_requires_constant_coefficients(self):
         vary = ReactionDiffusion(
             k=1, d=1,
             diffusion=lambda x: (1.0 + 0.1 * np.sin(x[0])).reshape(1, 1, 1, 1, -1),
         )
         with pytest.raises(BuildError, match="constant"):
-            from_sqrt_symbol(vary, grid64)
+            from_sqrt_symbol(vary)
 
 
 class TestRoundTripHypotheses:

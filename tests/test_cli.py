@@ -160,6 +160,17 @@ class TestRunCommand:
         assert "experiment.T" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("line", ["T = nan", "T = inf", "T = 1e400", "u0_amplitude = nan",
+                                      "epsilons = 0.2, nan"])
+    def test_non_finite_number_is_config_error(self, tmp_path, capsys, line):
+        key = line.split(" = ")[0]
+        body = "\n".join(ln for ln in HEAT_CFG.splitlines() if not ln.startswith(f"{key} = "))
+        cfg = write_cfg(tmp_path, f"{body}\n{line}\n")
+        out = tmp_path / "o"
+        assert cli.main(["run", cfg, "--out", str(out)]) == 2
+        assert f"bad value for experiment.{key}: not a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_inadmissible_flux_is_config_error(self, tmp_path, capsys):
         # sqrt-heat transports by a Fourier multiplier, and [solver] flux defaults to rusanov
         cfg = write_cfg(tmp_path, CARLEMAN_CFG.replace("carleman", "sqrt-heat"))

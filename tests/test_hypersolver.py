@@ -3,10 +3,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import relaxbench as rb
 from relaxbench import builder, hypersolver, parasolver
-from relaxbench.core import SymbolError, apply_modes, l2_norm
+from relaxbench.core import apply_modes, l2_norm
 from relaxbench.hypersolver import SolverError, SolverOptions, max_wave_speed, run, snapshot_csv, step
 
 from conftest import four_block_2d, sine_mode
@@ -111,14 +112,13 @@ class TestStep:
         with pytest.raises(SolverError, match="constant"):
             step(sys, state, 1e-6, SolverOptions(flux=flux))
 
-    def test_multiplier_refuses_another_grid(self, grid64):
-        sys = builder.demo("sqrt-heat", grid64).system
-        other = rb.SpatialGrid((64,), (2.0,))
-        state = rb.FieldState(other, sine_mode(other), np.zeros((1, 64)), 0.0, 0.1)
-        with pytest.raises(SolverError, match=r"lengths=\(1\.0,\).*lengths=\(2\.0,\)"):
-            step(sys, state, 1e-6, SolverOptions(flux="spectral"))
-        with pytest.raises(SymbolError, match=r"lengths=\(1\.0,\).*lengths=\(2\.0,\)"):
-            hypersolver.well_prepared_state(sys, other, sine_mode(other), 0.1)
+    def test_multiplier_prepares_on_any_grid(self):
+        # B(D) sin(pi x) = pi sin(pi x) on a period of 2, and Qnu = -1 gives uII = -(-B(D) uI)
+        grid = rb.SpatialGrid((64,), (2.0,))
+        sys = builder.demo("sqrt-heat", rb.SpatialGrid((16,), (1.0,))).system
+        uI = np.sin(np.pi * grid.points()[:1])
+        state = hypersolver.well_prepared_state(sys, grid, uI, 0.1)
+        assert np.allclose(state.uII, np.pi * uI, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("name", builder.DEMO_NAMES)
     def test_admissible_fluxes_are_what_the_integrator_accepts(self, name):
@@ -158,6 +158,24 @@ class TestStep:
 
 
 ARTIFACT_GRIDS = {1: ((16,), (24,)), 2: ((12, 12), (16, 20))}  # those of scripts/artifact_hashes.py
+
+
+class TestSpectralConvention:
+    """The spectral step of every system is generated by its principal symbol P over eps."""
+
+    @pytest.mark.parametrize("name, ns", [("heat1d", (16,)), ("heat2d", (8, 8)), ("aniso2d", (8, 6)),
+                                          ("sqrt-heat", (16,))])
+    def test_propagator_is_expm_of_principal_symbol(self, name, ns):
+        grid = rb.SpatialGrid(ns, (1.0,) * len(ns))
+        sys = builder.demo(name, grid).system
+        eps, dt = 0.1, 0.013
+        prop = hypersolver._Workspace(sys, grid, eps, SolverOptions(flux="spectral"))._propagator(dt)
+        kappa = grid.wavenumbers().reshape(grid.d, -1)
+        scale = np.diag([1.0] * sys.k + [eps] * sys.m)  # the step moves (uI, eps uII)
+        for mode, xi in enumerate(kappa.T):
+            want = np.linalg.inv(scale) @ expm((dt / eps) * rb.principal_symbol(sys, [0.0] * grid.d, xi)) @ scale
+            got = prop.reshape(-1, sys.n, sys.n)[mode]
+            assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want))), (name, xi)
 
 
 def _operands(ns, n, seed):
@@ -388,6 +406,13 @@ class TestRunBookkeeping:
         traj = run(sys, init, 0.0)
         assert len(traj.snapshots) == 1
         assert traj.final.t == 0.0
+
+    @pytest.mark.parametrize("T", [-0.1, np.nan, np.inf])
+    def test_bad_horizon_raises(self, grid64, T):
+        sys = builder.demo("heat1d", grid64).system
+        init = rb.FieldState(grid64, np.zeros((1, 64)), np.zeros((1, 64)), 0.0, 0.1)
+        with pytest.raises(ValueError, match="cannot integrate to (negative|non-finite) time"):
+            run(sys, init, T)
 
     def test_snapshot_times_landed_exactly(self, grid64, heat_bundle):
         sys = builder.demo("heat1d", grid64).system

@@ -193,6 +193,13 @@ class TestReferenceInputs:
         with pytest.raises(ValueError, match="cannot integrate to negative time"):
             run_reference(bundle.target, bundle.u0(grid), grid, -0.1)
 
+    @pytest.mark.parametrize("T", [np.nan, np.inf])
+    def test_non_finite_horizon_raises(self, T):
+        grid = rb.SpatialGrid((16,), (1.0,))
+        bundle = builder.demo("heat1d", grid)
+        with pytest.raises(ValueError, match="cannot integrate to non-finite time"):
+            run_reference(bundle.target, bundle.u0(grid), grid, T)
+
     @pytest.mark.parametrize("name", ["heat1d", "carleman"])
     @pytest.mark.parametrize("dt", [-1e-3, 0.0])
     def test_non_positive_step_raises(self, name, dt):

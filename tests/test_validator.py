@@ -194,9 +194,9 @@ class TestSymmetrizer:
         _, _, sys = builder.carleman()
         assert check_symmetrizer(sys, rb.Symmetrizer.identity(1, 1), samples).passed
 
-    def test_identity_on_sqrt_system(self, grid, samples):
+    def test_identity_on_sqrt_system(self, samples):
         target = ReactionDiffusion(k=1, d=1, diffusion=isotropic_diffusion(1, 1))
-        sys = builder.from_sqrt_symbol(target, grid)
+        sys = builder.from_sqrt_symbol(target)
         assert check_symmetrizer(sys, rb.Symmetrizer.identity(1, 1), samples).passed
 
     def test_mismatched_blocks_fail(self, samples):
