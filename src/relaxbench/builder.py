@@ -498,7 +498,7 @@ def carleman() -> Tuple[RawSystem, DecouplingTransform, RelaxationSystem]:
     )
     transform = DecouplingTransform(p=np.array([[1.0, 1.0], [1.0, -1.0]]), k=1)
     sys = decouple(raw, transform)
-    sys = replace(sys, source_linear_in_v=True, name="carleman")
+    sys = replace(sys, source_linear_in_v=True, positive_states=True, name="carleman")
     return raw, transform, sys
 
 
@@ -539,7 +539,6 @@ class DemoBundle:
     u0: Callable[[SpatialGrid], Array]
     state_box: Tuple[Tuple[float, ...], Tuple[float, ...]]
     symmetrizer: Symmetrizer
-    positive_states: bool = False
 
 
 def _sine(grid: SpatialGrid, amplitude: float, offset: float) -> Array:
@@ -565,24 +564,22 @@ def _quasilinear_bu2(name: str):
 
 @dataclass(frozen=True)
 class _Demo:
-    """One row of the demo table; build(name) returns (system, target or None)."""
+    """One demo row; build(name) returns (system, target or None); state_box serves a target without one."""
 
     d: int
     build: Callable[[str], Tuple[RelaxationSystem, Optional[ParabolicTarget]]]
     amplitude: float = 1.0
     offset: float = 0.0
     state_box: Tuple[Tuple[float, ...], Tuple[float, ...]] = ((-1.5,), (1.5,))
-    positive_states: bool = False
 
 
 _DEMOS = {
-    "carleman": _Demo(1, lambda name: (carleman()[2], carleman_limit_target()),
-                      amplitude=0.5, offset=1.0, state_box=((0.5,), (1.5,)), positive_states=True),
+    "carleman": _Demo(1, lambda name: (carleman()[2], carleman_limit_target()), amplitude=0.5, offset=1.0),
     "heat1d": _Demo(1, lambda name: _spd_demo(name, isotropic_diffusion(1, 1))),
     "heat2d": _Demo(2, lambda name: _spd_demo(name, isotropic_diffusion(1, 2))),
     "aniso2d": _Demo(2, lambda name: _spd_demo(
         name, scalar_diffusion_matrix([[2.0, 0.3], [0.3, 1.0]]))),
-    "quasilinear-bu2": _Demo(1, _quasilinear_bu2, amplitude=0.5, state_box=((-1.0,), (1.0,))),
+    "quasilinear-bu2": _Demo(1, _quasilinear_bu2, amplitude=0.5),
     "sqrt-heat": _Demo(1, lambda name: _spd_demo(name, isotropic_diffusion(1, 1), from_sqrt_symbol)),
     "null-limit": _Demo(1, lambda name: (null_limit_system(), None)),
 }
@@ -604,9 +601,8 @@ def demo(name: str, grid: SpatialGrid, amplitude: Optional[float] = None,
     return DemoBundle(
         name=name, system=sys, target=target,
         u0=lambda g: _sine(g, amp, off),
-        state_box=row.state_box,
+        state_box=target.state_box if isinstance(target, QuasilinearDivergence) else row.state_box,
         symmetrizer=Symmetrizer.identity(sys.k, sys.m),
-        positive_states=row.positive_states,
     )
 
 

@@ -80,7 +80,6 @@ SCHEMA: Dict[str, Dict[str, Tuple[str, object]]] = {
         "cfl": ("float", 0.45),
         "flux": ("str", "rusanov"),
         "snapshot_stride": ("int", 0),
-        "positivity_floor": ("float", None),
     },
     "experiment": {
         "T": ("float", REQUIRED),
@@ -197,10 +196,10 @@ def _validate(exp: Experiment) -> ValidationReport:
 
 
 def _initial_field(exp: Experiment) -> np.ndarray:
-    """The demo's initial conserved field; BuildError if a positive-state demo's is not positive."""
+    """The demo's initial conserved field; BuildError if a positive-state system's is not positive."""
     bundle = exp.bundle
     u0 = bundle.u0(exp.grid)
-    if bundle.positive_states and float(np.min(u0)) <= 0.0:
+    if bundle.system.positive_states and float(np.min(u0)) <= 0.0:
         raise BuildError(f"initial conserved field must stay positive for demo {bundle.name}; "
                          f"minimum is {float(np.min(u0)):.6g}")
     return u0
@@ -282,8 +281,6 @@ def cmd_run(config: str, out: str, allow_invalid: bool = False) -> int:
         f"integrated {bundle.name} to T={expcfg['T']:g} at eps={eps:g}: "
         f"{len(traj.records) - 1} steps, {len(traj.snapshots)} snapshots"
     )
-    if traj.clamp_events:
-        print(f"positivity floor engaged {traj.clamp_events} times")
     return 0
 
 

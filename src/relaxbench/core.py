@@ -300,6 +300,7 @@ class RelaxationSystem:
     reaction: Optional[Callable[[Array], Array]] = None
     multiplier: Optional[SpectralMultiplier] = None
     source_linear_in_v: bool = False
+    positive_states: bool = False  # the structure holds only while every uI component stays > 0
     name: str = ""
 
     @property

@@ -27,6 +27,7 @@ from .core import (
     csv_text,
     eig_factors,
     eig_function,
+    equilibrium_uII,
     field_csv,
     plan_times,
     principal_symbols,
@@ -39,6 +40,7 @@ from .core import (
 FLUXES = ("rusanov", "upwind-characteristic", "spectral")
 NEWTON_TOL = 1e-12
 NEWTON_MAXITER = 25
+MAX_STEPS = 10 ** 6  # a run refuses more; the deepest ladder rung today takes 10240
 
 
 class SolverError(RuntimeError):
@@ -52,7 +54,6 @@ class SolverOptions:
     cfl: float = 0.45
     flux: str = "rusanov"
     snapshot_stride: int = 0
-    positivity_floor: Optional[float] = None
 
     def __post_init__(self):
         if not 0.0 < self.cfl <= 1.0:
@@ -80,7 +81,7 @@ class Trajectory:
     records: List[StepRecord]
     sup_uI: float
     sup_eps_uII: float
-    clamp_events: int = 0
+    clamp_events: int = 0  # always 0: run raises where a positive-state system leaves its states
 
     @property
     def final(self) -> FieldState:
@@ -158,7 +159,6 @@ class _Workspace:
         self.speed = max_wave_speed(sys, grid)
         self.eps2_eye = eps ** 2 * np.eye(self.m)[:, :, None]  # the eps^2 I of every source solve
         self.zero_v = np.zeros((self.m, grid.cell_count))
-        self.clamp_events = 0
 
         if opts.flux not in admissible_fluxes(sys):
             raise SolverError(f"flux {opts.flux} is not admissible for {sys.name or 'this system'}; "
@@ -297,14 +297,16 @@ class _Workspace:
             y = self._transport_grid(y, dt)
         else:
             y = apply_modes(self.grid, self._propagator(dt), y)
-        uI_star, uII_star = y[: self.k], y[self.k:]
-        uI_new, uII_new = self._source(uI_star, uII_star, dt)
-        if self.opts.positivity_floor is not None:
-            below = uI_new < self.opts.positivity_floor
-            if np.any(below):
-                self.clamp_events += int(np.sum(below))
-                uI_new = np.maximum(uI_new, self.opts.positivity_floor)
-        return uI_new, uII_new
+        return self._source(y[: self.k], y[self.k:], dt)
+
+    def check_positive(self, uI: Array, t: float) -> None:
+        """SolverError naming the lowest uI, and its first cell, where a positive-state system's is not positive."""
+        if self.sys.positive_states and not uI.min() > 0.0:
+            low = uI.reshape(self.k, -1).min(axis=0)
+            cell = int(np.argmin(low))
+            raise SolverError(f"uI left the positive states of {self.sys.name or 'this system'} "
+                              f"at eps={self.eps:g}, t={t:.7g}: uI={low[cell]:.6g} at cell {cell} "
+                              f"(x={', '.join(f'{v:.8g}' for v in self.xflat[:, cell])})")
 
 
 def step(sys: RelaxationSystem, state: FieldState, dt: float,
@@ -329,7 +331,8 @@ def run(
     running a structure-violating fixture).  Snapshots are taken at the
     plan_times of snapshot_times, landed on exactly, or every snapshot_stride
     steps; the initial and final states are always included.  A negative or
-    non-finite T raises ValueError.
+    non-finite T raises ValueError.  SolverError is raised if T needs more than MAX_STEPS
+    steps, and at the first state that is non-finite or, for positive_states, has uI <= 0.
     """
     opts = opts or SolverOptions()
     pending = plan_times(T, snapshot_times)
@@ -348,6 +351,10 @@ def run(
     sup_eps_uII = eps * float(np.sqrt(nII2))
 
     dt_max = ws.max_dt()
+    if T > MAX_STEPS * dt_max:  # dt_max is 0 if a subnormal eps underflowed it
+        raise SolverError(f"T={T:g} at eps={eps:g} needs {T / dt_max if dt_max else math.inf:.6g} steps of "
+                          f"dt={dt_max:.6g}, more than MAX_STEPS = {MAX_STEPS}")
+    ws.check_positive(uI, t)
     nsteps = 0
     tiny = 1e-12 * max(T, 1.0)
     while t < T - tiny:
@@ -362,6 +369,7 @@ def run(
             if bad.any():
                 raise SolverError(f"state became non-finite at t={t + dt:.6g}, cell {int(np.argmax(bad))}")
         t += dt
+        ws.check_positive(uI, t)
         nsteps += 1
         sup_uI = max(sup_uI, float(np.sqrt(nI2)))
         sup_eps_uII = max(sup_eps_uII, eps * float(np.sqrt(nII2)))
@@ -372,19 +380,13 @@ def run(
             snapshots.append(FieldState(grid, uI.copy(), uII.copy(), t, eps))
 
     records.append(StepRecord(t, 0.0, nI2 + eps ** 2 * nII2, speed_scaled, nII2))
-    return Trajectory(
-        snapshots=snapshots, records=records,
-        sup_uI=sup_uI, sup_eps_uII=sup_eps_uII,
-        clamp_events=ws.clamp_events,
-    )
+    return Trajectory(snapshots=snapshots, records=records, sup_uI=sup_uI, sup_eps_uII=sup_eps_uII)
 
 
 def well_prepared_state(
     sys: RelaxationSystem, grid: SpatialGrid, uI: Array, eps: float
 ) -> FieldState:
     """Initial data on the local-equilibrium manifold (no initial layer)."""
-    from .core import equilibrium_uII
-
     uII = equilibrium_uII(sys, grid, uI)
     return FieldState(grid, np.asarray(uI, dtype=float), uII, 0.0, eps)
 
@@ -395,6 +397,7 @@ __all__ = [
     "admissible_fluxes",
     "NEWTON_TOL",
     "NEWTON_MAXITER",
+    "MAX_STEPS",
     "StepRecord",
     "Trajectory",
     "snapshot_csv",

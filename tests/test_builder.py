@@ -379,7 +379,7 @@ def test_demo_bundle_pinned(name):
     bundle = builder.demo(name, grid)
     assert bundle.name == name and bundle.system.d == d
     assert np.array_equal(bundle.u0(grid), sine_mode(grid, amplitude=amp, offset=off))
-    assert bundle.state_box == box and bundle.positive_states is positive
+    assert bundle.state_box == box and bundle.system.positive_states is positive
     assert type(bundle.target) is target_cls
     assert (bundle.system.k, bundle.system.m) == (k, m)
     sym = bundle.symmetrizer

@@ -51,6 +51,11 @@ epsilon = 0.1
 """
 
 
+def readme_config_block():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+
+
 class TestConfigParsing:
     def test_missing_system_kind_named(self, tmp_path):
         cfg = write_cfg(tmp_path, "[system]\nname = heat1d\n[grid]\nn = 64\n[experiment]\nT = 0.1\n")
@@ -75,21 +80,23 @@ class TestConfigParsing:
     @pytest.mark.parametrize("section, line", [
         ("solver", "source_solve = newton"), ("solver", "newton_tol = 1e-10"),
         ("solver", "newton_maxiter = 5"), ("experiment", "snapshots = 3"),
+        ("solver", "positivity_floor = 1e-8"),
     ])
     def test_retired_keys_are_config_errors(self, tmp_path, capsys, section, line):
-        # the source solve, Newton limits and ladder times follow from the system
+        # the source solve, Newton limits, ladder times and positive states follow from the system
         cfg = write_cfg(tmp_path, CARLEMAN_CFG + f"\n[{section}]\n{line}\n")
         assert cli.main(["validate", cfg, "--out", str(tmp_path / "o")]) == 2
         assert f"unknown key {section}.{line.split()[0]}" in capsys.readouterr().err
 
     def test_readme_config_block_builds(self, tmp_path):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
-        cfg = cli.parse_config(write_cfg(tmp_path, block))
+        cfg = cli.parse_config(write_cfg(tmp_path, readme_config_block()))
         cli.build_experiment(cfg)
-        for section, keys in cli.SCHEMA.items():  # and every key is documented
-            for key in keys:
-                assert re.search(rf"^{key} =", block, re.M), f"{section}.{key}"
+
+    def test_readme_config_block_lists_exactly_the_schema(self):
+        # section by section and in order, so a retired key cannot linger in the docs
+        parts = re.split(r"^\[(\w+)\]$", readme_config_block(), flags=re.M)[1:]
+        documented = [(sec, re.findall(r"^(\w+) =", body, re.M)) for sec, body in zip(parts[::2], parts[1::2])]
+        assert documented == [(sec, list(keys)) for sec, keys in cli.SCHEMA.items()]
 
     def test_comments_and_defaults(self, tmp_path):
         cfg = write_cfg(tmp_path, HEAT_CFG + "# trailing comment\n")
@@ -147,6 +154,21 @@ class TestRunCommand:
         out = tmp_path / "out"
         assert cli.main(["run", cfg, "--out", str(out)]) == 0
         assert sorted(p.name for p in out.glob("snapshot_*.csv")) == ["snapshot_000.csv"]
+
+    def test_carleman_leaving_positive_states_is_run_error(self, tmp_path, capsys):
+        # starts at min 0.01; the first step (dt = 3.515625e-4) takes cell 45 to -0.0244
+        cfg = write_cfg(tmp_path, CARLEMAN_CFG.replace("epsilon = 0.1", "epsilon = 0.05").replace(
+            "T = 0.01", "T = 0.05") + "u0_amplitude = 0.99\n[solver]\nflux = spectral\n")
+        out = tmp_path / "o"
+        assert cli.main(["run", cfg, "--out", str(out)]) == 1
+        assert "error: uI left the positive states of carleman at eps=0.05, t=0.0003515625: " \
+            "uI=-0.0243845 at cell 45 (x=0.7109375)\n" in capsys.readouterr().err
+        assert not (out / "steps.csv").exists()
+
+    def test_unfinishable_run_is_refused_before_stepping(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, HEAT_CFG.replace("n = 128", "n = 64").replace("epsilon = 0.05", "epsilon = 1e-9"))
+        assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "needs 7.11111e+09 steps of dt=7.03125e-12, more than MAX_STEPS" in capsys.readouterr().err
 
     def test_carleman_nonpositive_density_rejected(self, tmp_path):
         body = CARLEMAN_CFG + "u0_offset = 0.2\n"  # 0.2 + 0.5 sin dips below zero
@@ -228,6 +250,14 @@ class TestConvergeCommand:
         err = capsys.readouterr().err
         assert "initial conserved field must stay positive for demo carleman" in err
         assert "minimum is -0.498193" in err
+
+    def test_rung_leaving_positive_states_names_its_eps(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, CARLEMAN_CFG.replace("T = 0.01", "T = 0.05") +
+                        "epsilons = 0.2, 0.1, 0.05\nu0_amplitude = 0.99\n[solver]\nflux = spectral\n")
+        out = tmp_path / "o"
+        assert cli.main(["converge", cfg, "--out", str(out), "--threads", "1"]) == 1
+        assert "uI left the positive states of carleman at eps=0.05, t=0.0003515625" in capsys.readouterr().err
+        assert not (out / "convergence.csv").exists()
 
     def test_ill_prepared_start_is_config_error(self, tmp_path, monkeypatch, capsys):
         # every rung starts well-prepared, so the key cannot be honoured

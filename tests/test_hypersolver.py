@@ -454,15 +454,49 @@ class TestRunBookkeeping:
         assert all(b > a for a, b in zip(ts, ts[1:]))
         assert traj.final.t == pytest.approx(0.01, abs=1e-12)
 
-    def test_positivity_floor_counts_events(self, grid64):
+    @pytest.mark.parametrize("flux, low", [("spectral", "-0.0243845"), ("rusanov", "-0.0324122")],
+                             ids=["spectral", "rusanov"])
+    def test_positive_states_raise_at_the_first_dip(self, grid64, flux, low):
+        # carleman at amplitude 0.99 starts at min 0.01; its first step takes uI below 0 in
+        # cells 44, 45, 50 and 51, lowest in 45 (tied with 50)
+        bundle = builder.demo("carleman", grid64, amplitude=0.99)
+        assert bundle.system.positive_states
+        init = hypersolver.well_prepared_state(bundle.system, grid64, bundle.u0(grid64), 0.05)
+        dt = hypersolver._Workspace(bundle.system, grid64, 0.05, SolverOptions()).max_dt()
+        assert dt == pytest.approx(3.515625e-4, rel=1e-12)
+        with pytest.raises(SolverError, match=rf"^uI left the positive states of carleman at eps=0.05, "
+                                              rf"t=0.0003515625: uI={low} at cell 45 \(x=0.7109375\)$"):
+            run(bundle.system, init, 0.05, SolverOptions(flux=flux))
+
+    def test_positive_states_refuse_a_nonpositive_start(self, grid64):
         _, _, sys = builder.carleman()
-        x = grid64.axis_centers(0)
-        rho = (0.05 + 0.5 * np.abs(np.sin(TWO_PI * x)))[None]  # dips near the floor
-        init = hypersolver.well_prepared_state(sys, grid64, rho, 0.2)
-        opts = SolverOptions(flux="rusanov", positivity_floor=0.2)
-        traj = run(sys, init, 0.005, opts)
-        assert traj.clamp_events > 0
-        assert np.min(traj.final.uI) >= 0.2
+        # 0.5 + sin(2 pi x) is lowest in cells 47 and 48, either side of x = 3/4; the first is named
+        init = rb.FieldState(grid64, sine_mode(grid64, offset=0.5), np.zeros((1, 64)), 0.0, 0.1)
+        with pytest.raises(SolverError, match=r"at eps=0.1, t=0: uI=-0.498795 at cell 47 \(x=0.7421875\)$"):
+            run(sys, init, 0.01)
+
+    def test_undeclared_states_are_not_checked(self, grid64):
+        sys = builder.demo("heat1d", grid64).system
+        init = hypersolver.well_prepared_state(sys, grid64, sine_mode(grid64), 0.1)
+        assert not sys.positive_states
+        assert run(sys, init, 0.01).final.uI.min() < 0.0
+
+    def test_step_bound_refuses_an_unfinishable_run(self, grid64):
+        sys = builder.demo("heat1d", grid64).system
+        init = rb.FieldState(grid64, np.zeros((1, 64)), np.zeros((1, 64)), 0.0, 1e-9)
+        with pytest.raises(SolverError, match=r"^T=0.05 at eps=1e-09 needs 7.11111e\+09 steps of "
+                                              r"dt=7.03125e-12, more than MAX_STEPS = 1000000$"):
+            run(sys, init, 0.05, SolverOptions(flux="spectral"))
+
+    def test_step_bound_is_ceil_of_horizon_over_step(self, grid64, monkeypatch):
+        # dt = 0.45 * 0.1 / 64 = 7.03125e-4, so T = 0.01 takes ceil(14.22) = 15 steps
+        sys = builder.demo("heat1d", grid64).system
+        init = hypersolver.well_prepared_state(sys, grid64, sine_mode(grid64), 0.1)
+        monkeypatch.setattr(hypersolver, "MAX_STEPS", 15)
+        assert len(run(sys, init, 0.01).records) - 1 == 15
+        monkeypatch.setattr(hypersolver, "MAX_STEPS", 14)
+        with pytest.raises(SolverError, match="needs 14.2222 steps"):
+            run(sys, init, 0.01)
 
 
 class TestSnapshotExport:
