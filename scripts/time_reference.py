@@ -12,8 +12,9 @@ accuracy per cost.  The cases are:
 * a k=2 reaction-diffusion reference (n=128): constant cross-diffusion
   [[1, 0.3], [0.3, 0.5]], reaction (u1 - u1^3 - u2, (u1 - u2)/2), data
   (sin 2 pi x, cos(2 pi x) / 2), stepped by Strang splitting;
-* a callable-diffusion reference on 32 x 32 cells: a(x) with a cross term and a
-  logistic reaction, stepped by Crank-Nicolson through SuperLU.
+* a callable-diffusion reference on 32 x 32 cells: a(x) with a cross term,
+  stepped by Crank-Nicolson through SuperLU, without a reaction (one solve
+  per step) and with a logistic reaction (Picard sweeps).
 
 From the root of a source checkout:
 
@@ -47,7 +48,7 @@ def reaction2(grid):
     return target, np.stack([np.sin(TWO_PI * x), 0.5 * np.cos(TWO_PI * x)])
 
 
-def callable_logistic(grid):
+def callable_diffusion(grid, f=None):
     def diffusion(x):
         out = np.zeros((2, 2, 1, 1, x.shape[-1]))
         out[0, 0, 0, 0] = 1.0 + 0.5 * np.sin(TWO_PI * x[0])
@@ -56,7 +57,7 @@ def callable_logistic(grid):
         return out
 
     x, y = grid.points()
-    target = ReactionDiffusion(k=1, d=2, diffusion=diffusion, f=lambda u: u * (1 - u))
+    target = ReactionDiffusion(k=1, d=2, diffusion=diffusion, f=f)
     return target, (0.5 + 0.5 * np.sin(TWO_PI * x) * np.sin(TWO_PI * y))[None]
 
 
@@ -97,7 +98,8 @@ def main():
     print(f"carleman reference n={n} T={T} dt=T/{STEPS}: {count} sweeps ({count / STEPS:.2f} per step), "
           + timing(walls, distance()))
 
-    for name, ns, case in (("reaction2", (128,), reaction2), ("callable-logistic", (32, 32), callable_logistic)):
+    for name, ns, case in (("reaction2", (128,), reaction2), ("callable", (32, 32), callable_diffusion),
+                           ("callable-logistic", (32, 32), lambda g: callable_diffusion(g, lambda u: u * (1 - u)))):
         grid = rb.SpatialGrid(ns, (1.0,) * len(ns))
         walls, distance = best_of(*case(grid), grid)
         print(f"{name} reference n={'x'.join(map(str, ns))} T={T} dt=T/{STEPS}: {STEPS} steps, "

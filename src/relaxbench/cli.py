@@ -205,6 +205,19 @@ def _initial_field(exp: Experiment) -> np.ndarray:
     return u0
 
 
+def _outside_state_box(exp: Experiment, u0: np.ndarray) -> Optional[str]:
+    """Where u0 lies farthest outside the state box that the validation certifies, or None."""
+    lo, hi = (np.asarray(bound, dtype=float)[:, None] for bound in exp.bundle.state_box)
+    u = u0.reshape(len(lo), -1)
+    excess = np.maximum(lo - u, u - hi)
+    if not excess.max() > 0.0:
+        return None
+    comp, cell = np.unravel_index(int(np.argmax(excess)), excess.shape)
+    x = ", ".join(f"{v:.8g}" for v in exp.grid.flat_points()[:, cell])
+    return (f"initial uI_{comp + 1} = {u[comp, cell]:.6g} at cell {cell} (x={x}) lies outside "
+            f"[{lo[comp, 0]:g}, {hi[comp, 0]:g}], the state box that report.csv certifies")
+
+
 def report_csv(report: ValidationReport) -> str:
     entries = report.entries
     witness = [";".join(filter(None, (e.witness_str(), e.note and f"note={e.note}")))
@@ -256,6 +269,10 @@ def cmd_run(config: str, out: str, allow_invalid: bool = False) -> int:
 
     grid, bundle = exp.grid, exp.bundle
     u0 = _initial_field(exp)
+    outside = _outside_state_box(exp, u0)
+    if outside and not allow_invalid:
+        print(f"{outside}; rerun with --allow-invalid to force", file=_sys.stderr)
+        return 1
 
     if expcfg["well_prepared"]:
         init = hypersolver.well_prepared_state(bundle.system, grid, u0, eps)

@@ -3,9 +3,9 @@
 One step is a Lie splitting: an explicit transport update whose numerical
 dissipation travels at the stiff characteristic speed, followed by a
 pointwise implicit solve of the relaxation source, unconditionally stable in
-the relaxation parameter.  Transport can be done with a Rusanov flux, a
-characteristic upwind flux (constant coefficients), or exactly in Fourier
-space from the transport symbol (constant coefficients, multiplier systems included).
+the relaxation parameter.  Transport is done with a Rusanov flux on the grid,
+or exactly in Fourier space from the transport symbol (constant coefficients,
+multiplier systems included).
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .core import (
     unit_directions,
 )
 
-FLUXES = ("rusanov", "upwind-characteristic", "spectral")
+FLUXES = ("rusanov", "spectral")
 NEWTON_TOL = 1e-12
 NEWTON_MAXITER = 25
 MAX_STEPS = 10 ** 6  # a run refuses more; the deepest ladder rung today takes 10240
@@ -163,9 +163,9 @@ class _Workspace:
         if opts.flux not in admissible_fluxes(sys):
             raise SolverError(f"flux {opts.flux} is not admissible for {sys.name or 'this system'}; "
                               f"it admits {', '.join(admissible_fluxes(sys))} (a multiplier needs "
-                              f"spectral; spectral and upwind-characteristic need constant coefficients)")
+                              f"spectral; spectral needs constant coefficients)")
 
-        if opts.flux in ("rusanov", "upwind-characteristic"):
+        if opts.flux == "rusanov":
             self._build_grid_transport()
         else:
             self._build_spectral_transport()
@@ -198,20 +198,10 @@ class _Workspace:
             radii = np.max(np.abs(np.linalg.eigvals(np.moveaxis(tab, -1, 1))), axis=(1, 2))
         if eps * radii.max() > self.speed * (1.0 + 1e-9):
             self.speed = eps * float(radii.max())
-        absc = []   # dissipation per axis: |C_j| (characteristic) or radius * I (Rusanov)
-        for j in range(grid.d):
-            if self.opts.flux == "upwind-characteristic":
-                try:
-                    vals, vecs, vecs_inv = eig_factors(tab[j, :, :, 0])
-                except np.linalg.LinAlgError as err:
-                    raise SolverError("transport matrix is not diagonalizable") from err
-                if np.max(np.abs(vals.imag)) > 1e-9 * max(1.0, np.max(np.abs(vals))):
-                    raise SolverError("characteristic upwind needs real characteristic speeds")
-                absc.append(eig_function(vecs, np.abs(vals.real), vecs_inv).real)
-            else:
-                absc.append(float(radii[j]) * np.eye(n))
         self.advect = [_coefficient_product(c) for c in self.cmat]
-        self.dissipate = [_coefficient_product(a) for a in absc]
+        # the Rusanov dissipation radius_j * I, not a scalar multiply: radius * x would
+        # keep a -0.0 that einsum's +0.0 start does not
+        self.dissipate = [_coefficient_product(float(r) * np.eye(n)) for r in radii]
 
     def _transport_grid(self, y: Array, dt: float) -> Array:
         grid = self.grid

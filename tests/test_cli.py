@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from relaxbench import cli
+from relaxbench import builder, cli, hypersolver
 from relaxbench.builder import BuildError
 from relaxbench.core import SingularSourceError, SymbolError
 from relaxbench.hypersolver import SolverError
@@ -98,6 +98,12 @@ class TestConfigParsing:
         documented = [(sec, re.findall(r"^(\w+) =", body, re.M)) for sec, body in zip(parts[::2], parts[1::2])]
         assert documented == [(sec, list(keys)) for sec, keys in cli.SCHEMA.items()]
 
+    def test_readme_config_block_lists_exactly_the_choices(self):
+        # continuation lines included and in order, so a retired demo or flux cannot linger in the docs
+        for key, choices in (("name", builder.DEMO_NAMES), ("flux", hypersolver.FLUXES)):
+            comment = re.search(rf"^{key} = [^#]*#(.*(?:\n\s+#.*)*)", readme_config_block(), re.M).group(1)
+            assert [c.strip() for c in comment.replace("#", "").split("|")] == list(choices), key
+
     def test_comments_and_defaults(self, tmp_path):
         cfg = write_cfg(tmp_path, HEAT_CFG + "# trailing comment\n")
         values = cli.parse_config(cfg)
@@ -156,14 +162,28 @@ class TestRunCommand:
         assert sorted(p.name for p in out.glob("snapshot_*.csv")) == ["snapshot_000.csv"]
 
     def test_carleman_leaving_positive_states_is_run_error(self, tmp_path, capsys):
-        # starts at min 0.01; the first step (dt = 3.515625e-4) takes cell 45 to -0.0244
+        # starts at min 0.01, outside the state box; the first step (dt = 3.515625e-4) takes cell 45 to -0.0244
         cfg = write_cfg(tmp_path, CARLEMAN_CFG.replace("epsilon = 0.1", "epsilon = 0.05").replace(
             "T = 0.01", "T = 0.05") + "u0_amplitude = 0.99\n[solver]\nflux = spectral\n")
         out = tmp_path / "o"
-        assert cli.main(["run", cfg, "--out", str(out)]) == 1
+        assert cli.main(["run", cfg, "--out", str(out), "--allow-invalid"]) == 1
         assert "error: uI left the positive states of carleman at eps=0.05, t=0.0003515625: " \
             "uI=-0.0243845 at cell 45 (x=0.7109375)\n" in capsys.readouterr().err
         assert not (out / "steps.csv").exists()
+
+    @pytest.mark.parametrize("data, witness", [
+        ("u0_amplitude = 0.6", "uI_1 = 1.59928 at cell 15 (x=0.2421875)"),  # [0.4, 1.6], both ends out
+        ("u0_offset = 0.9\nu0_amplitude = 0.45", "uI_1 = 0.450542 at cell 47 (x=0.7421875)"),  # [0.45, 1.35]
+    ], ids=["both-ends", "below"])
+    def test_start_outside_the_state_box_needs_flag(self, tmp_path, capsys, data, witness):
+        # validation certifies carleman on [0.5, 1.5] only; the farthest value outside is named
+        cfg = write_cfg(tmp_path, CARLEMAN_CFG + data + "\n")
+        out = tmp_path / "o1"
+        assert cli.main(["run", cfg, "--out", str(out)]) == 1
+        assert f"initial {witness} lies outside [0.5, 1.5], the state box " \
+            "that report.csv certifies; rerun with --allow-invalid to force\n" in capsys.readouterr().err
+        assert (out / "report.csv").exists() and not (out / "steps.csv").exists()
+        assert cli.main(["run", cfg, "--out", str(tmp_path / "o2"), "--allow-invalid"]) == 0
 
     def test_unfinishable_run_is_refused_before_stepping(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, HEAT_CFG.replace("n = 128", "n = 64").replace("epsilon = 0.05", "epsilon = 1e-9"))
@@ -200,6 +220,13 @@ class TestRunCommand:
         assert cli.main(["run", cfg, "--out", str(out)]) == 2
         assert "solver.flux = rusanov is not admissible for demo sqrt-heat; choose from spectral" \
             in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_retired_flux_is_config_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, HEAT_CFG.replace("flux = spectral", "flux = upwind-characteristic"))
+        out = tmp_path / "o"
+        assert cli.main(["run", cfg, "--out", str(out)]) == 2
+        assert "config error: flux must be one of ('rusanov', 'spectral')" in capsys.readouterr().err
         assert not out.exists()
 
     def test_invalid_system_needs_flag(self, tmp_path):

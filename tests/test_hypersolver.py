@@ -100,9 +100,9 @@ class TestStep:
         with pytest.raises(SolverError, match="constant"):
             step(bundle.system, state, 1e-6, SolverOptions(flux="spectral"))
 
-    @pytest.mark.parametrize("flux", ["spectral", "upwind-characteristic"])
+    @pytest.mark.parametrize("flux", ["spectral"])
     def test_variable_block_is_not_constant(self, grid64, flux):
-        # heat1d with an x-dependent m12: both fluxes would use cell 0's coefficients everywhere
+        # heat1d with an x-dependent m12: the spectral flux would use cell 0's coefficients everywhere
         def m12(x):
             return (1.0 + 0.5 * np.sin(TWO_PI * x[0])).reshape(1, 1, -1)
 
@@ -136,25 +136,15 @@ class TestStep:
             else:
                 assert flux in want
 
-    def test_upwind_refuses_complex_characteristic_speeds(self, grid64):
-        # m21 = -m12 makes C = [[0, 1], [-1/eps^2, 0]], whose eigenvalues are +-i/eps
-        sys = rb.RelaxationSystem(
-            k=1, m=1, d=1, m12=(np.eye(1),), m21=(-np.eye(1),),
-            q=lambda x, u, z: -z, q_nu=lambda x, u, z: -np.ones((1, 1, z.shape[-1])),
-        )
-        state = rb.FieldState(grid64, sine_mode(grid64), np.zeros((1, 64)), 0.0, 0.1)
-        with pytest.raises(SolverError, match="real characteristic speeds"):
-            step(sys, state, 1e-6, SolverOptions(flux="upwind-characteristic"))
-
-    def test_upwind_refuses_defective_transport(self, grid64):
-        # m21 = 0 makes C = [[0, 1], [0, 0]], a Jordan block: |C| does not exist
+    def test_spectral_refuses_defective_transport(self, grid64):
+        # m21 = 0 makes every nonzero mode's transport symbol a Jordan block: no propagator S^-1 exp(P) S
         sys = rb.RelaxationSystem(
             k=1, m=1, d=1, m12=(np.eye(1),), m21=(np.zeros((1, 1)),),
             q=lambda x, u, z: -z, q_nu=lambda x, u, z: -np.ones((1, 1, z.shape[-1])),
         )
         state = rb.FieldState(grid64, sine_mode(grid64), np.zeros((1, 64)), 0.0, 0.1)
-        with pytest.raises(SolverError, match="not diagonalizable"):
-            step(sys, state, 1e-6, SolverOptions(flux="upwind-characteristic"))
+        with pytest.raises(np.linalg.LinAlgError, match="not diagonalizable"):
+            step(sys, state, 1e-6, SolverOptions(flux="spectral"))
 
 
 ARTIFACT_GRIDS = {1: ((16,), (24,)), 2: ((12, 12), (16, 20))}  # those of scripts/artifact_hashes.py
@@ -227,12 +217,12 @@ class TestCoefficientProduct:
         assert not any(isinstance(p, functools.partial) for p in ws.advect + ws.dissipate)
 
     def test_dense_rows_and_per_cell_tables_keep_einsum(self):
+        mat = np.array([[1.5, -0.0, 0.25], [-2.0, 0.5, -0.75], [0.0, 0.0, 3.0]])
+        product = hypersolver._coefficient_product(mat)
+        assert isinstance(product, functools.partial) and product.func is np.einsum
+        for label, x in _operands((7, 5), 3, seed=4).items():
+            assert product(x).tobytes() == np.einsum("ab...,b...->a...", mat, x).tobytes(), label
         grid = rb.SpatialGrid((12, 12), (1.0, 1.0))
-        ws = hypersolver._Workspace(builder.demo("aniso2d", grid).system, grid, 0.1,
-                                    SolverOptions(flux="upwind-characteristic"))
-        dense = [p for p in ws.dissipate if isinstance(p, functools.partial)]
-        assert dense and all(p.func is np.einsum for p in dense)
-        assert np.count_nonzero(dense[0].args[1], axis=1).max() >= 3
         ws = hypersolver._Workspace(four_block_2d(), grid, 0.1, SolverOptions())
         assert all(isinstance(p, functools.partial) and p.func is np.einsum for p in ws.advect)
 
@@ -269,7 +259,7 @@ class TestSingleModeDecay:
         )
         oracle = parasolver.exact_mode_oracle(1.0, [TWO_PI], 0.1, eps=eps)
         u_exact, _ = oracle.evolve(1.0, -1j * TWO_PI, 0.1)
-        for flux in ("spectral", "rusanov", "upwind-characteristic"):
+        for flux in ("spectral", "rusanov"):
             traj = run(heat_bundle.system, init, 0.1, SolverOptions(flux=flux))
             amp = np.abs(np.fft.fft(traj.final.uI[0]))[1] * 2 / 256
             assert amp == pytest.approx(abs(u_exact), abs=2.5e-3), flux

@@ -477,6 +477,25 @@ class TestLinearStep:
         assert np.max(np.abs(got - u)) > 1e-3  # the step moves the state
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
+    @pytest.mark.parametrize("ns", [(32,), (8, 6)])
+    def test_reaction_free_step_is_one_solve(self, ns):
+        grid = rb.SpatialGrid(ns, (1.0,) * len(ns))
+        target = ReactionDiffusion(k=1, d=grid.d, diffusion=_variable_diffusion(grid.d))
+        u, dt = sine_mode(grid, 0.5, 0.3), 1e-2
+        stepper = parasolver._PicardQL(target, grid)
+        frozen, solves = stepper._crank_nicolson, []
+
+        def counting(blocks, dt):
+            explicit, solve = frozen(blocks, dt)
+            return explicit, lambda rhs: solves.append(dt) or solve(rhs)
+
+        stepper._crank_nicolson = counting
+        got = stepper.step(u, dt)
+        assert len(solves) == 1
+        stepper.linear = False  # sweep until the increment vanishes, as a nonlinear target does
+        assert stepper.step(u, dt).tobytes() == got.tobytes()
+        assert len(solves) == 3  # the second sweep only confirmed a zero increment
+
     def test_stiff_reaction_non_convergence_reports_last_increment(self, grid64):
         # the midpoint reaction -40 u at dt = 0.1 makes each Picard sweep double the error of the
         # mean; the positive definite blocks leave no start-state witness to add

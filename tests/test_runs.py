@@ -15,16 +15,18 @@ whose source is not a constant linear map; they were written before the
 spectral step's per-call costs were cut.  `artifact_hashes.txt` is the
 output of `scripts/artifact_hashes.py` (every demo, admissible flux and grid
 through `relaxbench run`, plus two short `converge` ladders), written before
-the 2-d grid-flux run's fixed costs were cut; its 21 heat1d, heat2d, aniso2d,
+the 2-d grid-flux run's fixed costs were cut; its 15 heat1d, heat2d, aniso2d,
 sqrt-heat and `converge heat1d` lines were rewritten with that exact
-reference, and its 12 carleman and quasilinear-bu2 run lines and
+reference, and its 8 carleman and quasilinear-bu2 run lines and
 `converge carleman` when the quasilinear reference became Crank-Nicolson
 (and the periodic corner correction a closed-form 2 x 2 solve); every other
 line is unchanged.  `sqrt-heat`'s run files and its two hash lines were
 rewritten when its spectral step became the same eig_factors propagator of the
 transport symbol as every other system's, in place of a cos/sin form of B:
 every value moved by at most 4.9e-15, and the dt and max_speed columns and
-the well-prepared initial snapshot did not move.
+the well-prepared initial snapshot did not move.  The characteristic-upwind
+grid flux's run files and its 10 hash lines were deleted with that flux;
+every remaining file and line is unchanged.
 """
 
 import os
@@ -63,7 +65,6 @@ RUNS = {
     "aniso2d_spectral": lambda: _demo("aniso2d", (8, 12), "spectral", 0.1, 0.02),
     "carleman_spectral": lambda: _demo("carleman", (32,), "spectral", 0.1, 0.02),
     "heat1d_spectral": lambda: _demo("heat1d", (32,), "spectral", 0.1, 0.02),
-    "heat1d_upwind-characteristic": lambda: _demo("heat1d", (32,), "upwind-characteristic", 0.1, 0.02),
     "quasilinear-bu2_spectral": lambda: _demo("quasilinear-bu2", (32,), "spectral", 0.1, 0.02),
     "sqrt-heat_spectral": lambda: _demo("sqrt-heat", (32,), "spectral", 0.1, 0.02),
 }
