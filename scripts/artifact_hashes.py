@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """One sha256 per demo, admissible flux and grid over the artifacts of `relaxbench run`.
 
-Runs `relaxbench run --allow-invalid` (eps 0.1, T 0.01, reference on) for every
-demo, every flux its system admits and two small grids, and hashes the run's
-`steps.csv`, its final snapshot, every `reference_*.csv` and `report.csv`.
-Then runs `relaxbench converge` (n = 32, spectral, T 0.01, eps 0.2/0.1/0.05)
-on carleman and heat1d and hashes `convergence.csv`, so the ladder path is
-covered too; heat1d's errI does not decrease on so short a ladder, so its
-line ends in "(exit code 1)".  Two source trees produce the same artifacts
+Runs `relaxbench run --allow-invalid` (eps 0.1, T 0.01, reference on for every
+demo with a parabolic limit) for every demo, every flux its system admits and
+two small grids, and hashes the run's `steps.csv`, its final snapshot, every
+`reference_*.csv` and `report.csv`.  Then runs `relaxbench converge` (n = 32,
+spectral, T 0.01, eps 0.2/0.1/0.05) on carleman and heat1d and hashes
+`convergence.csv` and `report.csv`, so the ladder path is covered too;
+heat1d's errI does not decrease on so short a ladder, so its line ends in
+"(exit code 1)".  Two source trees produce the same artifacts
 exactly when they print the same lines.  From the root of a source checkout:
 
     PYTHONPATH=src python scripts/artifact_hashes.py
@@ -37,13 +38,14 @@ def _cli(command, name, flux, ns, tmp, experiment, *flags):
         f"[solver]\nflux = {flux}\n[experiment]\nT = 0.01\n{experiment}"
     )
     out = tmp / f"{command}_{name}_{flux}_{'x'.join(map(str, ns))}"
-    with contextlib.redirect_stdout(io.StringIO()):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main([command, str(cfg), "--out", str(out), *flags])
     return code, out
 
 
-def artifact_hash(name, flux, ns, tmp):
-    code, out = _cli("run", name, flux, ns, tmp, "epsilon = 0.1\nreference = true\n", "--allow-invalid")
+def artifact_hash(name, flux, ns, tmp, reference):
+    code, out = _cli("run", name, flux, ns, tmp, f"epsilon = 0.1\nreference = {str(reference).lower()}\n",
+                     "--allow-invalid")
     if code != 0:
         return f"exit code {code}"
     files = ["steps.csv", sorted(out.glob("snapshot_*.csv"))[-1].name, "report.csv"]
@@ -52,11 +54,11 @@ def artifact_hash(name, flux, ns, tmp):
 
 
 def convergence_hash(name, tmp):
-    """Hash of convergence.csv, which exit code 1 (errI not decreasing) also writes."""
+    """Hash of convergence.csv and report.csv, which exit code 1 (errI not decreasing) also writes."""
     code, out = _cli("converge", name, "spectral", (32,), tmp, "epsilons = 0.2, 0.1, 0.05\n")
     if not (out / "convergence.csv").exists():
         return f"exit code {code}"
-    return _digest(out, ["convergence.csv"]) + ("" if code == 0 else f" (exit code {code})")
+    return _digest(out, ["convergence.csv", "report.csv"]) + ("" if code == 0 else f" (exit code {code})")
 
 
 def _digest(out, files):
@@ -71,10 +73,11 @@ def main():
         for name in builder.DEMO_NAMES:
             d = builder.DEMO_DIMS[name]
             for ns in GRIDS[d]:
-                sys = builder.demo(name, rb.SpatialGrid(ns, (1.0,) * d)).system
-                for flux in hypersolver.admissible_fluxes(sys):
+                bundle = builder.demo(name, rb.SpatialGrid(ns, (1.0,) * d))
+                for flux in hypersolver.admissible_fluxes(bundle.system):
                     label = f"{name} {flux} n={'x'.join(map(str, ns))}"
-                    print(f"{label:<44} {artifact_hash(name, flux, ns, Path(tmp))}")
+                    digest = artifact_hash(name, flux, ns, Path(tmp), bundle.target is not None)
+                    print(f"{label:<44} {digest}")
         for name in CONVERGE_DEMOS:
             label = f"converge {name} spectral n=32"
             print(f"{label:<44} {convergence_hash(name, Path(tmp))}")

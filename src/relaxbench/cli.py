@@ -28,6 +28,10 @@ class ConfigError(ValueError):
     pass
 
 
+class Refused(Exception):
+    """A command declines inputs or results it cannot vouch for (exit 1)."""
+
+
 # ---------------------------------------------------------------------------
 # config parsing
 
@@ -185,37 +189,44 @@ def build_experiment(cfg: Dict[str, Dict[str, object]]) -> Experiment:
     return Experiment(grid=grid, bundle=bundle, opts=opts)
 
 
-def _validate(exp: Experiment) -> ValidationReport:
+def _validate(exp: Experiment, out: str) -> ValidationReport:
+    """Validate the demo on its state box and write report.csv."""
     sysm = exp.bundle.system
     samples = validator.SampleSet.build(
         exp.grid, sysm.k, sysm.m, u_box=exp.bundle.state_box,
     )
-    return validator.validate_all(
+    report = validator.validate_all(
         sysm, samples, target=exp.bundle.target, symmetrizer=exp.bundle.symmetrizer,
     )
+    _write(Path(out) / "report.csv", report_csv(report))
+    return report
 
 
-def _initial_field(exp: Experiment) -> np.ndarray:
-    """The demo's initial conserved field; BuildError if a positive-state system's is not positive."""
-    bundle = exp.bundle
-    u0 = bundle.u0(exp.grid)
+def _preflight(exp: Experiment, out: str, allow_invalid: bool) -> np.ndarray:
+    """Validate and write report.csv, refuse an unsound start, and return the initial uI.
+
+    A failed check and a start outside the state box that report.csv certifies
+    are waived by --allow-invalid; a non-positive start of a positive-state
+    system is not, since no step can be taken from it.
+    """
+    report = _validate(exp, out)
+    if not report.passed and not allow_invalid:
+        raise Refused(f"validation failed ({', '.join(report.failing())}); "
+                      "rerun with --allow-invalid to force")
+    bundle, u0 = exp.bundle, exp.bundle.u0(exp.grid)
     if bundle.system.positive_states and float(np.min(u0)) <= 0.0:
-        raise BuildError(f"initial conserved field must stay positive for demo {bundle.name}; "
-                         f"minimum is {float(np.min(u0)):.6g}")
-    return u0
-
-
-def _outside_state_box(exp: Experiment, u0: np.ndarray) -> Optional[str]:
-    """Where u0 lies farthest outside the state box that the validation certifies, or None."""
-    lo, hi = (np.asarray(bound, dtype=float)[:, None] for bound in exp.bundle.state_box)
+        raise Refused(f"initial conserved field must stay positive for demo {bundle.name}; "
+                      f"minimum is {float(np.min(u0)):.6g}")
+    lo, hi = (np.asarray(bound, dtype=float)[:, None] for bound in bundle.state_box)
     u = u0.reshape(len(lo), -1)
     excess = np.maximum(lo - u, u - hi)
-    if not excess.max() > 0.0:
-        return None
-    comp, cell = np.unravel_index(int(np.argmax(excess)), excess.shape)
-    x = ", ".join(f"{v:.8g}" for v in exp.grid.flat_points()[:, cell])
-    return (f"initial uI_{comp + 1} = {u[comp, cell]:.6g} at cell {cell} (x={x}) lies outside "
-            f"[{lo[comp, 0]:g}, {hi[comp, 0]:g}], the state box that report.csv certifies")
+    if excess.max() > 0.0 and not allow_invalid:
+        comp, cell = np.unravel_index(int(np.argmax(excess)), excess.shape)
+        x = ", ".join(f"{v:.8g}" for v in exp.grid.flat_points()[:, cell])
+        raise Refused(f"initial uI_{comp + 1} = {u[comp, cell]:.6g} at cell {cell} (x={x}) lies "
+                      f"outside [{lo[comp, 0]:g}, {hi[comp, 0]:g}], the state box that report.csv "
+                      "certifies; rerun with --allow-invalid to force")
+    return u0
 
 
 def report_csv(report: ValidationReport) -> str:
@@ -238,9 +249,7 @@ def _write(path: Path, text: str) -> None:
 
 
 def cmd_validate(config: str, out: str) -> int:
-    exp = build_experiment(parse_config(config))
-    report = _validate(exp)
-    _write(Path(out) / "report.csv", report_csv(report))
+    report = _validate(build_experiment(parse_config(config)), out)
     for e in report.entries:
         print(f"{e.name}: {'pass' if e.passed else 'FAIL'} (margin {e.margin:.3g})")
     return 0 if report.passed else 1
@@ -255,24 +264,11 @@ def cmd_run(config: str, out: str, allow_invalid: bool = False) -> int:
         raise ConfigError("missing field experiment.epsilon")
     if eps <= 0:
         raise ConfigError("experiment.epsilon must be positive")
-
-    report = _validate(exp)
-    _write(Path(out) / "report.csv", report_csv(report))
-    if not report.passed and not allow_invalid:
-        print(
-            "validation failed ({}); rerun with --allow-invalid to force".format(
-                ", ".join(report.failing())
-            ),
-            file=_sys.stderr,
-        )
-        return 1
-
     grid, bundle = exp.grid, exp.bundle
-    u0 = _initial_field(exp)
-    outside = _outside_state_box(exp, u0)
-    if outside and not allow_invalid:
-        print(f"{outside}; rerun with --allow-invalid to force", file=_sys.stderr)
-        return 1
+    if expcfg["reference"] and bundle.target is None:
+        raise ConfigError(f"experiment.reference = true needs a parabolic limit, "
+                          f"and demo {bundle.name} has none")
+    u0 = _preflight(exp, out, allow_invalid)
 
     if expcfg["well_prepared"]:
         init = hypersolver.well_prepared_state(bundle.system, grid, u0, eps)
@@ -286,7 +282,7 @@ def cmd_run(config: str, out: str, allow_invalid: bool = False) -> int:
         _write(outdir / f"snapshot_{i:03d}.csv", hypersolver.snapshot_csv(snap))
     _write(outdir / "steps.csv", traj.steps_csv())
 
-    if expcfg["reference"] and bundle.target is not None:
+    if expcfg["reference"]:
         times, fields = parasolver.run_reference(
             bundle.target, u0, grid, expcfg["T"],
             snapshot_times=[s.t for s in traj.snapshots],
@@ -301,7 +297,7 @@ def cmd_run(config: str, out: str, allow_invalid: bool = False) -> int:
     return 0
 
 
-def cmd_converge(config: str, out: str, threads: Optional[int] = None) -> int:
+def cmd_converge(config: str, out: str, threads: Optional[int] = None, allow_invalid: bool = False) -> int:
     cfg = parse_config(config)
     exp = build_experiment(cfg)
     expcfg = cfg["experiment"]
@@ -315,7 +311,7 @@ def cmd_converge(config: str, out: str, threads: Optional[int] = None) -> int:
         diagnostics.check_ladder(expcfg["T"], eps_list, threads)
     except ValueError as err:
         raise ConfigError(str(err)) from err
-    _initial_field(exp)
+    _preflight(exp, out, allow_invalid)
     table = diagnostics.study_for_bundle(
         exp.bundle, exp.grid, expcfg["T"], eps_list, opts=exp.opts, threads=threads,
     )
@@ -323,7 +319,11 @@ def cmd_converge(config: str, out: str, threads: Optional[int] = None) -> int:
     for row in table.rows:
         order = "" if row.observed_order is None else f", order {row.observed_order:.3f}"
         print(f"eps={row.eps:g}: errI={row.errI:.6g}{order}")
-    return 0 if table.errI_monotone else 1
+    if rise := table.errI_rise():
+        a, b = rise
+        raise Refused(f"errI does not fall from eps={a.eps:g} to eps={b.eps:g}: "
+                      f"{a.errI:.6g} then {b.errI:.6g}")
+    return 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -336,9 +336,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         p = sub.add_parser(name)
         p.add_argument("config", help="experiment config file")
         p.add_argument("--out", default="./out", help="output directory (default ./out)")
-        if name == "run":
+        if name in ("run", "converge"):
             p.add_argument("--allow-invalid", action="store_true",
-                           help="run even if validation fails")
+                           help="go on past failed checks and a start outside the certified state box")
         if name == "converge":
             p.add_argument("--threads", type=int, default=None,
                            help="at most this many worker processes run the ladder's reference "
@@ -351,11 +351,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             return cmd_validate(args.config, args.out)
         if args.command == "run":
             return cmd_run(args.config, args.out, allow_invalid=args.allow_invalid)
-        return cmd_converge(args.config, args.out, threads=args.threads)
+        return cmd_converge(args.config, args.out, threads=args.threads, allow_invalid=args.allow_invalid)
     except ConfigError as err:
         print(f"config error: {err}", file=_sys.stderr)
         return 2
-    except (BuildError, SolverError, ReferenceError, SymbolError, np.linalg.LinAlgError) as err:
+    except (Refused, BuildError, SolverError, ReferenceError, SymbolError, np.linalg.LinAlgError) as err:
         print(f"error: {err}", file=_sys.stderr)
         return 1
 

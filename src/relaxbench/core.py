@@ -699,10 +699,9 @@ class ConvergenceTable:
         if any(r.errI < 0 or r.errII_weak < 0 or r.sup_eps_uII < 0 for r in self.rows):
             raise ValueError("errors must be nonnegative")
 
-    @property
-    def errI_monotone(self) -> bool:
-        errs = [r.errI for r in self.rows]
-        return all(b < a for a, b in zip(errs, errs[1:]))
+    def errI_rise(self) -> Optional[Tuple[LadderRow, LadderRow]]:
+        """The first two adjacent rows whose errI does not fall, or None."""
+        return next(((a, b) for a, b in zip(self.rows, self.rows[1:]) if not b.errI < a.errI), None)
 
     def to_csv(self) -> str:
         return csv_text(("epsilon", "errI", "errII_weak", "sup_eps_uII", "observed_order"),

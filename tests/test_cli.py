@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import multiprocessing
 import pickle
 import re
@@ -239,6 +240,14 @@ class TestRunCommand:
         cfg = write_cfg(tmp_path, CARLEMAN_CFG.replace("epsilon = 0.1", ""))
         assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    def test_reference_without_a_limit_is_config_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, CARLEMAN_CFG.replace("carleman", "null-limit") + "reference = true\n")
+        out = tmp_path / "o"
+        assert cli.main(["run", cfg, "--out", str(out), "--allow-invalid"]) == 2
+        assert "config error: experiment.reference = true needs a parabolic limit, " \
+            "and demo null-limit has none\n" == capsys.readouterr().err
+        assert not out.exists()
+
     def test_reference_snapshots_written(self, tmp_path):
         cfg = write_cfg(tmp_path, HEAT_CFG + "reference = true\n")
         out = tmp_path / "out"
@@ -270,19 +279,25 @@ class TestConvergeCommand:
         errs = [float(ln.split(",")[1]) for ln in lines[1:]]
         assert errs[0] > errs[1] > errs[2]
 
-    def test_nonpositive_density_rejected_before_reference(self, tmp_path, capsys):
-        # 1 + 1.5 sin dips below zero; the Picard reference must not run on it
+    def test_nonpositive_density_rejected_before_reference(self, tmp_path, monkeypatch, capsys):
+        # 1 + 1.5 sin dips below zero; the Picard reference must not run on it, flag or not
+        def no_reference(*args, **kwargs):
+            raise AssertionError("the reference ran")
+
+        monkeypatch.setattr(cli.parasolver, "run_reference", no_reference)
         cfg = write_cfg(tmp_path, CARLEMAN_CFG + "epsilons = 0.2, 0.1, 0.05\nu0_amplitude = 1.5\n")
-        assert cli.main(["converge", cfg, "--out", str(tmp_path / "o")]) == 1
-        err = capsys.readouterr().err
-        assert "initial conserved field must stay positive for demo carleman" in err
-        assert "minimum is -0.498193" in err
+        for flags in ([], ["--allow-invalid"]):
+            assert cli.main(["converge", cfg, "--out", str(tmp_path / "o"), *flags]) == 1
+            err = capsys.readouterr().err
+            assert "initial conserved field must stay positive for demo carleman" in err
+            assert "minimum is -0.498193" in err
 
     def test_rung_leaving_positive_states_names_its_eps(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, CARLEMAN_CFG.replace("T = 0.01", "T = 0.05") +
                         "epsilons = 0.2, 0.1, 0.05\nu0_amplitude = 0.99\n[solver]\nflux = spectral\n")
         out = tmp_path / "o"
-        assert cli.main(["converge", cfg, "--out", str(out), "--threads", "1"]) == 1
+        # u0 in [0.01, 1.99] lies outside the certified box [0.5, 1.5], so the rung needs the flag
+        assert cli.main(["converge", cfg, "--out", str(out), "--threads", "1", "--allow-invalid"]) == 1
         assert "uI left the positive states of carleman at eps=0.05, t=0.0003515625" in capsys.readouterr().err
         assert not (out / "convergence.csv").exists()
 
@@ -360,7 +375,26 @@ class TestConvergeCommand:
             assert multiprocessing.active_children() == [] and gc.get_freeze_count() == 0
         assert errs[0] == errs[1] == "error: stiff step failed at eps = 0.1\n"
         assert process_pools == [4]
-        assert not (tmp_path / "o").exists()
+        assert not (tmp_path / "o" / "convergence.csv").exists()
+
+    def test_rising_errI_names_its_rung(self, tmp_path, capsys):
+        # so short a horizon leaves the heat1d ladder pre-asymptotic; the table is still written
+        cfg = write_cfg(tmp_path, HEAT_CFG.replace("n = 128", "n = 32").replace("T = 0.05", "T = 0.01"))
+        out = tmp_path / "o"
+        assert cli.main(["converge", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            "error: errI does not fall from eps=0.2 to eps=0.1: 0.00226386 then 0.00244118\n"
+        assert len((out / "convergence.csv").read_text().splitlines()) == 4
+
+    def test_null_limit_ladder_needs_flag(self, tmp_path, capsys):
+        # validation fails conserved_block by design; the ladder then drains to the zero function
+        cfg = write_cfg(tmp_path, CARLEMAN_CFG.replace("carleman", "null-limit") + "epsilons = 0.2, 0.1, 0.05\n")
+        out = tmp_path / "o1"
+        assert cli.main(["converge", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            "error: validation failed (conserved_block); rerun with --allow-invalid to force\n"
+        assert (out / "report.csv").exists() and not (out / "convergence.csv").exists()
+        assert cli.main(["converge", cfg, "--out", str(tmp_path / "o2"), "--allow-invalid"]) == 0
 
     def test_threads_environment_variable_is_ignored(self, tmp_path, monkeypatch):
         monkeypatch.setenv("RELAXBENCH_THREADS", "abc")
@@ -385,3 +419,46 @@ class TestConvergeCommand:
         assert exc.value.code == 2
         monkeypatch.setenv("RELAXBENCH_THREADS", "abc")
         assert cli.main(["validate", cfg, "--out", str(tmp_path / "o")]) == 0
+
+
+class TestPreflight:
+    """`run` and `converge` certify their start alike, and `validate` writes the same report."""
+
+    # u0 in [0.4, 1.6] against the certified box [0.5, 1.5]
+    OUTSIDE_CFG = CARLEMAN_CFG.replace("T = 0.01", "T = 0.02") + (
+        "epsilons = 0.2, 0.1, 0.05\nu0_amplitude = 0.6\nreference = true\n[solver]\nflux = spectral\n")
+    # sha256 of the convergence.csv that `converge` wrote for this config before it checked the box
+    OUTSIDE_CONVERGENCE_SHA256 = "86a4f46b864e8ca444383e290eda0325045473a68c4371172f9408c13ab12079"
+
+    def test_one_report_for_every_command(self, tmp_path):
+        cfg = write_cfg(tmp_path, CARLEMAN_CFG + "epsilons = 0.2, 0.1, 0.05\n[solver]\nflux = spectral\n")
+        reports = []
+        for command in ("validate", "run", "converge"):
+            out = tmp_path / command
+            assert cli.main([command, cfg, "--out", str(out)]) == 0
+            reports.append((out / "report.csv").read_bytes())
+        assert reports[0] == reports[1] == reports[2]
+
+    def test_start_outside_the_box_is_refused_before_any_work(self, tmp_path, monkeypatch, capsys):
+        def no_reference(*args, **kwargs):
+            raise AssertionError("the reference ran")
+
+        monkeypatch.setattr(cli.parasolver, "run_reference", no_reference)
+        cfg = write_cfg(tmp_path, self.OUTSIDE_CFG)
+        errs = []
+        for command in ("run", "converge"):
+            out = tmp_path / command
+            assert cli.main([command, cfg, "--out", str(out)]) == 1
+            errs.append(capsys.readouterr().err)
+            assert sorted(p.name for p in out.iterdir()) == ["report.csv"]
+        assert errs[0] == errs[1] == (
+            "error: initial uI_1 = 1.59928 at cell 15 (x=0.2421875) lies outside [0.5, 1.5], "
+            "the state box that report.csv certifies; rerun with --allow-invalid to force\n")
+
+    def test_start_outside_the_box_runs_with_flag(self, tmp_path):
+        cfg = write_cfg(tmp_path, self.OUTSIDE_CFG)
+        assert cli.main(["run", cfg, "--out", str(tmp_path / "run"), "--allow-invalid"]) == 0
+        out = tmp_path / "converge"
+        assert cli.main(["converge", cfg, "--out", str(out), "--allow-invalid"]) == 0
+        digest = hashlib.sha256((out / "convergence.csv").read_bytes()).hexdigest()
+        assert digest == self.OUTSIDE_CONVERGENCE_SHA256

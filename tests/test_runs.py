@@ -26,7 +26,9 @@ transport symbol as every other system's, in place of a cos/sin form of B:
 every value moved by at most 4.9e-15, and the dt and max_speed columns and
 the well-prepared initial snapshot did not move.  The characteristic-upwind
 grid flux's run files and its 10 hash lines were deleted with that flux;
-every remaining file and line is unchanged.
+every remaining file and line is unchanged.  The two `converge` lines were
+rewritten when `converge` began to validate and write `report.csv`, which
+they now digest after `convergence.csv`; every other line is unchanged.
 """
 
 import os
