@@ -11,7 +11,8 @@ accuracy per cost.  The cases are:
   count and sweeps per step;
 * a k=2 reaction-diffusion reference (n=128): constant cross-diffusion
   [[1, 0.3], [0.3, 0.5]], reaction (u1 - u1^3 - u2, (u1 - u2)/2), data
-  (sin 2 pi x, cos(2 pi x) / 2), stepped by Strang splitting;
+  (sin 2 pi x, cos(2 pi x) / 2), stepped by Strang splitting, whose
+  nsub steps in a comparison span apply nsub + 1 exact diffusion maps;
 * a callable-diffusion reference on 32 x 32 cells: a(x) with a cross term,
   stepped by Crank-Nicolson through SuperLU, without a reaction (one solve
   per step) and with a logistic reaction (Picard sweeps).

@@ -562,15 +562,18 @@ def _quasilinear_bu2(name: str):
     return from_quasilinear(target), target
 
 
+# the state box of a demo whose target declares none
+_DEFAULT_STATE_BOX = ((-1.5,), (1.5,))
+
+
 @dataclass(frozen=True)
 class _Demo:
-    """One demo row; build(name) returns (system, target or None); state_box serves a target without one."""
+    """One demo row; build(name) returns (system, target or None)."""
 
     d: int
     build: Callable[[str], Tuple[RelaxationSystem, Optional[ParabolicTarget]]]
     amplitude: float = 1.0
     offset: float = 0.0
-    state_box: Tuple[Tuple[float, ...], Tuple[float, ...]] = ((-1.5,), (1.5,))
 
 
 _DEMOS = {
@@ -601,7 +604,7 @@ def demo(name: str, grid: SpatialGrid, amplitude: Optional[float] = None,
     return DemoBundle(
         name=name, system=sys, target=target,
         u0=lambda g: _sine(g, amp, off),
-        state_box=target.state_box if isinstance(target, QuasilinearDivergence) else row.state_box,
+        state_box=target.state_box if isinstance(target, QuasilinearDivergence) else _DEFAULT_STATE_BOX,
         symmetrizer=Symmetrizer.identity(sys.k, sys.m),
     )
 

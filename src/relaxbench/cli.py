@@ -308,7 +308,7 @@ def cmd_converge(config: str, out: str, threads: Optional[int] = None, allow_inv
         raise ConfigError("converge starts every rung well-prepared; "
                           "experiment.well_prepared = false applies to run only")
     try:
-        diagnostics.check_ladder(expcfg["T"], eps_list, threads)
+        diagnostics.check_ladder(expcfg["T"], eps_list, threads, exp.opts)
     except ValueError as err:
         raise ConfigError(str(err)) from err
     _preflight(exp, out, allow_invalid)

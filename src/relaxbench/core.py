@@ -62,7 +62,10 @@ class SpatialGrid:
     lengths: Tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "ns", tuple(int(n) for n in self.ns))
+        ns = tuple(int(n) for n in self.ns)
+        if ns != tuple(self.ns):
+            raise ValueError(f"cell counts must be integers, got {tuple(self.ns)}")
+        object.__setattr__(self, "ns", ns)
         object.__setattr__(self, "lengths", tuple(float(L) for L in self.lengths))
         if len(self.ns) != len(self.lengths):
             raise ValueError("ns and lengths must have equal length")

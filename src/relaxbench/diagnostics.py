@@ -9,7 +9,7 @@ reference solver.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -117,12 +117,17 @@ class LadderEntry:
     errII_weak: float
 
 
-def check_ladder(T: float, eps_list: Sequence[float], threads: Optional[int] = None) -> List[float]:
+def check_ladder(T: float, eps_list: Sequence[float], threads: Optional[int] = None,
+                 opts: Optional[SolverOptions] = None) -> List[float]:
     """The ladder's epsilons; ValueError unless T > 0 keeps the comparison times apart in
-    plan_times, >= 3 positive epsilons decrease strictly and threads is None or >= 1."""
+    plan_times, >= 3 positive epsilons decrease strictly, threads is None or >= 1 and
+    opts asks for no strided snapshots."""
     eps_list = [float(e) for e in eps_list]
     if threads is not None and threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
+    if opts is not None and opts.snapshot_stride:
+        raise ValueError(f"a ladder snapshots at its {LADDER_SNAPSHOTS} comparison times only; "
+                         f"snapshot_stride = {opts.snapshot_stride} applies to run only")
     if not T > 0:
         raise ValueError(f"a ladder needs a positive horizon T, got {T:g}")
     if len(plan_times(T, np.linspace(0.0, T, LADDER_SNAPSHOTS))) != LADDER_SNAPSHOTS - 1:
@@ -228,8 +233,8 @@ def ladder_runs(
     job does the same arithmetic wherever it runs, so the results are
     bit-identical for any worker count.
     """
-    eps_list = check_ladder(T, eps_list, threads)
-    opts = replace(opts or SolverOptions(), snapshot_stride=0)
+    eps_list = check_ladder(T, eps_list, threads, opts)
+    opts = opts or SolverOptions()
     u0 = np.asarray(u0, dtype=float)
     times = np.linspace(0.0, T, LADDER_SNAPSHOTS)
 

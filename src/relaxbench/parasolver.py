@@ -1,4 +1,4 @@
-"""Reference solutions of the limit parabolic systems.
+"""Reference solutions of the limit parabolic systems, advanced one output span per step.
 
 These integrators are deliberately a different discretization family from
 the stiff hyperbolic solver (exact Fourier propagation for constant
@@ -19,6 +19,7 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import dgtsv
 from scipy.sparse.linalg import splu
 
+from . import hypersolver
 from .builder import ParabolicTarget, QuasilinearDivergence, ReactionDiffusion, _block_matrix
 from .core import Array, SpatialGrid, apply_modes, eig_factors, eig_function, field_csv, plan_times
 
@@ -200,14 +201,14 @@ def run_reference(
     """Integrate the parabolic target to time T.
 
     Returns (times, fields) where fields[s] is the solution at times[s]; the
-    initial state is always the first entry.  Constant diffusion goes through
-    _LinearRD: without a reaction it is propagated exactly, one step per output
-    span, and ignores dt.  Any other target takes ceil(span / dt) equal steps
-    per span (dt defaults to T / 1000), each second order in dt: a Strang step
-    around the exact map for constant diffusion with a reaction, a
-    Crank-Nicolson step (_PicardQL) for callable diffusion.  A negative or
-    non-finite T, or dt <= 0, raises ValueError.  Parabolicity of the target
-    is the caller's responsibility to have verified.
+    initial state is always the first entry.  Each output span is one call
+    stepper.step(u, span, nsub) with nsub = ceil(span / dt) sub-steps of
+    span / nsub (dt defaults to T / 1000), each second order in dt.  Constant
+    diffusion goes through _LinearRD, which maps a span without a reaction
+    exactly and ignores nsub; callable diffusion through _PicardQL.  A negative
+    or non-finite T, dt <= 0, or ceil(T / dt) above hypersolver.MAX_STEPS raises
+    ValueError before any step.  Parabolicity of the target is the caller's
+    responsibility to have verified.
     """
     spans = plan_times(T, snapshot_times)
     if dt is not None and not dt > 0:
@@ -215,6 +216,9 @@ def run_reference(
     u0 = np.asarray(u0, dtype=float)
     if dt is None:
         dt = T / 1000.0 if T > 0 else 1.0
+    if (steps := np.ceil(T / dt)) > hypersolver.MAX_STEPS:
+        raise ValueError(f"reference to T={T:g} needs {steps:.6g} steps of dt={dt:.6g}, "
+                         f"more than MAX_STEPS = {hypersolver.MAX_STEPS}")
     if isinstance(target, ReactionDiffusion) and not callable(target.diffusion):
         stepper = _LinearRD(target, grid)
     elif isinstance(target, (ReactionDiffusion, QuasilinearDivergence)):
@@ -230,10 +234,7 @@ def run_reference(
         span = t_next - t
         if span <= 0:
             continue
-        nsub = 1 if stepper.exact else max(1, int(np.ceil(span / dt - 1e-12)))
-        dti = span / nsub
-        for _ in range(nsub):
-            u = stepper.step(u, dti)
+        u = stepper.step(u, span, max(1, int(np.ceil(span / dt - 1e-12))))
         t = t_next
         times.append(t)
         fields.append(u.copy())
@@ -241,36 +242,36 @@ def run_reference(
 
 
 class _LinearRD:
-    """Exact Fourier propagation of constant diffusion, exact in time for any step.
+    """Exact Fourier propagation of constant diffusion, exact in time for any span.
 
-    A reaction f joins by Strang splitting: half a step of the exact map, one
-    Heun step of u' = f(u), then half a step of the exact map.
+    A reaction f joins by Strang splitting at dt = span / nsub (half map, Heun step of u' = f(u),
+    half map), the half maps between Heun steps merged: nsub + 1 maps a span, built per span.
     """
 
     def __init__(self, target: ReactionDiffusion, grid: SpatialGrid):
-        self.f, self.k = target.f, target.k
-        self.exact = self.f is None
-        vals, vecs, vecs_inv = eig_factors(-target.mode_symbols(grid))
+        self.grid, self.f, self.k = grid, target.f, target.k
+        self.vals, self.vecs, self.vecs_inv = eig_factors(-target.mode_symbols(grid))
 
-        def diffusion(dt: float) -> Callable[[Array], Array]:
-            prop = eig_function(vecs, np.exp(dt * vals), vecs_inv).astype(complex)
-            return lambda u: apply_modes(grid, prop, u)
-        # one map per distinct dt; an exact step is one per output span, and spans that
-        # differ by an ulp would each keep a table, so that map is built per call
-        self._diffusion = diffusion if self.exact else functools.cache(diffusion)
+    def _diffusion(self, dt: float) -> Callable[[Array], Array]:
+        prop = eig_function(self.vecs, np.exp(dt * self.vals), self.vecs_inv).astype(complex)
+        return lambda u: apply_modes(self.grid, prop, u)
 
-    def step(self, u: Array, dt: float) -> Array:
+    def step(self, u: Array, span: float, nsub: int) -> Array:
         if self.f is None:
-            return self._diffusion(dt)(u)
+            return self._diffusion(span)(u)
+        dt = span / nsub
         half = self._diffusion(0.5 * dt)
+        full = self._diffusion(dt) if nsub > 1 else half
         v = half(u).reshape(self.k, -1)
-        rate = self.f(v)
-        v = v + 0.5 * dt * (rate + self.f(v + dt * rate))
-        return half(v.reshape(u.shape))
+        for i in range(nsub):
+            rate = self.f(v)
+            v = v + 0.5 * dt * (rate + self.f(v + dt * rate))
+            v = (full if i < nsub - 1 else half)(v.reshape(u.shape)).reshape(self.k, -1)
+        return v.reshape(u.shape)
 
 
 class _PicardQL:
-    """Crank-Nicolson step of any callable diffusion, central differences.
+    """Crank-Nicolson steps of any callable diffusion, central differences.
 
     A quasilinear target u_t = div(B(u) grad u) - div f(u) + g(u) takes
     divergence placement.  A reaction-diffusion target u_t = sum A_ij(x) d_i d_j u
@@ -283,8 +284,6 @@ class _PicardQL:
     target without a reaction is linear: nothing in its solve depends on the guess, so
     its first solve is the step.
     """
-
-    exact = False
 
     def __init__(self, target: ParabolicTarget, grid: SpatialGrid):
         self.grid = grid
@@ -304,7 +303,12 @@ class _PicardQL:
             self.diffusion, self.flux, self.g = target.diffusion, target.flux, target.g
             self._crank_nicolson = op.crank_nicolson
 
-    def step(self, u: Array, dt: float) -> Array:
+    def step(self, u: Array, span: float, nsub: int) -> Array:
+        for _ in range(nsub):
+            u = self._step(u, span / nsub)
+        return u
+
+    def _step(self, u: Array, dt: float) -> Array:
         grid, k = self.grid, self.k
         shape = u.shape
         uflat2 = u.reshape(k, -1)

@@ -312,6 +312,18 @@ class TestConvergeCommand:
         assert "experiment.well_prepared = false" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_strided_snapshots_are_config_error(self, tmp_path, monkeypatch, capsys):
+        # a ladder snapshots at its comparison times only, so the key cannot be honoured
+        def no_reference(*args, **kwargs):
+            raise AssertionError("the reference ran")
+
+        monkeypatch.setattr(cli.diagnostics.parasolver, "run_reference", no_reference)
+        cfg = write_cfg(tmp_path, HEAT_CFG.replace("n = 128", "n = 32")
+                        .replace("flux = spectral", "flux = spectral\nsnapshot_stride = 3"))
+        assert cli.main(["converge", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "snapshot_stride = 3 applies to run only" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("edit, message", [
         (("T = 0.05", "T = 0.0"), "positive horizon T, got 0"),
         (("T = 0.05", "T = 1e-13"), "horizon T = 1e-13 is too short: its 11 comparison times"),

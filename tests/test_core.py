@@ -53,6 +53,15 @@ class TestGrid:
         with pytest.raises(ValueError):
             SpatialGrid((8,), (-1.0,))
 
+    def test_rejects_non_integral_cell_counts(self):
+        with pytest.raises(ValueError, match=r"cell counts must be integers, got \(64.9,\)"):
+            SpatialGrid((64.9,), (1.0,))
+        with pytest.raises(ValueError, match="cell counts must be integers"):
+            SpatialGrid((64, np.float64(32.5)), (1.0, 1.0))
+        for ns in ((64.0,), (np.int64(64),), (np.float64(64.0),)):
+            grid = SpatialGrid(ns, (1.0,))
+            assert grid.ns == (64,) and type(grid.ns[0]) is int
+
     def test_spectral_gradient_of_sine(self, grid64):
         x = grid64.axis_centers(0)
         f = np.sin(TWO_PI * x)[None]

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 import relaxbench as rb
-from relaxbench import builder, diagnostics, parasolver
+from relaxbench import builder, diagnostics, hypersolver, parasolver
 from relaxbench.builder import QuasilinearDivergence, ReactionDiffusion, isotropic_diffusion
 from relaxbench.core import l2_norm
 from relaxbench.parasolver import ReferenceError, exact_mode_oracle, run_reference
@@ -106,18 +106,29 @@ EXACT_DEMOS = [("heat2d", (128, 128)), ("aniso2d", (8, 12)), ("heat1d", (256,)),
 
 
 def _count_steps(monkeypatch, cls):
-    """The dt of every later cls.step call, in order."""
+    """The (span, nsub) of every later cls.step call, in order."""
     calls, step = [], cls.step
 
-    def counted(self, u, dt):
-        calls.append(dt)
-        return step(self, u, dt)
+    def counted(self, u, span, nsub):
+        calls.append((span, nsub))
+        return step(self, u, span, nsub)
     monkeypatch.setattr(cls, "step", counted)
     return calls
 
 
+def _count_maps(monkeypatch):
+    """A list that grows by one for every later exact map the Fourier reference applies."""
+    calls, apply = [], parasolver.apply_modes
+
+    def counted(grid, prop, u):
+        calls.append(prop.shape)
+        return apply(grid, prop, u)
+    monkeypatch.setattr(parasolver, "apply_modes", counted)
+    return calls
+
+
 class TestExactReference:
-    """A reaction-free target with constant diffusion takes one exact step per output span."""
+    """A reaction-free target with constant diffusion takes one exact map per output span."""
 
     @pytest.mark.parametrize("name, ns", EXACT_DEMOS)
     def test_matches_sub_stepped_propagation(self, name, ns):
@@ -126,9 +137,9 @@ class TestExactReference:
         u0, T = bundle.u0(grid), 0.02
         times, fields = run_reference(bundle.target, u0, grid, T, snapshot_times=np.linspace(0, T, 11))
         stepper, u = parasolver._LinearRD(bundle.target, grid), u0
-        for s in range(1, 11):  # each span in 100 steps: T / 1000 as run_reference sub-stepped it
+        for s in range(1, 11):  # each span in 100 one-step spans: T / 1000 as run_reference sub-stepped it
             for _ in range(100):
-                u = stepper.step(u, (times[s] - times[s - 1]) / 100)
+                u = stepper.step(u, (times[s] - times[s - 1]) / 100, 1)
             assert np.max(np.abs(fields[s] - u)) <= 1e-12 * np.max(np.abs(u0))
 
     @pytest.mark.parametrize("name, ns", EXACT_DEMOS)
@@ -148,10 +159,11 @@ class TestExactReference:
             assert fhT[idx] / fh0[idx] == pytest.approx(want, rel=1e-12)
 
     def test_one_step_per_span_whatever_dt(self, grid64, monkeypatch):
-        calls = _count_steps(monkeypatch, parasolver._LinearRD)
+        calls, maps = _count_steps(monkeypatch, parasolver._LinearRD), _count_maps(monkeypatch)
         target = builder.demo("heat1d", grid64).target
         run_reference(target, sine_mode(grid64), grid64, 0.01, dt=1e-5, snapshot_times=[0.0025, 0.005])
-        assert calls == pytest.approx([0.0025, 0.0025, 0.005], rel=1e-12)
+        assert [span for span, _ in calls] == pytest.approx([0.0025, 0.0025, 0.005], rel=1e-12)
+        assert len(maps) == 3  # the exact map ignores the span's sub-step count
 
     @pytest.mark.parametrize("kind", ["reaction", "callable diffusion"])
     def test_other_targets_still_sub_step(self, grid64, monkeypatch, kind):
@@ -163,7 +175,7 @@ class TestExactReference:
             stepper = parasolver._PicardQL
         calls = _count_steps(monkeypatch, stepper)
         run_reference(target, sine_mode(grid64), grid64, 0.01, dt=1e-3, snapshot_times=[0.0025, 0.005])
-        assert len(calls) == 3 + 3 + 5  # ceil(span / dt) per span
+        assert sum(nsub for _, nsub in calls) == 3 + 3 + 5  # ceil(span / dt) per span
 
     def test_distinct_spans_keep_no_table(self):
         # spans from subtracting accumulated floats differ by an ulp; none may leave a memo behind
@@ -173,16 +185,41 @@ class TestExactReference:
         spans = [1e-4]
         while len(spans) < 200:
             spans.append(np.nextafter(spans[-1], 1.0))
-        stepper.step(u, spans[0])
+        stepper.step(u, spans[0], 1)
         tracemalloc.start()
         try:
             for span in spans:
-                stepper.step(u, span)
+                stepper.step(u, span, 1)
             grown = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
         table = grid.cell_count * np.dtype(complex).itemsize  # 64 KiB, one per span if memoised
         assert grown < 2 * table
+
+
+class TestReactionSpan:
+    """A span of nsub Strang steps merges the half maps between its Heun steps into full ones."""
+
+    def test_span_applies_nsub_plus_one_maps(self, grid64, monkeypatch):
+        target = ReactionDiffusion(k=1, d=1, diffusion=isotropic_diffusion(1, 1), f=lambda u: u * (1 - u))
+        maps = _count_maps(monkeypatch)
+        run_reference(target, sine_mode(grid64), grid64, 0.01, dt=1e-3, snapshot_times=[0.0025, 0.005])
+        assert len(maps) == (3 + 1) + (3 + 1) + (5 + 1)  # nsub = ceil(span / dt) per span
+
+    @pytest.mark.parametrize("case", ["logistic", "reaction2"])
+    def test_one_span_equals_chained_one_step_spans(self, grid128, case):
+        if case == "logistic":
+            target = ReactionDiffusion(k=1, d=1, diffusion=isotropic_diffusion(1, 1), f=lambda u: u * (1 - u))
+            u0 = sine_mode(grid128, amplitude=0.3, offset=0.5)
+        else:
+            target, u0 = _reaction2(grid128)
+        stepper, span, nsub = parasolver._LinearRD(target, grid128), 0.01, 10
+        chained = u0
+        for _ in range(nsub):
+            chained = stepper.step(chained, span / nsub, 1)
+        got = stepper.step(u0, span, nsub)
+        assert np.linalg.norm(got - u0) > 1e-2 * np.linalg.norm(u0)  # the span moves the state
+        assert np.linalg.norm(got - chained) <= 1e-13 * np.linalg.norm(chained)
 
 
 class TestReferenceInputs:
@@ -207,6 +244,21 @@ class TestReferenceInputs:
         bundle = builder.demo(name, grid)
         with pytest.raises(ValueError, match="reference step dt must be positive"):
             run_reference(bundle.target, bundle.u0(grid), grid, 0.1, dt=dt)
+
+    @pytest.mark.parametrize("name", ["heat1d", "carleman"])
+    def test_step_bound_is_ceil_of_horizon_over_step(self, name, monkeypatch):
+        # T / dt = (1/64) / (1/512) = 8 steps, refused before the first once MAX_STEPS is 7
+        grid = rb.SpatialGrid((16,), (1.0,))
+        bundle = builder.demo(name, grid)
+        calls = [_count_steps(monkeypatch, cls) for cls in (parasolver._LinearRD, parasolver._PicardQL)]
+        monkeypatch.setattr(hypersolver, "MAX_STEPS", 7)
+        with pytest.raises(ValueError, match=r"^reference to T=0.015625 needs 8 steps of dt=0.00195312, "
+                                             r"more than MAX_STEPS = 7$"):
+            run_reference(bundle.target, bundle.u0(grid), grid, 1 / 64, dt=1 / 512)
+        assert calls == [[], []]
+        monkeypatch.setattr(hypersolver, "MAX_STEPS", 8)
+        run_reference(bundle.target, bundle.u0(grid), grid, 1 / 64, dt=1 / 512)
+        assert sum(nsub for stepped in calls for _, nsub in stepped) == 8
 
 
 class TestImplicitReference:
@@ -472,7 +524,7 @@ class TestLinearStep:
         grid = rb.SpatialGrid(ns, (1.0,) * len(ns))
         target = ReactionDiffusion(k=1, d=grid.d, diffusion=_variable_diffusion(grid.d), f=lambda u: u * (1 - u))
         u, dt = sine_mode(grid, 0.5, 0.3), 1e-2
-        got = parasolver._PicardQL(target, grid).step(u, dt)
+        got = parasolver._PicardQL(target, grid).step(u, dt, 1)
         want = _dense_picard_step(target, grid, u, dt)  # the reaction at the midpoint
         assert np.max(np.abs(got - u)) > 1e-3  # the step moves the state
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
@@ -490,10 +542,10 @@ class TestLinearStep:
             return explicit, lambda rhs: solves.append(dt) or solve(rhs)
 
         stepper._crank_nicolson = counting
-        got = stepper.step(u, dt)
+        got = stepper.step(u, dt, 1)
         assert len(solves) == 1
         stepper.linear = False  # sweep until the increment vanishes, as a nonlinear target does
-        assert stepper.step(u, dt).tobytes() == got.tobytes()
+        assert stepper.step(u, dt, 1).tobytes() == got.tobytes()
         assert len(solves) == 3  # the second sweep only confirmed a zero increment
 
     def test_stiff_reaction_non_convergence_reports_last_increment(self, grid64):
@@ -515,7 +567,7 @@ class TestLinearStep:
 
         target = ReactionDiffusion(k=1, d=1, diffusion=diffusion)
         with pytest.raises(ReferenceError, match="linear solve failed: tridiagonal part is singular") as info:
-            parasolver._PicardQL(target, grid).step(np.ones((1, 4)), 1 / 8)
+            parasolver._PicardQL(target, grid).step(np.ones((1, 4)), 1 / 8, 1)
         assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
@@ -525,7 +577,7 @@ class TestPicardStep:
         bundle = builder.demo(name, grid64)
         u = bundle.u0(grid64)
         dt = 1e-3
-        got = parasolver._PicardQL(bundle.target, grid64).step(u, dt)
+        got = parasolver._PicardQL(bundle.target, grid64).step(u, dt, 1)
         want = _dense_picard_step(bundle.target, grid64, u, dt)
         assert np.max(np.abs(got - u)) > 1e-3  # the step moves the state
         assert np.max(np.abs(got - want)) <= 1e-12
@@ -541,9 +593,9 @@ class TestPicardStep:
     def test_scalar_source_step_matches_dense_picard(self, grid64):
         target = builder.scalar_quasilinear(b=lambda u: 1.0 + u ** 2, g=lambda u: 5.0 * u * (1.0 - u))
         u, dt = sine_mode(grid64, 0.5, 0.3), 1e-3
-        got = parasolver._PicardQL(target, grid64).step(u, dt)
+        got = parasolver._PicardQL(target, grid64).step(u, dt, 1)
         no_source = builder.scalar_quasilinear(b=lambda u: 1.0 + u ** 2)
-        without_g = parasolver._PicardQL(no_source, grid64).step(u, dt)
+        without_g = parasolver._PicardQL(no_source, grid64).step(u, dt, 1)
         assert np.max(np.abs(got - without_g)) > 1e-4  # the source moves the step
         assert np.max(np.abs(got - _dense_picard_step(target, grid64, u, dt))) <= 1e-12
 
@@ -559,7 +611,7 @@ class TestPicardStep:
         stepper = parasolver._PicardQL(builder.scalar_quasilinear(b=b), grid)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ReferenceError, match="linear solve failed: " + message) as info:
-                stepper.step(np.array([u0]), 1 / 8)
+                stepper.step(np.array([u0]), 1 / 8, 1)
         assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
     def test_singular_2d_system_raises_reference_error(self):
@@ -640,7 +692,7 @@ class TestCyclicSolve:
         stepper = parasolver._PicardQL(builder.scalar_quasilinear(b=lambda u: -np.ones_like(u)), grid)
         u0 = 1.0 + 0.3 * np.sin(2.0 * np.pi * grid.points())
         with pytest.raises(ReferenceError, match="periodic corner correction is singular") as info:
-            stepper.step(u0, 2.0 * h ** 2 / (4.0 * np.sin(np.pi / 8) ** 2))
+            stepper.step(u0, 2.0 * h ** 2 / (4.0 * np.sin(np.pi / 8) ** 2), 1)
         assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
     @staticmethod
