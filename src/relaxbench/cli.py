@@ -9,9 +9,10 @@ formatting, so identical configs yield bit-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys as _sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -244,6 +245,11 @@ def _write(path: Path, text: str) -> None:
         fh.write(text)
 
 
+def _write_csv(outdir: Path, name: str, fmt, *args) -> None:
+    """Write fmt(*args) to outdir / name: one job of run's writers."""
+    _write(outdir / name, fmt(*args))
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -276,19 +282,25 @@ def cmd_run(config: str, out: str, allow_invalid: bool = False) -> int:
         print("warning: zero-initialized non-conserved field, initial layer expected")
         init = FieldState(grid, u0, np.zeros((bundle.system.m,) + grid.ns), 0.0, eps)
 
-    traj = hypersolver.run(bundle.system, init, expcfg["T"], exp.opts)
-    outdir = Path(out)
-    for i, snap in enumerate(traj.snapshots):
-        _write(outdir / f"snapshot_{i:03d}.csv", hypersolver.snapshot_csv(snap))
-    _write(outdir / "steps.csv", traj.steps_csv())
+    # each file goes to a writer as soon as its data exists: a snapshot while the run goes on,
+    # the step log and the reference once it has ended; how many snapshots a run takes is not
+    # known before it steps, so there is one writer per usable CPU
+    with diagnostics.ForkedJobs(Path(out), jobs=None) as writers:
+        names = (f"snapshot_{i:03d}.csv" for i in itertools.count())
 
-    if expcfg["reference"]:
-        times, fields = parasolver.run_reference(
-            bundle.target, u0, grid, expcfg["T"],
-            snapshot_times=[s.t for s in traj.snapshots],
-        )
-        for i, u in enumerate(fields):
-            _write(outdir / f"reference_{i:03d}.csv", parasolver.reference_csv(grid, u))
+        def write_snapshot(snap: FieldState) -> None:
+            writers.submit(_write_csv, next(names), hypersolver.snapshot_csv, snap)
+
+        traj = hypersolver.run(bundle.system, init, expcfg["T"], exp.opts, on_snapshot=write_snapshot)
+        # the step log needs the records only, so the snapshots are not sent again
+        writers.submit(_write_csv, "steps.csv", hypersolver.Trajectory.steps_csv, replace(traj, snapshots=[]))
+        if expcfg["reference"]:
+            times, fields = parasolver.run_reference(
+                bundle.target, u0, grid, expcfg["T"],
+                snapshot_times=[s.t for s in traj.snapshots],
+            )
+            for i, u in enumerate(fields):
+                writers.submit(_write_csv, f"reference_{i:03d}.csv", parasolver.reference_csv, grid, u)
 
     print(
         f"integrated {bundle.name} to T={expcfg['T']:g} at eps={eps:g}: "
@@ -355,7 +367,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=_sys.stderr)
         return 2
-    except (Refused, BuildError, SolverError, ReferenceError, SymbolError, np.linalg.LinAlgError) as err:
+    except (Refused, BuildError, SolverError, ReferenceError, SymbolError, np.linalg.LinAlgError,
+            OSError) as err:
         print(f"error: {err}", file=_sys.stderr)
         return 1
 

@@ -8,6 +8,7 @@ reference solver.
 
 from __future__ import annotations
 
+import gc
 import os
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -140,21 +141,11 @@ def check_ladder(T: float, eps_list: Sequence[float], threads: Optional[int] = N
     return eps_list
 
 
-# a worker process's ladder, set by _set_worker_ladder right after the fork: the system's
-# callables cannot be pickled, and a forked worker inherits them instead
-_WORKER_LADDER: Optional[tuple] = None
-
-
-def _set_worker_ladder(ladder: tuple) -> None:
-    global _WORKER_LADDER
-    _WORKER_LADDER = ladder
-
-
-def _ladder_job(eps: Optional[float], ladder: Optional[tuple] = None):
-    """One job of `ladder` (this worker's by default): the reference's (times, fields) for
-    eps None, else the stiff run's (snapshots, sup_uI, sup_eps_uII) from well-prepared data
-    at eps; only these go back from a worker, not the run's per-step records."""
-    sys, target, u0, grid, T, times, opts = ladder or _WORKER_LADDER
+def _ladder_job(ladder: tuple, eps: Optional[float]):
+    """One job of `ladder`: the reference's (times, fields) for eps None, else the stiff run's
+    (snapshots, sup_uI, sup_eps_uII) from well-prepared data at eps; only these go back from
+    a worker, not the run's per-step records."""
+    sys, target, u0, grid, T, times, opts = ladder
     if eps is None:
         return parasolver.run_reference(
             target, u0, grid, T, dt=T / LADDER_REFERENCE_STEPS, snapshot_times=times,
@@ -164,11 +155,11 @@ def _ladder_job(eps: Optional[float], ladder: Optional[tuple] = None):
     return traj.snapshots, traj.sup_uI, traj.sup_eps_uII
 
 
-def _ladder_workers(jobs: int, threads: Optional[int] = None) -> int:
-    """Worker processes for a ladder of `jobs` jobs: min(jobs, usable CPUs, threads).
+def _ladder_workers(jobs: Optional[int], threads: Optional[int] = None) -> int:
+    """Worker processes for `jobs` jobs: min(jobs, usable CPUs, threads).
 
-    Usable CPUs are os.sched_getaffinity(0), else os.cpu_count(); threads None means
-    no further bound.  1 where os.fork is missing.
+    Usable CPUs are os.sched_getaffinity(0), else os.cpu_count(); jobs None (not known in
+    advance) and threads None bound nothing further.  1 where os.fork is missing.
     """
     if not hasattr(os, "fork"):
         return 1
@@ -176,36 +167,73 @@ def _ladder_workers(jobs: int, threads: Optional[int] = None) -> int:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:
         cpus = os.cpu_count() or 1
-    return min(jobs, cpus, threads or jobs)
+    return min(cpus, jobs or cpus, threads or cpus)
 
 
-def _run_jobs(ladder: tuple, jobs: List[Optional[float]], workers: int) -> list:
-    """_ladder_job over jobs, in this process for one worker, else in forked worker processes.
+# what the jobs of a ForkedJobs pool share, set in each worker right after the fork: a
+# system's callables cannot be pickled, and a forked worker inherits them instead
+_SHARED = None
 
-    Results come back in job order, so either path raises the first failing job's error;
-    on an error, jobs not yet started are cancelled and the pool is joined before it
-    propagates, so no worker outlives the call.  This process's objects stay frozen
+
+def _share(shared) -> None:
+    global _SHARED
+    _SHARED = shared
+
+
+def _shared_job(fn, *args):
+    return fn(_SHARED, *args)
+
+
+class ForkedJobs:
+    """Jobs fn(shared, *args) in _ladder_workers(jobs, threads) worker processes forked from
+    this one, or in this process when that is 1.
+
+    Within `with ForkedJobs(shared, jobs) as pool:`, pool.submit(fn, *args) starts one job:
+    fn is a module-level function and args are pickled, while shared reaches the workers by
+    the fork.  In this process a job runs inside submit.  Leaving the block collects every
+    result into pool.results in submission order, so either path raises the first failing
+    job's error; jobs not yet started are then cancelled.  An error raised inside the block
+    lets the jobs already submitted finish, then propagates.  Either way the pool is joined
+    before the block is left, so no worker outlives it.  This process's objects stay frozen
     (gc.freeze) while the workers run: the workers' collections then leave them alone, and
     the pages they share with this process copy-on-write stay shared.
     """
-    if workers == 1:
-        return [_ladder_job(job, ladder) for job in jobs]
-    import gc
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
 
-    gc.freeze()
-    try:
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                 initializer=_set_worker_ladder, initargs=(ladder,)) as pool:
-            futures = [pool.submit(_ladder_job, job) for job in jobs]
-            try:
-                return [f.result() for f in futures]
-            finally:
-                for f in futures:
-                    f.cancel()
-    finally:
-        gc.unfreeze()
+    def __init__(self, shared, jobs: Optional[int], threads: Optional[int] = None):
+        self.shared, self.workers = shared, _ladder_workers(jobs, threads)
+        self.results: list = []
+        self._pool = None
+        self._futures: list = []
+
+    def __enter__(self) -> "ForkedJobs":
+        if self.workers > 1:
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            self._pool = ProcessPoolExecutor(self.workers, mp_context=multiprocessing.get_context("fork"),
+                                             initializer=_share, initargs=(self.shared,))
+            gc.freeze()
+        return self
+
+    def submit(self, fn, *args) -> None:
+        if self._pool is None:
+            self.results.append(fn(self.shared, *args))
+        else:
+            self._futures.append(self._pool.submit(_shared_job, fn, *args))
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if self._pool is None:
+            return
+        try:
+            if exc_type is None:
+                self.results = [f.result() for f in self._futures]
+        except BaseException:
+            for f in self._futures:
+                f.cancel()
+            raise
+        finally:
+            self._pool.shutdown(wait=True)
+            gc.unfreeze()
 
 
 def ladder_runs(
@@ -227,8 +255,8 @@ def ladder_runs(
 
     The reference and each rung are independent jobs, listed longest first: the
     smallest epsilon (a rung's step count is proportional to 1 / eps), the
-    reference, then the other rungs.  They run in _ladder_workers(jobs, threads)
-    worker processes forked from this one, or in this process when that is 1;
+    reference, then the other rungs.  They run as ForkedJobs, in
+    min(jobs, usable CPUs, threads) worker processes or in this process;
     errI, errII_weak and the limit residual are computed here either way.  Every
     job does the same arithmetic wherever it runs, so the results are
     bit-identical for any worker count.
@@ -240,8 +268,10 @@ def ladder_runs(
 
     rungs = sorted(eps_list)
     jobs = rungs[:1] + ([None] if target is not None else []) + rungs[1:]
-    ladder = (sys, target, u0, grid, T, times, opts)
-    results = dict(zip(jobs, _run_jobs(ladder, jobs, _ladder_workers(len(jobs), threads))))
+    with ForkedJobs((sys, target, u0, grid, T, times, opts), len(jobs), threads) as pool:
+        for job in jobs:
+            pool.submit(_ladder_job, job)
+    results = dict(zip(jobs, pool.results))
 
     if target is not None:
         ref_times, ref_fields = results[None]
@@ -308,6 +338,7 @@ def study_for_bundle(
 __all__ = [
     "LADDER_SNAPSHOTS",
     "LADDER_REFERENCE_STEPS",
+    "ForkedJobs",
     "check_ladder",
     "energy",
     "EnergyInequality",

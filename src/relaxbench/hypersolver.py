@@ -314,15 +314,18 @@ def run(
     T: float,
     opts: Optional[SolverOptions] = None,
     snapshot_times: Optional[Sequence[float]] = None,
+    on_snapshot: Optional[Callable[[FieldState], None]] = None,
 ) -> Trajectory:
     """Integrate to time T with the stability-bound step size.
 
     Callers are expected to have validated the system (or to be deliberately
     running a structure-violating fixture).  Snapshots are taken at the
     plan_times of snapshot_times, landed on exactly, or every snapshot_stride
-    steps; the initial and final states are always included.  A negative or
-    non-finite T raises ValueError.  SolverError is raised if T needs more than MAX_STEPS
-    steps, and at the first state that is non-finite or, for positive_states, has uI <= 0.
+    steps; the initial and final states are always included.  Each snapshot
+    goes to on_snapshot, if given, as soon as it is taken.  A negative or
+    non-finite T raises ValueError.  SolverError is raised if T needs more than
+    MAX_STEPS steps (ceil(T / dt)), and at the first state that is non-finite or,
+    for positive_states, has uI <= 0.
     """
     opts = opts or SolverOptions()
     pending = plan_times(T, snapshot_times)
@@ -332,9 +335,15 @@ def run(
     eps = init.eps
     speed_scaled = ws.speed / eps
 
+    snapshots: List[FieldState] = []
+
+    def take(uI: Array, uII: Array, t: float) -> None:
+        snapshots.append(FieldState(grid, uI.copy(), uII.copy(), t, eps))
+        if on_snapshot is not None:
+            on_snapshot(snapshots[-1])
+
     uI, uII = init.uI.copy(), init.uII.copy()
     t = 0.0
-    snapshots = [FieldState(grid, uI.copy(), uII.copy(), t, eps)]
     records: List[StepRecord] = []
     nI2, nII2 = squared_norms(uI, uII, vol)
     sup_uI = float(np.sqrt(nI2))
@@ -342,9 +351,10 @@ def run(
 
     dt_max = ws.max_dt()
     if T > MAX_STEPS * dt_max:  # dt_max is 0 if a subnormal eps underflowed it
-        raise SolverError(f"T={T:g} at eps={eps:g} needs {T / dt_max if dt_max else math.inf:.6g} steps of "
-                          f"dt={dt_max:.6g}, more than MAX_STEPS = {MAX_STEPS}")
+        raise SolverError(f"T={T:g} at eps={eps:g} needs {np.ceil(T / dt_max) if dt_max else math.inf:.6g} "
+                          f"steps of dt={dt_max:.6g}, more than MAX_STEPS = {MAX_STEPS}")
     ws.check_positive(uI, t)
+    take(uI, uII, t)
     nsteps = 0
     tiny = 1e-12 * max(T, 1.0)
     while t < T - tiny:
@@ -367,7 +377,7 @@ def run(
         del pending[:due]
         strided = opts.snapshot_stride > 0 and nsteps % opts.snapshot_stride == 0
         if due or strided:
-            snapshots.append(FieldState(grid, uI.copy(), uII.copy(), t, eps))
+            take(uI, uII, t)
 
     records.append(StepRecord(t, 0.0, nI2 + eps ** 2 * nII2, speed_scaled, nII2))
     return Trajectory(snapshots=snapshots, records=records, sup_uI=sup_uI, sup_eps_uII=sup_eps_uII)

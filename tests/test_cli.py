@@ -1,8 +1,12 @@
+import ast
 import gc
 import hashlib
 import multiprocessing
+import os
 import pickle
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +54,27 @@ n = 64
 T = 0.01
 epsilon = 0.1
 """
+
+
+# 4 snapshots (steps 0, 23, 46 and the last, 57) and 4 references
+HEAT2D_CFG = """
+[system]
+kind = demo
+name = heat2d
+
+[grid]
+n = 32
+
+[solver]
+snapshot_stride = 23
+
+[experiment]
+T = 0.02
+epsilon = 0.05
+reference = true
+"""
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def readme_config_block():
@@ -254,6 +279,74 @@ class TestRunCommand:
         assert cli.main(["run", cfg, "--out", str(out)]) == 0
         ref = sorted(out.glob("reference_*.csv"))
         assert ref and ref[0].read_text().startswith("x,u_1")
+
+
+@pytest.fixture(params=[1, 2], ids=["in-process", "forked"])
+def writers(request, monkeypatch):
+    """Report 1 or 2 usable CPUs, so `run` writes in process or in two forked writers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)))
+    return request.param
+
+
+class TestRunWriters:
+    def _run(self, tmp_path, body, out, *flags):
+        code = cli.main(["run", write_cfg(tmp_path, body), "--out", str(out), *flags])
+        assert multiprocessing.active_children() == [] and gc.get_freeze_count() == 0
+        return code
+
+    def test_writers_are_byte_identical_to_in_process(self, tmp_path, monkeypatch):
+        outs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+            outs.append(tmp_path / f"cpus{cpus}")
+            assert self._run(tmp_path, HEAT2D_CFG, outs[-1]) == 0
+        files = [{p.name: p.read_bytes() for p in out.iterdir()} for out in outs]
+        assert sorted(files[0]) == sorted(["report.csv", "steps.csv"] + [
+            f"{kind}_{i:03d}.csv" for kind in ("reference", "snapshot") for i in range(4)])
+        assert files[0] == files[1]
+
+    def test_unwritable_snapshot_exits_1_naming_it(self, tmp_path, capsys, writers):
+        out = tmp_path / "o"
+        (out / "snapshot_003.csv").mkdir(parents=True)
+        assert self._run(tmp_path, HEAT2D_CFG, out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{out / 'snapshot_003.csv'}" in err
+
+    def test_failed_run_leaves_the_snapshots_it_reached(self, tmp_path, capsys, writers):
+        # the config of TestRunCommand's positivity failure, at its first step, with a reference asked for
+        body = CARLEMAN_CFG.replace("epsilon = 0.1", "epsilon = 0.05").replace("T = 0.01", "T = 0.05") \
+            + "u0_amplitude = 0.99\nreference = true\n[solver]\nflux = spectral\n"
+        out = tmp_path / "o"
+        assert self._run(tmp_path, body, out, "--allow-invalid") == 1
+        assert "error: uI left the positive states of carleman" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["report.csv", "snapshot_000.csv"]
+
+
+class TestImportCost:
+    """SciPy is loaded by the Crank-Nicolson Picard reference only."""
+
+    @staticmethod
+    def _scipy_after(code):
+        code += "\nimport sys\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        return ast.literal_eval(proc.stdout.splitlines()[-1])
+
+    def test_importing_the_cli_loads_no_scipy(self):
+        assert self._scipy_after("import relaxbench, relaxbench.cli") == []
+
+    def test_run_with_a_fourier_reference_loads_no_scipy(self, tmp_path):
+        cfg, out = write_cfg(tmp_path, HEAT2D_CFG.replace("n = 32", "n = 16")), tmp_path / "o"
+        assert self._scipy_after(f"from relaxbench import cli\nassert cli.main(['run', {cfg!r}, "
+                                 f"'--out', {str(out)!r}]) == 0") == []
+        assert (out / "reference_001.csv").exists()
+
+    def test_picard_reference_loads_scipy(self):
+        # the positive control: the probe does see SciPy where it is imported
+        loaded = self._scipy_after("from relaxbench import builder, core, parasolver\n"
+                                   "grid = core.SpatialGrid((16,), (1.0,))\n"
+                                   "parasolver._PicardQL(builder.carleman_limit_target(), grid)")
+        assert "scipy.sparse" in loaded
 
 
 # a ladder job's error crosses from its worker process to the parent by pickle

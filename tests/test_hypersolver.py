@@ -485,7 +485,7 @@ class TestRunBookkeeping:
         monkeypatch.setattr(hypersolver, "MAX_STEPS", 15)
         assert len(run(sys, init, 0.01).records) - 1 == 15
         monkeypatch.setattr(hypersolver, "MAX_STEPS", 14)
-        with pytest.raises(SolverError, match="needs 14.2222 steps"):
+        with pytest.raises(SolverError, match="needs 15 steps"):
             run(sys, init, 0.01)
 
 

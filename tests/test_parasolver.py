@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 import relaxbench as rb
-from relaxbench import builder, diagnostics, hypersolver, parasolver
+from relaxbench import builder, diagnostics, hypersolver, parasolver, sparseops
 from relaxbench.builder import QuasilinearDivergence, ReactionDiffusion, isotropic_diffusion
 from relaxbench.core import l2_norm
 from relaxbench.parasolver import ReferenceError, exact_mode_oracle, run_reference
@@ -92,14 +92,17 @@ class TestSpectralReference:
         assert np.allclose(fields[-1], 0.8, atol=1e-13)
 
     def test_explicit_reaction_logistic(self, grid64):
-        # pure reaction (zero mode): compare against the logistic flow
+        # pure reaction (zero mode): compare against the logistic flow, whose relative error
+        # falls 100x per 10x smaller step (2.0e-6 at dt = 1e-2, 2.0e-8 at 1e-3): second order
         tgt = ReactionDiffusion(
             k=1, d=1, diffusion=isotropic_diffusion(1, 1), f=lambda u: u * (1 - u)
         )
         u0 = np.full((1, 64), 0.25)
-        _, fields = run_reference(tgt, u0, grid64, 0.5, dt=1e-5)
         exact = 0.25 * np.exp(0.5) / (1 + 0.25 * (np.exp(0.5) - 1))
-        assert fields[-1][0, 0] == pytest.approx(exact, rel=1e-4)
+        coarse, fine = (abs(run_reference(tgt, u0, grid64, 0.5, dt=dt)[1][-1][0, 0] - exact)
+                        for dt in (1e-2, 1e-3))
+        assert fine <= 1e-7 * exact
+        assert coarse >= 90.0 * fine
 
 
 EXACT_DEMOS = [("heat2d", (128, 128)), ("aniso2d", (8, 12)), ("heat1d", (256,)), ("sqrt-heat", (32,))]
@@ -511,7 +514,7 @@ class TestBlockAssembly:
         grid = rb.SpatialGrid((6, 10), (1.0, 2.5))
         u = np.random.default_rng(3).uniform(0.5, 1.5, size=(2, grid.cell_count))
         blocks = _coupled_diffusion(zero_block)(u)
-        op = parasolver._BlockOperator(grid, 2, divergence=divergence)
+        op = sparseops.BlockOperator(grid, 2, divergence=divergence)
         got = np.eye(2 * grid.cell_count) - sp.csc_matrix((op._data(blocks, 1.0), op.indices, op.indptr)).toarray()
         want = _dense_operator(grid, blocks, divergence)
         assert np.max(np.abs(want)) > 0
@@ -666,7 +669,7 @@ class TestCyclicSolve:
         for _ in range(5):
             lower, diag, upper, dense = _periodic_tridiagonal(rng, n)
             rhs = rng.normal(size=n)
-            got = parasolver._cyclic_tridiagonal(lower, diag, upper, rhs)
+            got = sparseops.cyclic_tridiagonal(lower, diag, upper, rhs)
             want = np.linalg.solve(dense, rhs)
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -675,14 +678,14 @@ class TestCyclicSolve:
         # tridiagonal part is regular: the 2 x 2 capacitance determinant is exactly zero
         lower = upper = -np.ones(4)
         with pytest.raises(np.linalg.LinAlgError, match="periodic corner correction is singular"):
-            parasolver._cyclic_tridiagonal(lower, np.full(4, 2.0), upper, np.ones(4))
+            sparseops.cyclic_tridiagonal(lower, np.full(4, 2.0), upper, np.ones(4))
 
     @pytest.mark.parametrize("n", [3, 5])
     def test_nearly_singular_corner_correction_raises(self, n):
         # the same stencil on 3 or 5 cells: the determinant is round-off (1.1e-16), not zero
         lower = upper = -np.ones(n)
         with pytest.raises(np.linalg.LinAlgError, match="periodic corner correction is singular"):
-            parasolver._cyclic_tridiagonal(lower, np.full(n, 2.0), upper, np.ones(n))
+            sparseops.cyclic_tridiagonal(lower, np.full(n, 2.0), upper, np.ones(n))
 
     def test_nearly_singular_crank_nicolson_step_raises_reference_error(self):
         # b = -1 makes I - (dt/2) L = I + dt/(2 h^2) (-1, 2, -1), singular on the first Fourier
@@ -703,7 +706,7 @@ class TestCyclicSolve:
             calls.append(matrix.shape)
             return splu(matrix)
 
-        monkeypatch.setattr(parasolver, "splu", counted)
+        monkeypatch.setattr(sparseops, "splu", counted)
         run_reference(target, u0, grid, 2e-3, dt=1e-3)
         return len(calls)
 
