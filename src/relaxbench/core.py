@@ -143,18 +143,57 @@ def spectral_gradient(grid: SpatialGrid, fields: Array) -> Array:
     return out
 
 
-def apply_modes(grid: SpatialGrid, table: Array, fields: Array) -> Array:
-    """Per-mode action of a matrix table (*ns, r, c) on real fields (c, *ns) -> (r, *ns).
+def mode_table(grid: SpatialGrid, stack: Array) -> Array:
+    """A stack of per-mode matrices (M or *ns, r, c), modes in C order, as apply_modes takes it:
+    contiguous (r, c, *ns) complex, so each entry's modes form one row."""
+    r, c = stack.shape[-2:]
+    return np.ascontiguousarray(np.moveaxis(stack.reshape(-1, r, c), 0, -1), dtype=complex).reshape((r, c) + grid.ns)
+
+
+def mode_work(grid: SpatialGrid, rows: int, cols: int) -> Tuple[Array, Array, Array]:
+    """apply_modes' complex scratch for an (rows, cols) table: spectrum (cols, *ns), product and term (rows, *ns)."""
+    return (np.empty((cols,) + grid.ns, complex), np.empty((rows,) + grid.ns, complex),
+            np.empty((rows,) + grid.ns, complex))
+
+
+def apply_modes(grid: SpatialGrid, table: Array, fields: Array, out: Optional[Array] = None,
+                work: Optional[Tuple[Array, Array, Array]] = None) -> Array:
+    """Per-mode action of a mode_table (r, c, *ns) on real fields (c, *ns) -> (r, *ns), into out if given.
 
     fft/ifft run axis by axis, last first: fftn's order and bits, without its per-call set-up.
+    Per mode the product is matmul's on the (*ns, r, c) stack bit for bit, as elementwise
+    multiply-adds over whole rows of modes: one column takes matmul's plain loop, in real
+    arithmetic; two or three take BLAS's gemv, which sums NumPy's complex products in column
+    order from +0.  From four columns on gemv blocks its sum, so that order matches it to
+    round-off only.  work is mode_work's scratch, allocated per call if not given; fields
+    may be out, read before out is written.
     """
-    spax = tuple(range(1, 1 + grid.d))
-    for ax in spax[::-1]:
-        fields = np.fft.fft(fields, axis=ax)
-    out = (table @ fields.transpose(spax + (0,))[..., None])[..., 0].transpose((grid.d, 0) + spax[:-1])
-    for ax in spax[::-1]:
-        out = np.fft.ifft(out, axis=ax)
-    return out.real
+    spectrum, product, term = work if work is not None else mode_work(grid, *table.shape[:2])
+    axes = range(grid.d, 0, -1)
+    for ax in axes:
+        np.fft.fft(fields, axis=ax, out=spectrum)
+        fields = spectrum
+    if table.shape[1] == 1:
+        t, f = table[:, 0], spectrum[0]
+        np.multiply(t.real, f.real, out=product.real)
+        np.multiply(t.imag, f.imag, out=term.real)
+        np.subtract(product.real, term.real, out=product.real)
+        np.multiply(t.real, f.imag, out=product.imag)
+        np.multiply(t.imag, f.real, out=term.imag)
+        np.add(product.imag, term.imag, out=product.imag)
+        product += 0.0  # the sum starts from +0, which turns a -0.0 product into +0.0
+    else:
+        np.multiply(table[:, 0], spectrum[0], out=product)
+        product += 0.0
+        for col in range(1, table.shape[1]):
+            np.multiply(table[:, col], spectrum[col], out=term)
+            product += term
+    for ax in axes:
+        np.fft.ifft(product, axis=ax, out=product)
+    if out is None:
+        return product.real.copy()
+    np.copyto(out, product.real)
+    return out
 
 
 def plan_times(T: float, snapshot_times: Optional[Sequence[float]]) -> List[float]:
@@ -557,7 +596,7 @@ def apply_m21_gradient(sys: RelaxationSystem, grid: SpatialGrid, uI: Array) -> A
     uI = np.asarray(uI, dtype=float)
     if sys.multiplier is not None:
         b = sys.multiplier.b_at(grid.wavenumbers().reshape(grid.d, -1))
-        return -apply_modes(grid, b.reshape(grid.ns + b.shape[1:]), uI)
+        return -apply_modes(grid, mode_table(grid, b), uI)
     grad = spectral_gradient(grid, uI)  # (d, k, *ns)
     m21 = transport_blocks(sys, grid.flat_points())[:, sys.k:, :sys.k]  # (d, m, k, M)
     out = np.zeros((sys.m,) + grid.ns)

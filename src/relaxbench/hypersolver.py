@@ -13,7 +13,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -29,6 +29,8 @@ from .core import (
     eig_function,
     equilibrium_uII,
     field_csv,
+    mode_table,
+    mode_work,
     plan_times,
     principal_symbols,
     solve_points,
@@ -73,15 +75,42 @@ class StepRecord:
     uII_norm2: float
 
 
+@dataclass(frozen=True)
+class StepLog(Sequence):
+    """Per-step scalar records kept as columns, one per StepRecord field; item i is row i's StepRecord."""
+
+    t: Sequence[float]
+    dt: Sequence[float]
+    energy: Sequence[float]
+    max_speed: Sequence[float]
+    uII_norm2: Sequence[float]
+
+    @classmethod
+    def of(cls, records: Sequence[StepRecord]) -> "StepLog":
+        return cls(*([getattr(r, f.name) for r in records] for f in fields(StepRecord)))
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        return StepRecord(self.t[i], self.dt[i], self.energy[i], self.max_speed[i], self.uII_norm2[i])
+
+
 @dataclass
 class Trajectory:
-    """Snapshots plus per-step scalar records of one integration."""
+    """Snapshots plus per-step scalar records of one integration; records given as rows become a StepLog."""
 
     snapshots: List[FieldState]
-    records: List[StepRecord]
+    records: Sequence[StepRecord]
     sup_uI: float
     sup_eps_uII: float
     clamp_events: int = 0  # always 0: run raises where a positive-state system leaves its states
+
+    def __post_init__(self):
+        if not isinstance(self.records, StepLog):
+            self.records = StepLog.of(self.records)
 
     @property
     def final(self) -> FieldState:
@@ -93,7 +122,7 @@ class Trajectory:
 
     def steps_csv(self) -> str:
         cols = ("t", "dt", "energy", "max_speed")
-        return csv_text(cols, np.array([[getattr(r, c) for r in self.records] for c in cols]))
+        return csv_text(cols, np.array([getattr(self.records, c) for c in cols]))
 
 
 def snapshot_csv(state: FieldState) -> str:
@@ -121,32 +150,59 @@ def max_wave_speed(sys: RelaxationSystem, grid: SpatialGrid) -> float:
 
 
 def squared_norms(uI: Array, uII: Array, vol: float) -> Tuple[float, float]:
-    """(||uI||^2, ||uII||^2); the energy is ||uI||^2 + eps^2 ||uII||^2."""
-    return float(np.sum(uI ** 2) * vol), float(np.sum(uII ** 2) * vol)
+    """(||uI||^2, ||uII||^2); the energy is ||uI||^2 + eps^2 ||uII||^2.
+
+    Each is np.sum(u ** 2) bit for bit, whose sum follows u's memory layout, without np.sum's wrappers.
+    """
+    return (float(np.add.reduce(np.square(uI), axis=None) * vol),
+            float(np.add.reduce(np.square(uII), axis=None) * vol))
 
 
-def _coefficient_product(mat: Array) -> Callable[[Array], Array]:
-    """x -> einsum("ab...,b...->a...", mat, x), over mat's nonzero coefficients where the bits allow.
+def _coefficient_product(mat: Array) -> Callable[..., Array]:
+    """x -> einsum("ab...,b...->a...", mat, x), into out if given, over mat's nonzero coefficients where the bits allow.
 
     A row of at most two nonzero products sums to the same bits in any order, and
-    einsum's zero products add nothing but a +0.0 start, which a zeroed output
-    supplies.  Three nonzero products sum in an order that follows the operand's
-    memory layout, so such a matrix, and a per-cell table (n, n, *ns), keep einsum.
+    einsum's zero products add nothing but a +0.0 start, which adding 0.0 to a row's
+    first product supplies.  Three nonzero products sum in an order that follows the
+    operand's memory layout, so such a matrix, and a per-cell table (n, n, *ns), keep einsum.
     """
     if mat.ndim != 2 or np.count_nonzero(mat, axis=1).max() > 2:
         return functools.partial(np.einsum, "ab...,b...->a...", mat)
-    terms = [(a, b, mat[a, b]) for a, b in zip(*np.nonzero(mat))]
+    rows = [[(b, mat[a, b]) for b in np.flatnonzero(mat[a])] for a in range(len(mat))]
 
-    def product(x: Array) -> Array:
-        out = np.zeros(mat.shape[:1] + x.shape[1:])
-        for a, b, coef in terms:
-            out[a] += coef * x[b]
+    def product(x: Array, out: Optional[Array] = None) -> Array:
+        out = np.empty(mat.shape[:1] + x.shape[1:]) if out is None else out
+        for row, terms in zip(out, rows):
+            if not terms:
+                row.fill(0.0)
+                continue
+            (b, coef), *second = terms
+            np.multiply(x[b], coef, out=row)
+            row += 0.0
+            for b, coef in second:
+                row += coef * x[b]
         return out
     return product
 
 
+def _periodic_sides(ns: Tuple[int, ...], j: int) -> List[Tuple[tuple, tuple, tuple]]:
+    """(cells, up, down) index triples along axis j of a (*ns) field, whose up and down neighbours wrap:
+    the interior cells, the first and the last."""
+    n = ns[j]
+
+    def along(start: int, stop: int) -> tuple:
+        return (slice(None),) * j + (slice(start, stop),)
+    return [(along(1, n - 1), along(2, n), along(0, n - 2)),
+            (along(0, 1), along(1, 2), along(n - 1, n)),
+            (along(n - 1, n), along(0, 1), along(n - 2, n - 1))]
+
+
 class _Workspace:
-    """Tabulated coefficients and cached propagators for one (system, grid, eps)."""
+    """One (system, grid, eps): tabulated coefficients, the recurring step's propagator, and the state.
+
+    The state y = (uI, uII), (N, *ns) C-ordered, is advanced in place through work buffers
+    allocated here, so a step does its arithmetic and allocates little else.
+    """
 
     def __init__(self, sys: RelaxationSystem, grid: SpatialGrid,
                  eps: float, opts: SolverOptions):
@@ -159,6 +215,9 @@ class _Workspace:
         self.speed = max_wave_speed(sys, grid)
         self.eps2_eye = eps ** 2 * np.eye(self.m)[:, :, None]  # the eps^2 I of every source solve
         self.zero_v = np.zeros((self.m, grid.cell_count))
+        # absent lower-order terms are not evaluated; a scalar 0.0 gives the bits of dt * zeros
+        self.absent_I = sys.dtilde_I is None and sys.reaction is None
+        self.y = np.empty((self.n,) + grid.ns)
 
         if opts.flux not in admissible_fluxes(sys):
             raise SolverError(f"flux {opts.flux} is not admissible for {sys.name or 'this system'}; "
@@ -169,6 +228,7 @@ class _Workspace:
             self._build_grid_transport()
         else:
             self._build_spectral_transport()
+        self.dt_max = self.max_dt()
 
     # -- step size -----------------------------------------------------------
 
@@ -202,24 +262,46 @@ class _Workspace:
         # the Rusanov dissipation radius_j * I, not a scalar multiply: radius * x would
         # keep a -0.0 that einsum's +0.0 start does not
         self.dissipate = [_coefficient_product(float(r) * np.eye(n)) for r in radii]
+        # the columns of the difference each C_j reads: its nonzero ones, or all of them for einsum
+        self.read = [range(n) if isinstance(p, functools.partial) else np.flatnonzero(c.any(axis=0))
+                     for p, c in zip(self.advect, self.cmat)]
+        self.sides = [_periodic_sides(grid.ns, j) for j in range(grid.d)]
+        shape = (n,) + grid.ns
+        self.twice, self.diff, self.adv = np.empty(shape), np.empty(shape), np.empty(shape)
+        # each axis's increment, all from one y; the last axis's is formed over 2y, then spent
+        self.incs = [np.empty(shape) for _ in range(grid.d - 1)] + [self.twice]
 
-    def _transport_grid(self, y: Array, dt: float) -> Array:
-        grid = self.grid
-        out = y.copy()
-        for j in range(grid.d):
-            ax = 1 + j
-            h = grid.h[j]
-            up = np.roll(y, -1, axis=ax)
-            dn = np.roll(y, +1, axis=ax)
-            adv = self.advect[j]((up - dn) / (2.0 * h))
-            diss = self.dissipate[j]((up - 2.0 * y + dn) / (2.0 * h))
-            out += dt * (diss - adv)
-        return out
+    def _transport_grid(self, dt: float) -> None:
+        """y += dt * (D_j - C_j) of y's periodic differences along each axis j in turn, all from the old y.
+
+        C_j acts on the central difference (up - dn) / 2h, of which only the columns C_j
+        reads are formed, and D_j = radius_j I on (up - 2y + dn) / 2h; up and dn are
+        slices of y, and 2y is formed once per step.
+        """
+        y, twice, diff, every = self.y, self.twice, self.diff, (slice(None),)
+        np.multiply(y, 2.0, out=twice)
+        for j, inc in enumerate(self.incs):
+            h2 = 2.0 * self.grid.h[j]
+            for cells, up, dn in self.sides[j]:
+                for b in self.read[j]:
+                    np.subtract(y[b][up], y[b][dn], out=diff[b][cells])
+                cells, up, dn = every + cells, every + up, every + dn
+                np.subtract(y[up], twice[cells], out=inc[cells])
+                np.add(inc[cells], y[dn], out=inc[cells])
+            for b in self.read[j]:
+                np.divide(diff[b], h2, out=diff[b])
+            np.divide(inc, h2, out=inc)
+            self.advect[j](diff, out=self.adv)
+            self.dissipate[j](inc, out=diff)  # the differences are spent
+            np.subtract(diff, self.adv, out=inc)
+            np.multiply(inc, dt, out=inc)
+        for inc in self.incs:
+            y += inc
 
     # -- spectral transport ----------------------------------------------------
 
     def _build_spectral_transport(self):
-        """Set self._propagator: dt -> S^-1 exp((dt / eps) P) S per mode, (*ns, N, N) complex.
+        """Factor the propagators and allocate apply_modes' scratch.
 
         P = -i H is the principal symbol at the wavenumbers; S = diag(1, eps) as it moves (U^I, eps U^II).
         """
@@ -229,35 +311,45 @@ class _Workspace:
         vals, vecs, vecs_inv = (a.astype(complex) for a in eig_factors(hmat))
         scale = np.ones(n)
         scale[k:] = eps
-        rescale = scale[None, :] / scale[:, None]
+        self._factors = vals, vecs, vecs_inv, scale[None, :] / scale[:, None]
+        self._recurring: Optional[Array] = None  # dt_max's propagator, once a step takes it
+        self.work = mode_work(grid, n, n)
 
-        def propagator(dt: float) -> Array:
-            return eig_function(vecs, np.exp(-1j * (dt / eps) * vals), vecs_inv) * rescale
-        self._propagator = functools.cache(propagator)  # one propagator per distinct dt
+    def _propagator(self, dt: float) -> Array:
+        """S^-1 exp((dt / eps) P) S per mode, a mode_table (N, N, *ns) complex."""
+        vals, vecs, vecs_inv, rescale = self._factors
+        return mode_table(self.grid, eig_function(vecs, np.exp(-1j * (dt / self.eps) * vals), vecs_inv) * rescale)
+
+    def _table(self, dt: float) -> Array:
+        """dt's propagator: dt_max's is kept, as every step but a clipped one takes it; any other is built per step."""
+        if dt != self.dt_max:
+            return self._propagator(dt)
+        if self._recurring is None:
+            self._recurring = self._propagator(dt)
+        return self._recurring
 
     # -- source ---------------------------------------------------------------
 
-    def _source(self, uI: Array, uII: Array, dt: float) -> Tuple[Array, Array]:
+    def _source(self, dt: float) -> Array:
+        """The implicit source step on y in place; returns the new uII (m, M) as the solve left it."""
         sys, eps = self.sys, self.eps
-        uflat = uI.reshape(self.k, -1)
-        vflat = uII.reshape(self.m, -1)
+        uflat = self.y[: self.k].reshape(self.k, -1)  # views, as y is C-ordered
+        vflat = self.y[self.k:].reshape(self.m, -1)
 
-        # absent lower-order terms are not evaluated; a scalar 0.0 gives the bits of dt * zeros
-        absent = sys.dtilde_I is None and sys.reaction is None
-        du = 0.0 if absent else sys.lower_order_I(self.xflat, uflat, vflat, eps) + sys.reaction_term(uflat)
-        unew = uflat + dt * du
+        du = 0.0 if self.absent_I else sys.lower_order_I(self.xflat, uflat, vflat, eps) + sys.reaction_term(uflat)
+        np.add(uflat, dt * du, out=uflat)
 
-        d2 = 0.0 if sys.d_II is None else sys.lower_order_II(unew, eps * vflat)
+        d2 = 0.0 if sys.d_II is None else sys.lower_order_II(uflat, eps * vflat)
         rhs = eps ** 2 * vflat + dt * d2
 
         # a source linear in v is solved exactly with its jacobian at v = 0; any other by Newton
         if sys.source_linear_in_v:
-            cmat = sys.stiff_source_jacobian(self.xflat, unew, self.zero_v)
+            cmat = sys.stiff_source_jacobian(self.xflat, uflat, self.zero_v)
             vnew = solve_points(self.eps2_eye - dt * cmat, rhs)
         else:
-            vnew = self._newton_source(unew, vflat, rhs, dt)
-
-        return unew.reshape(uI.shape), vnew.reshape(uII.shape)
+            vnew = self._newton_source(uflat, vflat, rhs, dt)
+        vflat[...] = vnew
+        return vnew
 
     def _newton_source(self, u: Array, v0: Array, rhs: Array, dt: float) -> Array:
         sys, eps = self.sys, self.eps
@@ -277,17 +369,26 @@ class _Workspace:
 
     # -- one full step ----------------------------------------------------------
 
-    def step(self, uI: Array, uII: Array, dt: float) -> Tuple[Array, Array]:
-        y = np.concatenate([uI, uII], axis=0)
-        if self.opts.flux != "spectral":
-            if dt > self.max_dt() * (1.0 + 1e-9):
-                raise SolverError(
-                    f"time step {dt:.3e} violates the transport stability bound {self.max_dt():.3e}"
-                )
-            y = self._transport_grid(y, dt)
+    def advance(self, dt: float) -> Array:
+        """Advance y by one step in place; returns the new uII (m, M) as the source solve left it.
+
+        That array's memory layout is the one the run's ||uII||^2 sums in, as it always has.
+        """
+        if self.opts.flux == "spectral":
+            apply_modes(self.grid, self._table(dt), self.y, out=self.y, work=self.work)
         else:
-            y = apply_modes(self.grid, self._propagator(dt), y)
-        return self._source(y[: self.k], y[self.k:], dt)
+            if dt > self.dt_max * (1.0 + 1e-9):
+                raise SolverError(
+                    f"time step {dt:.3e} violates the transport stability bound {self.dt_max:.3e}"
+                )
+            self._transport_grid(dt)
+        return self._source(dt)
+
+    def step(self, uI: Array, uII: Array, dt: float) -> Tuple[Array, Array]:
+        """(uI, uII) advanced by one step, through copies in and out of y."""
+        self.y[: self.k], self.y[self.k:] = uI, uII
+        self.advance(dt)
+        return self.y[: self.k].copy(), self.y[self.k:].copy()
 
     def check_positive(self, uI: Array, t: float) -> None:
         """SolverError naming the lowest uI, and its first cell, where a positive-state system's is not positive."""
@@ -325,7 +426,8 @@ def run(
     goes to on_snapshot, if given, as soon as it is taken.  A negative or
     non-finite T raises ValueError.  SolverError is raised if T needs more than
     MAX_STEPS steps (ceil(T / dt)), and at the first state that is non-finite or,
-    for positive_states, has uI <= 0.
+    for positive_states, has uI <= 0.  The state lives in the workspace and is
+    advanced in place; snapshots are copies of it, and init is only read.
     """
     opts = opts or SolverOptions()
     pending = plan_times(T, snapshot_times)
@@ -333,54 +435,55 @@ def run(
     ws = _Workspace(sys, grid, init.eps, opts)
     vol = grid.cell_volume
     eps = init.eps
-    speed_scaled = ws.speed / eps
+    eps2 = eps ** 2
+    uI, uII = ws.y[: sys.k], ws.y[sys.k:]  # views of the state
+    uI[...], uII[...] = init.uI, init.uII
 
     snapshots: List[FieldState] = []
 
-    def take(uI: Array, uII: Array, t: float) -> None:
+    def take(t: float) -> None:
         snapshots.append(FieldState(grid, uI.copy(), uII.copy(), t, eps))
         if on_snapshot is not None:
             on_snapshot(snapshots[-1])
 
-    uI, uII = init.uI.copy(), init.uII.copy()
     t = 0.0
-    records: List[StepRecord] = []
+    speed_scaled = ws.speed / eps
+    rows: List[Tuple[float, ...]] = []  # the step log, as StepRecord field tuples
     nI2, nII2 = squared_norms(uI, uII, vol)
-    sup_uI = float(np.sqrt(nI2))
-    sup_eps_uII = eps * float(np.sqrt(nII2))
+    top_nI2, top_nII2 = nI2, nII2  # sqrt and eps * sqrt are monotone, so their maxima are these maxima's
 
-    dt_max = ws.max_dt()
+    dt_max = ws.dt_max
     if T > MAX_STEPS * dt_max:  # dt_max is 0 if a subnormal eps underflowed it
         raise SolverError(f"T={T:g} at eps={eps:g} needs {np.ceil(T / dt_max) if dt_max else math.inf:.6g} "
                           f"steps of dt={dt_max:.6g}, more than MAX_STEPS = {MAX_STEPS}")
     ws.check_positive(uI, t)
-    take(uI, uII, t)
+    take(t)
     nsteps = 0
     tiny = 1e-12 * max(T, 1.0)
     while t < T - tiny:
         dt = min(dt_max, T - t)
         if pending[0] - t > tiny:
             dt = min(dt, pending[0] - t)
-        records.append(StepRecord(t, dt, nI2 + eps ** 2 * nII2, speed_scaled, nII2))
-        uI, uII = ws.step(uI, uII, dt)
-        nI2, nII2 = squared_norms(uI, uII, vol)
+        rows.append((t, dt, nI2 + eps2 * nII2, speed_scaled, nII2))
+        vnew = ws.advance(dt)
+        nI2, nII2 = squared_norms(uI, vnew, vol)
         if not math.isfinite(nI2 + nII2):  # a non-finite entry, or a finite state whose norm overflows
-            bad = ~np.isfinite(np.concatenate([uI.reshape(sys.k, -1), uII.reshape(sys.m, -1)])).all(axis=0)
+            bad = ~np.isfinite(ws.y.reshape(sys.n, -1)).all(axis=0)
             if bad.any():
                 raise SolverError(f"state became non-finite at t={t + dt:.6g}, cell {int(np.argmax(bad))}")
         t += dt
         ws.check_positive(uI, t)
         nsteps += 1
-        sup_uI = max(sup_uI, float(np.sqrt(nI2)))
-        sup_eps_uII = max(sup_eps_uII, eps * float(np.sqrt(nII2)))
+        top_nI2, top_nII2 = max(top_nI2, nI2), max(top_nII2, nII2)
         due = bisect.bisect_right(pending, t + tiny)  # T among them at the last step
         del pending[:due]
         strided = opts.snapshot_stride > 0 and nsteps % opts.snapshot_stride == 0
         if due or strided:
-            take(uI, uII, t)
+            take(t)
 
-    records.append(StepRecord(t, 0.0, nI2 + eps ** 2 * nII2, speed_scaled, nII2))
-    return Trajectory(snapshots=snapshots, records=records, sup_uI=sup_uI, sup_eps_uII=sup_eps_uII)
+    rows.append((t, 0.0, nI2 + eps2 * nII2, speed_scaled, nII2))
+    return Trajectory(snapshots=snapshots, records=StepLog(*zip(*rows)),
+                      sup_uI=math.sqrt(top_nI2), sup_eps_uII=eps * math.sqrt(top_nII2))
 
 
 def well_prepared_state(
@@ -399,6 +502,7 @@ __all__ = [
     "NEWTON_MAXITER",
     "MAX_STEPS",
     "StepRecord",
+    "StepLog",
     "Trajectory",
     "snapshot_csv",
     "max_wave_speed",

@@ -17,7 +17,8 @@ import numpy as np
 
 from . import hypersolver
 from .builder import ParabolicTarget, QuasilinearDivergence, ReactionDiffusion, _block_matrix
-from .core import Array, SpatialGrid, apply_modes, eig_factors, eig_function, field_csv, plan_times
+from .core import (Array, SpatialGrid, apply_modes, eig_factors, eig_function, field_csv, mode_table,
+                   plan_times)
 
 PICARD_TOL = 1e-11
 PICARD_MAXITER = 50
@@ -99,7 +100,7 @@ class _LinearRD:
         self.vals, self.vecs, self.vecs_inv = eig_factors(-target.mode_symbols(grid))
 
     def _diffusion(self, dt: float) -> Callable[[Array], Array]:
-        prop = eig_function(self.vecs, np.exp(dt * self.vals), self.vecs_inv).astype(complex)
+        prop = mode_table(self.grid, eig_function(self.vecs, np.exp(dt * self.vals), self.vecs_inv))
         return lambda u: apply_modes(self.grid, prop, u)
 
     def step(self, u: Array, span: float, nsub: int) -> Array:

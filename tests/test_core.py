@@ -15,6 +15,7 @@ from relaxbench.core import (
     eig_factors,
     eig_function,
     equilibrium_uII,
+    mode_table,
     principal_symbols,
     solve_points,
     spectral_gradient,
@@ -227,16 +228,20 @@ class TestModePrimitives:
     """apply_modes and solve_points against their plain NumPy formulation, bit for bit; eig_factors' bound."""
 
     @staticmethod
-    def _check_apply_modes(ns, rows, cols):
+    def _check_apply_modes(ns, rows, cols, signed_zeros=False):
         # the fftn/ifftn formulation: apply_modes transforms axis by axis and must match it exactly
         grid = SpatialGrid(ns, (1.0,) * len(ns))
         rng = np.random.default_rng(len(ns) + 10 * rows + cols)
         table = rng.normal(size=ns + (rows, cols)) + 1j * rng.normal(size=ns + (rows, cols))
         fields = rng.normal(size=(cols,) + ns)
+        if signed_zeros:  # exact +-0.0 in both parts of the table and in the fields
+            for part in (table.real, table.imag, fields):
+                part[rng.random(part.shape) < 0.25] = 0.0
+                part[rng.random(part.shape) < 0.25] = -0.0
         spax = tuple(range(1, 1 + grid.d))
         fhat = np.moveaxis(np.fft.fftn(fields, axes=spax), 0, -1)[..., None]
         want = np.fft.ifftn(np.moveaxis((table @ fhat)[..., 0], -1, 0), axes=spax).real
-        assert np.array_equal(apply_modes(grid, table, fields), want)
+        assert apply_modes(grid, mode_table(grid, table), fields).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("ns", [(16,), (8, 6)])
     def test_apply_modes_matches_moveaxis(self, ns):
@@ -246,6 +251,24 @@ class TestModePrimitives:
     def test_apply_modes_matches_moveaxis_on_larger_2d_grids(self):
         self._check_apply_modes((128, 128), 1, 1)
         self._check_apply_modes((32, 40), 3, 3)
+
+    def test_apply_modes_matches_moveaxis_at_the_ladder_shape(self):
+        self._check_apply_modes((256,), 2, 2)
+
+    @pytest.mark.parametrize("ns", [(16,), (8, 6)])
+    def test_apply_modes_keeps_signed_zeros(self, ns):
+        # every propagator's xi = 0 mode has exact zero off-diagonals; matmul sums from +0
+        for rows, cols in ((2, 2), (1, 1), (3, 3), (3, 2)):
+            self._check_apply_modes(ns, rows, cols, signed_zeros=True)
+
+    def test_apply_modes_writes_into_out_from_its_own_fields(self):
+        grid = SpatialGrid((16,), (1.0,))
+        rng = np.random.default_rng(7)
+        table = mode_table(grid, rng.normal(size=(16, 2, 2)) + 1j * rng.normal(size=(16, 2, 2)))
+        fields = rng.normal(size=(2, 16))
+        want = apply_modes(grid, table, fields)
+        assert apply_modes(grid, table, fields, out=fields) is fields
+        assert fields.tobytes() == want.tobytes()
 
     def test_solve_points_matches_moveaxis(self):
         rng = np.random.default_rng(5)

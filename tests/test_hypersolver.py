@@ -1,4 +1,5 @@
 import functools
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -164,7 +165,7 @@ class TestSpectralConvention:
         scale = np.diag([1.0] * sys.k + [eps] * sys.m)  # the step moves (uI, eps uII)
         for mode, xi in enumerate(kappa.T):
             want = np.linalg.inv(scale) @ expm((dt / eps) * rb.principal_symbol(sys, [0.0] * grid.d, xi)) @ scale
-            got = prop.reshape(-1, sys.n, sys.n)[mode]
+            got = prop.reshape(sys.n, sys.n, -1)[..., mode]  # a mode table: modes last
             assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want))), (name, xi)
 
 
@@ -225,6 +226,95 @@ class TestCoefficientProduct:
         grid = rb.SpatialGrid((12, 12), (1.0, 1.0))
         ws = hypersolver._Workspace(four_block_2d(), grid, 0.1, SolverOptions())
         assert all(isinstance(p, functools.partial) and p.func is np.einsum for p in ws.advect)
+
+
+def _roll_einsum_transport(ws, y, dt):
+    """The Rusanov step as np.roll and einsum formed it, on y as laid out: the oracle of _transport_grid."""
+    out = y.copy()
+    for j in range(ws.grid.d):
+        up, dn, h2 = np.roll(y, -1, axis=1 + j), np.roll(y, +1, axis=1 + j), 2.0 * ws.grid.h[j]
+        adv = np.einsum("ab...,b...->a...", ws.cmat[j], (up - dn) / h2)
+        diss = np.einsum("ab...,b...->a...", ws.dissipate[j](np.eye(ws.n)), (up - 2.0 * y + dn) / h2)
+        out += dt * (diss - adv)
+    return out
+
+
+class TestGridTransport:
+    @pytest.mark.parametrize("name", ["heat2d", "aniso2d", "four-block-2d"])
+    def test_bit_equal_to_roll_and_einsum(self, name):
+        for ns in ARTIFACT_GRIDS[2]:
+            grid = rb.SpatialGrid(ns, (1.0, 1.0))
+            sys = four_block_2d() if name == "four-block-2d" else builder.demo(name, grid).system
+            ws = hypersolver._Workspace(sys, grid, 0.1, SolverOptions())
+            for label, x in _operands(ns, sys.n, seed=5).items():
+                want = _roll_einsum_transport(ws, x, ws.dt_max)
+                ws.y[...] = x
+                ws._transport_grid(ws.dt_max)
+                assert ws.y.tobytes() == np.ascontiguousarray(want).tobytes(), (name, ns, label)
+
+    def test_sparse_advection_differences_only_the_columns_it_reads(self):
+        grid = rb.SpatialGrid((16, 16), (1.0, 1.0))
+        ws = hypersolver._Workspace(builder.demo("heat2d", grid).system, grid, 0.05, SolverOptions())
+        assert [list(cols) for cols in ws.read] == [[0, 1], [0, 2]]
+
+
+def _workspace_arrays(ws):
+    """Every array the workspace holds, directly or in a list or tuple."""
+    for value in vars(ws).values():
+        for item in value if isinstance(value, (list, tuple)) else [value]:
+            if isinstance(item, np.ndarray):
+                yield item
+
+
+class TestInPlaceState:
+    @pytest.fixture
+    def workspaces(self, monkeypatch):
+        made = []
+
+        class Recorded(hypersolver._Workspace):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+        monkeypatch.setattr(hypersolver, "_Workspace", Recorded)
+        return made
+
+    @pytest.mark.parametrize("name, ns, flux", [("carleman", (32,), "spectral"), ("heat2d", (12, 12), "rusanov"),
+                                                ("aniso2d", (12, 12), "spectral")])
+    def test_init_is_read_and_snapshots_are_copies(self, workspaces, name, ns, flux):
+        grid = rb.SpatialGrid(ns, (1.0,) * len(ns))
+        bundle = builder.demo(name, grid)
+        init = hypersolver.well_prepared_state(bundle.system, grid, bundle.u0(grid), 0.1)
+        uI0, uII0 = init.uI.copy(), init.uII.copy()
+        handed = []
+        traj = run(bundle.system, init, 0.01, SolverOptions(flux=flux, snapshot_stride=3),
+                   snapshot_times=[0.004], on_snapshot=handed.append)
+        assert init.uI.tobytes() == uI0.tobytes() and init.uII.tobytes() == uII0.tobytes()
+        arrays = [f for s in traj.snapshots for f in (s.uI, s.uII)]
+        buffers = list(_workspace_arrays(workspaces[0]))
+        assert len(traj.snapshots) > 3 and buffers
+        for i, f in enumerate(arrays):
+            assert not any(np.shares_memory(f, g) for g in arrays[i + 1:] + buffers)
+        assert len(handed) == len(traj.snapshots)
+        for got, snap in zip(handed, traj.snapshots):
+            assert got.t == snap.t and np.array_equal(got.uI, snap.uI) and np.array_equal(got.uII, snap.uII)
+
+    def test_only_the_recurring_propagator_is_kept(self, monkeypatch):
+        # 60 irregular snapshot times clip 60 steps; each clipped step's table must go with its step
+        grid = rb.SpatialGrid((16, 16), (1.0, 1.0))
+        bundle = builder.demo("aniso2d", grid)
+        init = hypersolver.well_prepared_state(bundle.system, grid, bundle.u0(grid), 0.1)
+        built, alive_at_build = [], []
+        propagator = hypersolver._Workspace._propagator
+
+        def recorded(ws, dt):
+            alive_at_build.append(sum(ref() is not None for ref in built))
+            table = propagator(ws, dt)
+            built.append(weakref.ref(table))
+            return table
+        monkeypatch.setattr(hypersolver._Workspace, "_propagator", recorded)
+        times = np.sort(np.random.default_rng(8).uniform(0.0, 0.02, 60))
+        run(bundle.system, init, 0.02, SolverOptions(flux="spectral"), snapshot_times=times)
+        assert len(built) > 60 and max(alive_at_build) <= 1
 
 
 class TestSingleModeDecay:
