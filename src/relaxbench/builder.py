@@ -221,17 +221,18 @@ def from_reaction_diffusion(target: ReactionDiffusion) -> RelaxationSystem:
 
         def q_nu(x, u, z):
             return -_rd_amat(target, x)
-    else:  # blocks stay arrays, and q_nu a broadcast view: _source calls it every step
+        jac = q_nu
+    else:  # blocks and q_nu stay arrays, which the solver tabulates once
         x0 = np.zeros((d, 1))
         m12 = tuple(row(x0, j)[:, :, 0] for j in range(d))
         m21 = tuple(blk.T for blk in m12)
-        neg_a = -_rd_amat(target, x0)
+        q_nu = -_rd_amat(target, x0)[:, :, 0]
 
-        def q_nu(x, u, z):
-            return np.broadcast_to(neg_a, (k * d, k * d, z.shape[-1]))
+        def jac(x, u, z):
+            return np.broadcast_to(q_nu[:, :, None], (k * d, k * d, z.shape[-1]))
 
     def q(x, u, z):
-        return np.einsum("abm,bm->am", q_nu(x, u, z), z)
+        return np.einsum("abm,bm->am", jac(x, u, z), z)
 
     m22 = tuple(np.zeros((k * d, k * d)) for _ in range(d))
     return RelaxationSystem(
@@ -319,11 +320,8 @@ def from_sqrt_symbol(target: ReactionDiffusion) -> RelaxationSystem:
     def q(x, u, z):
         return -z
 
-    def q_nu(x, u, z):
-        return np.broadcast_to(-np.eye(k)[:, :, None], (k, k, z.shape[-1]))
-
     return RelaxationSystem(
-        k=k, m=k, d=d, q=q, q_nu=q_nu, reaction=target.f,
+        k=k, m=k, d=d, q=q, q_nu=-np.eye(k), reaction=target.f,
         multiplier=mult, source_linear_in_v=True,
         name=target.name or "sqrt-multiplier",
     )

@@ -12,7 +12,7 @@ import argparse
 import itertools
 import math
 import sys as _sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -283,8 +283,9 @@ def cmd_run(config: str, out: str, allow_invalid: bool = False) -> int:
         init = FieldState(grid, u0, np.zeros((bundle.system.m,) + grid.ns), 0.0, eps)
 
     # each file goes to a writer as soon as its data exists: a snapshot while the run goes on,
-    # the step log and the reference once it has ended; how many snapshots a run takes is not
-    # known before it steps, so there is one writer per usable CPU
+    # the step log once it has ended, and each reference field as the reference reaches it;
+    # how many snapshots a run takes is not known before it steps, so there is one writer per
+    # usable CPU, and no snapshot or field is kept once it is handed over
     with diagnostics.ForkedJobs(Path(out), jobs=None) as writers:
         names = (f"snapshot_{i:03d}.csv" for i in itertools.count())
 
@@ -292,19 +293,15 @@ def cmd_run(config: str, out: str, allow_invalid: bool = False) -> int:
             writers.submit(_write_csv, next(names), hypersolver.snapshot_csv, snap)
 
         traj = hypersolver.run(bundle.system, init, expcfg["T"], exp.opts, on_snapshot=write_snapshot)
-        # the step log needs the records only, so the snapshots are not sent again
-        writers.submit(_write_csv, "steps.csv", hypersolver.Trajectory.steps_csv, replace(traj, snapshots=[]))
+        writers.submit(_write_csv, "steps.csv", hypersolver.StepLog.csv, traj.records)
         if expcfg["reference"]:
-            times, fields = parasolver.run_reference(
-                bundle.target, u0, grid, expcfg["T"],
-                snapshot_times=[s.t for s in traj.snapshots],
-            )
-            for i, u in enumerate(fields):
+            fields = parasolver.reference_fields(bundle.target, u0, grid, expcfg["T"], snapshot_times=traj.times)
+            for i, (_, u) in enumerate(fields):
                 writers.submit(_write_csv, f"reference_{i:03d}.csv", parasolver.reference_csv, grid, u)
 
     print(
         f"integrated {bundle.name} to T={expcfg['T']:g} at eps={eps:g}: "
-        f"{len(traj.records) - 1} steps, {len(traj.snapshots)} snapshots"
+        f"{len(traj.records) - 1} steps, {len(traj.times)} snapshots"
     )
     return 0
 

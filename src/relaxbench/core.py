@@ -269,7 +269,10 @@ def eig_function(vecs: Array, values: Array, vecs_inv: Array) -> Array:
 
 
 def solve_points(mats: Array, rhs: Array) -> Array:
-    """Solve mats[:, :, p] x[:, p] = rhs[:, p] at every point p; mats (m, m, M), rhs (m, M)."""
+    """Solve mats[:, :, p] x[:, p] = rhs[:, p] at every point p; mats (m, m, M), rhs (m, M).
+
+    mats (m, m, 1) is one matrix for every point, solved as its broadcast to (m, m, M) bit for bit.
+    """
     if mats.shape[0] == 1:  # a division is LAPACK's 1 x 1 solve bit for bit; rhs * (1 / mats) is not
         if not mats.all():
             raise np.linalg.LinAlgError("Singular matrix")
@@ -325,7 +328,8 @@ class RelaxationSystem:
     system deliberately violates the conserved-block structure (those systems
     relax to the null solution, not to a parabolic limit).  The stiff source
     q(x, u, z) takes the unscaled non-conserved state z and must vanish at
-    z = 0; q_nu is its derivative in z.
+    z = 0; q_nu is its derivative in z, a callable (x, u, z) -> (m, m[, M]), or a
+    constant (m, m) array, which the solver tabulates once.
     """
 
     k: int
@@ -336,7 +340,7 @@ class RelaxationSystem:
     m22: Optional[Tuple[MatrixField, ...]] = None
     m11: Optional[Tuple[MatrixField, ...]] = None
     q: Optional[Callable[[Array, Array, Array], Array]] = None
-    q_nu: Optional[Callable[[Array, Array, Array], Array]] = None
+    q_nu: Optional[Union[Array, Callable[[Array, Array, Array], Array]]] = None
     dtilde_I: Optional[Callable[[Array, Array, Array, float], Array]] = None
     d_II: Optional[Callable[[Array, Array], Array]] = None
     reaction: Optional[Callable[[Array], Array]] = None
@@ -378,8 +382,8 @@ class RelaxationSystem:
         return np.asarray(self.q(x, u, z), dtype=float)
 
     def stiff_source_jacobian(self, x: Array, u: Array, z: Array) -> Array:
-        """q_nu at M column-paired points, always of shape (m, m, M)."""
-        jac = np.asarray(self.q_nu(x, u, z), dtype=float)
+        """q_nu at M column-paired points, always of shape (m, m, M); a constant q_nu as a broadcast view."""
+        jac = np.asarray(self.q_nu(x, u, z) if callable(self.q_nu) else self.q_nu, dtype=float)
         shape = (self.m, self.m, np.shape(z)[-1])
         if jac.shape == shape:  # skip broadcast_to, which costs as much as q_nu on the step path
             return jac

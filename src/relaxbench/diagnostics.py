@@ -170,6 +170,8 @@ def _ladder_workers(jobs: Optional[int], threads: Optional[int] = None) -> int:
     return min(cpus, jobs or cpus, threads or cpus)
 
 
+WINDOW = 2  # jobs in flight per ForkedJobs worker: one running, one queued to start when it ends
+
 # what the jobs of a ForkedJobs pool share, set in each worker right after the fork: a
 # system's callables cannot be pickled, and a forked worker inherits them instead
 _SHARED = None
@@ -190,13 +192,16 @@ class ForkedJobs:
 
     Within `with ForkedJobs(shared, jobs) as pool:`, pool.submit(fn, *args) starts one job:
     fn is a module-level function and args are pickled, while shared reaches the workers by
-    the fork.  In this process a job runs inside submit.  Leaving the block collects every
-    result into pool.results in submission order, so either path raises the first failing
-    job's error; jobs not yet started are then cancelled.  An error raised inside the block
-    lets the jobs already submitted finish, then propagates.  Either way the pool is joined
-    before the block is left, so no worker outlives it.  This process's objects stay frozen
-    (gc.freeze) while the workers run: the workers' collections then leave them alone, and
-    the pages they share with this process copy-on-write stay shared.
+    the fork.  In this process a job runs inside submit.  At most WINDOW jobs per worker are
+    in flight, so their args are all this process holds of them: at that limit submit waits
+    for whichever job ends first, and jobs still start in submission order.  Leaving the
+    block collects every result into pool.results in submission order, so either path
+    raises the first failing job's error; jobs not yet started are then cancelled.  An error
+    raised inside the block lets the jobs already submitted finish, then propagates.  Either
+    way the pool is joined before the block is left, so no worker outlives it.  This
+    process's objects stay frozen (gc.freeze) while the workers run: the workers'
+    collections then leave them alone, and the pages they share with this process
+    copy-on-write stay shared.
     """
 
     def __init__(self, shared, jobs: Optional[int], threads: Optional[int] = None):
@@ -204,6 +209,7 @@ class ForkedJobs:
         self.results: list = []
         self._pool = None
         self._futures: list = []
+        self._in_flight: set = set()
 
     def __enter__(self) -> "ForkedJobs":
         if self.workers > 1:
@@ -218,8 +224,13 @@ class ForkedJobs:
     def submit(self, fn, *args) -> None:
         if self._pool is None:
             self.results.append(fn(self.shared, *args))
-        else:
-            self._futures.append(self._pool.submit(_shared_job, fn, *args))
+            return
+        if len(self._in_flight) >= WINDOW * self.workers:
+            from concurrent.futures import FIRST_COMPLETED, wait
+
+            self._in_flight = wait(self._in_flight, return_when=FIRST_COMPLETED).not_done
+        self._futures.append(self._pool.submit(_shared_job, fn, *args))
+        self._in_flight.add(self._futures[-1])
 
     def __exit__(self, exc_type, exc, tb) -> None:
         if self._pool is None:

@@ -24,6 +24,7 @@ from .core import (
     RelaxationSystem,
     SpatialGrid,
     apply_modes,
+    constant_matrix,
     csv_text,
     eig_factors,
     eig_function,
@@ -97,32 +98,37 @@ class StepLog(Sequence):
             return [self[j] for j in range(*i.indices(len(self)))]
         return StepRecord(self.t[i], self.dt[i], self.energy[i], self.max_speed[i], self.uII_norm2[i])
 
+    def csv(self) -> str:
+        """The step log's text: columns t, dt, energy, max_speed."""
+        cols = ("t", "dt", "energy", "max_speed")
+        return csv_text(cols, np.array([getattr(self, c) for c in cols]))
+
 
 @dataclass
 class Trajectory:
-    """Snapshots plus per-step scalar records of one integration; records given as rows become a StepLog."""
+    """Snapshots plus per-step scalar records of one integration; records given as rows become a StepLog.
+
+    times and final default to the snapshots' times and the last snapshot; a streamed run,
+    which keeps no snapshot, gives them.
+    """
 
     snapshots: List[FieldState]
     records: Sequence[StepRecord]
     sup_uI: float
     sup_eps_uII: float
     clamp_events: int = 0  # always 0: run raises where a positive-state system leaves its states
+    times: Optional[Array] = None
+    final: Optional[FieldState] = None
 
     def __post_init__(self):
         if not isinstance(self.records, StepLog):
             self.records = StepLog.of(self.records)
-
-    @property
-    def final(self) -> FieldState:
-        return self.snapshots[-1]
-
-    @property
-    def times(self) -> Array:
-        return np.array([s.t for s in self.snapshots])
+        self.times = np.array([s.t for s in self.snapshots] if self.times is None else self.times)
+        if self.final is None and self.snapshots:
+            self.final = self.snapshots[-1]
 
     def steps_csv(self) -> str:
-        cols = ("t", "dt", "energy", "max_speed")
-        return csv_text(cols, np.array([getattr(self.records, c) for c in cols]))
+        return self.records.csv()
 
 
 def snapshot_csv(state: FieldState) -> str:
@@ -214,7 +220,10 @@ class _Workspace:
         self.xflat = grid.flat_points()
         self.speed = max_wave_speed(sys, grid)
         self.eps2_eye = eps ** 2 * np.eye(self.m)[:, :, None]  # the eps^2 I of every source solve
-        self.zero_v = np.zeros((self.m, grid.cell_count))
+        self.q_const = constant_matrix(sys.q_nu)  # None for a callable q_nu
+        # a callable jacobian of a linear source is evaluated at v = 0
+        self.zero_v = np.zeros((self.m, grid.cell_count)) if self.q_const is None else None
+        self._kept = {}  # what _recurring keeps for dt_max
         # absent lower-order terms are not evaluated; a scalar 0.0 gives the bits of dt * zeros
         self.absent_I = sys.dtilde_I is None and sys.reaction is None
         self.y = np.empty((self.n,) + grid.ns)
@@ -244,14 +253,16 @@ class _Workspace:
 
         C_j is similar to T_j / eps, so eps times its largest spectral radius is a
         wave speed; it raises self.speed where the sampled max_wave_speed missed it.
+        Constant blocks are evaluated at one point.
         """
         grid, n, k, eps = self.grid, self.n, self.k, self.eps
         div = np.full((n, n, 1), eps)
         div[:k, k:], div[k:, :k] = 1.0, eps ** 2
-        tab = transport_blocks(self.sys, self.xflat) / div
+        constant = self.sys.constant_coefficients
+        tab = transport_blocks(self.sys, self.xflat[:, :1] if constant else self.xflat) / div
         # one C_j per axis if constant, so one spectral radius per axis, else one per cell
-        if self.sys.constant_coefficients:
-            self.cmat = tab[..., 0].copy()
+        if constant:
+            self.cmat = tab[..., 0]
             radii = np.max(np.abs(np.linalg.eigvals(self.cmat)), axis=1)
         else:
             self.cmat = tab.reshape((grid.d, n, n) + grid.ns)
@@ -312,7 +323,6 @@ class _Workspace:
         scale = np.ones(n)
         scale[k:] = eps
         self._factors = vals, vecs, vecs_inv, scale[None, :] / scale[:, None]
-        self._recurring: Optional[Array] = None  # dt_max's propagator, once a step takes it
         self.work = mode_work(grid, n, n)
 
     def _propagator(self, dt: float) -> Array:
@@ -320,13 +330,14 @@ class _Workspace:
         vals, vecs, vecs_inv, rescale = self._factors
         return mode_table(self.grid, eig_function(vecs, np.exp(-1j * (dt / self.eps) * vals), vecs_inv) * rescale)
 
-    def _table(self, dt: float) -> Array:
-        """dt's propagator: dt_max's is kept, as every step but a clipped one takes it; any other is built per step."""
+    def _recurring(self, name: str, build: Callable[[float], Array], dt: float) -> Array:
+        """build(dt): dt_max's is kept under name, as every step but a clipped one takes it; any other dt's is
+        built per step."""
         if dt != self.dt_max:
-            return self._propagator(dt)
-        if self._recurring is None:
-            self._recurring = self._propagator(dt)
-        return self._recurring
+            return build(dt)
+        if name not in self._kept:
+            self._kept[name] = build(dt)
+        return self._kept[name]
 
     # -- source ---------------------------------------------------------------
 
@@ -344,12 +355,19 @@ class _Workspace:
 
         # a source linear in v is solved exactly with its jacobian at v = 0; any other by Newton
         if sys.source_linear_in_v:
-            cmat = sys.stiff_source_jacobian(self.xflat, uflat, self.zero_v)
-            vnew = solve_points(self.eps2_eye - dt * cmat, rhs)
+            if self.q_const is None:
+                mats = self.eps2_eye - dt * sys.stiff_source_jacobian(self.xflat, uflat, self.zero_v)
+            else:
+                mats = self._recurring("source", self._source_matrix, dt)
+            vnew = solve_points(mats, rhs)
         else:
             vnew = self._newton_source(uflat, vflat, rhs, dt)
         vflat[...] = vnew
         return vnew
+
+    def _source_matrix(self, dt: float) -> Array:
+        """eps^2 I - dt q_nu of a constant q_nu, (m, m, 1): one matrix for every cell."""
+        return self.eps2_eye - dt * self.q_const[:, :, None]
 
     def _newton_source(self, u: Array, v0: Array, rhs: Array, dt: float) -> Array:
         sys, eps = self.sys, self.eps
@@ -375,7 +393,8 @@ class _Workspace:
         That array's memory layout is the one the run's ||uII||^2 sums in, as it always has.
         """
         if self.opts.flux == "spectral":
-            apply_modes(self.grid, self._table(dt), self.y, out=self.y, work=self.work)
+            apply_modes(self.grid, self._recurring("propagator", self._propagator, dt), self.y,
+                        out=self.y, work=self.work)
         else:
             if dt > self.dt_max * (1.0 + 1e-9):
                 raise SolverError(
@@ -423,11 +442,13 @@ def run(
     running a structure-violating fixture).  Snapshots are taken at the
     plan_times of snapshot_times, landed on exactly, or every snapshot_stride
     steps; the initial and final states are always included.  Each snapshot
-    goes to on_snapshot, if given, as soon as it is taken.  A negative or
-    non-finite T raises ValueError.  SolverError is raised if T needs more than
-    MAX_STEPS steps (ceil(T / dt)), and at the first state that is non-finite or,
-    for positive_states, has uI <= 0.  The state lives in the workspace and is
-    advanced in place; snapshots are copies of it, and init is only read.
+    goes to on_snapshot, if given, as soon as it is taken, and the run then keeps
+    only its time: the trajectory's snapshots are empty, and its final state is the
+    workspace's.  A negative or non-finite T raises ValueError.  SolverError is
+    raised if T needs more than MAX_STEPS steps (ceil(T / dt)), and at the first
+    state that is non-finite or, for positive_states, has uI <= 0.  The state lives
+    in the workspace and is advanced in place; snapshots are copies of it, and init
+    is only read.
     """
     opts = opts or SolverOptions()
     pending = plan_times(T, snapshot_times)
@@ -440,11 +461,15 @@ def run(
     uI[...], uII[...] = init.uI, init.uII
 
     snapshots: List[FieldState] = []
+    times: List[float] = []
 
     def take(t: float) -> None:
-        snapshots.append(FieldState(grid, uI.copy(), uII.copy(), t, eps))
-        if on_snapshot is not None:
-            on_snapshot(snapshots[-1])
+        snap = FieldState(grid, uI.copy(), uII.copy(), t, eps)
+        times.append(t)
+        if on_snapshot is None:
+            snapshots.append(snap)
+        else:
+            on_snapshot(snap)
 
     t = 0.0
     speed_scaled = ws.speed / eps
@@ -483,7 +508,8 @@ def run(
 
     rows.append((t, 0.0, nI2 + eps2 * nII2, speed_scaled, nII2))
     return Trajectory(snapshots=snapshots, records=StepLog(*zip(*rows)),
-                      sup_uI=math.sqrt(top_nI2), sup_eps_uII=eps * math.sqrt(top_nII2))
+                      sup_uI=math.sqrt(top_nI2), sup_eps_uII=eps * math.sqrt(top_nII2), times=times,
+                      final=None if snapshots else FieldState(grid, uI, uII, t, eps))
 
 
 def well_prepared_state(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,30 +37,29 @@ def reference_csv(grid: SpatialGrid, u: Array) -> str:
 # time-stepping drivers
 
 
-def run_reference(
+def reference_fields(
     target: ParabolicTarget,
     u0: Array,
     grid: SpatialGrid,
     T: float,
     dt: Optional[float] = None,
     snapshot_times: Optional[Sequence[float]] = None,
-) -> Tuple[Array, Array]:
-    """Integrate the parabolic target to time T.
+) -> Iterator[Tuple[float, Array]]:
+    """The parabolic target's solution, yielded as (t, u) one output time at a time up to T.
 
-    Returns (times, fields) where fields[s] is the solution at times[s]; the
-    initial state is always the first entry.  Each output span is one call
+    The initial state comes first, then the solution at each plan_times time; each u
+    is a new array the iteration does not touch again.  Each output span is one call
     stepper.step(u, span, nsub) with nsub = ceil(span / dt) sub-steps of
     span / nsub (dt defaults to T / 1000), each second order in dt.  Constant
     diffusion goes through _LinearRD, which maps a span without a reaction
     exactly and ignores nsub; callable diffusion through _PicardQL.  A negative
     or non-finite T, dt <= 0, or ceil(T / dt) above hypersolver.MAX_STEPS raises
-    ValueError before any step.  Parabolicity of the target is the caller's
-    responsibility to have verified.
+    ValueError in this call, before any step.  Parabolicity of the target is the
+    caller's responsibility to have verified.
     """
     spans = plan_times(T, snapshot_times)
     if dt is not None and not dt > 0:
         raise ValueError(f"reference step dt must be positive, got {dt:g}")
-    u0 = np.asarray(u0, dtype=float)
     if dt is None:
         dt = T / 1000.0 if T > 0 else 1.0
     if (steps := np.ceil(T / dt)) > hypersolver.MAX_STEPS:
@@ -72,19 +71,32 @@ def run_reference(
         stepper = _PicardQL(target, grid)
     else:
         raise TypeError(f"unsupported target {type(target)!r}")
+    return _advance(stepper, np.asarray(u0, dtype=float).copy(), spans, dt)
 
-    times = [0.0]
-    fields = [u0.copy()]
-    u = u0.copy()
+
+def _advance(stepper, u: Array, spans: List[float], dt: float) -> Iterator[Tuple[float, Array]]:
+    """(0, u), then (t, u) at the end of each positive span of reference_fields."""
     t = 0.0
+    yield t, u
     for t_next in spans:
         span = t_next - t
         if span <= 0:
             continue
         u = stepper.step(u, span, max(1, int(np.ceil(span / dt - 1e-12))))
         t = t_next
-        times.append(t)
-        fields.append(u.copy())
+        yield t, u
+
+
+def run_reference(
+    target: ParabolicTarget,
+    u0: Array,
+    grid: SpatialGrid,
+    T: float,
+    dt: Optional[float] = None,
+    snapshot_times: Optional[Sequence[float]] = None,
+) -> Tuple[Array, Array]:
+    """(times, fields) of reference_fields collected: fields[s] is the solution at times[s]."""
+    times, fields = zip(*reference_fields(target, u0, grid, T, dt, snapshot_times))
     return np.array(times), np.stack(fields)
 
 
@@ -301,6 +313,7 @@ def oracle_ladder_errors(times: Sequence[float], eps_list: Sequence[float]) -> L
 __all__ = [
     "ReferenceError",
     "reference_csv",
+    "reference_fields",
     "run_reference",
     "ModeOracle",
     "exact_mode_oracle",

@@ -1,4 +1,7 @@
+import gc
+import multiprocessing
 import os
+import time
 
 import numpy as np
 import pytest
@@ -220,6 +223,44 @@ class TestConvergenceStudy:
         assert workers(5) == 3
         monkeypatch.delattr(os, "fork")
         assert workers(5) == 1
+
+
+def _timed_job(done, i, seconds, fail=False):
+    """Sleep, then leave a file named i in the directory done, then return i or raise."""
+    time.sleep(seconds)
+    (done / str(i)).touch()
+    if fail:
+        raise ValueError(f"job {i} failed")
+    return i
+
+
+class TestForkedJobs:
+    def _submit_all(self, tmp_path, jobs):
+        """Submit jobs (seconds, fail) to 2 forked workers; the most jobs pending after any submit."""
+        pending = []
+        with diagnostics.ForkedJobs(tmp_path, jobs=None) as pool:
+            assert pool.workers == 2
+            for i, (seconds, fail) in enumerate(jobs):
+                pool.submit(_timed_job, i, seconds, fail)
+                # a job whose file exists has ended, so this counts no more than the jobs in flight
+                pending.append(i + 1 - len(list(tmp_path.iterdir())))
+        assert multiprocessing.active_children() == [] and gc.get_freeze_count() == 0
+        return pool, pending
+
+    def test_window_bounds_the_pending_jobs_and_keeps_their_order(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        pool, pending = self._submit_all(tmp_path, [(0.02, False)] * 16)
+        assert pool.results == list(range(16))
+        assert max(pending) <= diagnostics.WINDOW * 2 == 4
+
+    def test_first_failing_job_in_submission_order_raises(self, tmp_path, monkeypatch):
+        # job 9 fails long before job 3 does; job 3's error is the one raised
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        jobs = [(0.01, False)] * 12
+        jobs[3], jobs[9] = (0.3, True), (0.0, True)
+        with pytest.raises(ValueError, match="job 3 failed"):
+            self._submit_all(tmp_path, jobs)
+        assert multiprocessing.active_children() == [] and gc.get_freeze_count() == 0
 
 
 class TestConvergenceTable:

@@ -286,14 +286,17 @@ class TestInPlaceState:
         init = hypersolver.well_prepared_state(bundle.system, grid, bundle.u0(grid), 0.1)
         uI0, uII0 = init.uI.copy(), init.uII.copy()
         handed = []
-        traj = run(bundle.system, init, 0.01, SolverOptions(flux=flux, snapshot_stride=3),
-                   snapshot_times=[0.004], on_snapshot=handed.append)
+        opts = SolverOptions(flux=flux, snapshot_stride=3)
+        run(bundle.system, init, 0.01, opts, snapshot_times=[0.004], on_snapshot=handed.append)
+        traj = run(bundle.system, init, 0.01, opts, snapshot_times=[0.004])
         assert init.uI.tobytes() == uI0.tobytes() and init.uII.tobytes() == uII0.tobytes()
-        arrays = [f for s in traj.snapshots for f in (s.uI, s.uII)]
-        buffers = list(_workspace_arrays(workspaces[0]))
-        assert len(traj.snapshots) > 3 and buffers
-        for i, f in enumerate(arrays):
-            assert not any(np.shares_memory(f, g) for g in arrays[i + 1:] + buffers)
+        # the handed snapshots against the streamed run's workspace, the kept ones against the other's
+        for snaps, ws in ((handed, workspaces[0]), (traj.snapshots, workspaces[1])):
+            arrays = [f for s in snaps for f in (s.uI, s.uII)]
+            buffers = list(_workspace_arrays(ws))
+            assert len(snaps) > 3 and buffers
+            for i, f in enumerate(arrays):
+                assert not any(np.shares_memory(f, g) for g in arrays[i + 1:] + buffers)
         assert len(handed) == len(traj.snapshots)
         for got, snap in zip(handed, traj.snapshots):
             assert got.t == snap.t and np.array_equal(got.uI, snap.uI) and np.array_equal(got.uII, snap.uII)
@@ -315,6 +318,78 @@ class TestInPlaceState:
         times = np.sort(np.random.default_rng(8).uniform(0.0, 0.02, 60))
         run(bundle.system, init, 0.02, SolverOptions(flux="spectral"), snapshot_times=times)
         assert len(built) > 60 and max(alive_at_build) <= 1
+
+
+def _state_bytes(state):
+    return state.t, state.uI.tobytes(), state.uII.tobytes()
+
+
+class TestStreamedRun:
+    @pytest.mark.parametrize("name, ns, flux", [("carleman", (32,), "spectral"), ("heat2d", (12, 12), "rusanov")])
+    def test_holds_no_handed_snapshot_and_matches_a_kept_run(self, name, ns, flux):
+        grid = rb.SpatialGrid(ns, (1.0,) * len(ns))
+        bundle = builder.demo(name, grid)
+        init = hypersolver.well_prepared_state(bundle.system, grid, bundle.u0(grid), 0.1)
+        opts = SolverOptions(flux=flux, snapshot_stride=3)
+        handed, refs, alive_at_handoff = [], [], []
+
+        def hand_off(snap):
+            alive_at_handoff.append(sum(ref() is not None for ref in refs))
+            refs.append(weakref.ref(snap))
+            handed.append(_state_bytes(snap))
+        streamed = run(bundle.system, init, 0.01, opts, snapshot_times=[0.004], on_snapshot=hand_off)
+        kept = run(bundle.system, init, 0.01, opts, snapshot_times=[0.004])
+        assert len(handed) > 3 and max(alive_at_handoff) == 0 and all(ref() is None for ref in refs)
+        assert streamed.snapshots == [] and handed == [_state_bytes(s) for s in kept.snapshots]
+        assert streamed.times.tobytes() == kept.times.tobytes()
+        assert _state_bytes(streamed.final) == _state_bytes(kept.final)
+        assert streamed.steps_csv() == kept.steps_csv()
+        assert (streamed.sup_uI, streamed.sup_eps_uII) == (kept.sup_uI, kept.sup_eps_uII)
+
+
+def _per_cell(fields):
+    """Constant (rows, cols) matrices as callables of x: the per-cell path of the same values."""
+    return tuple(lambda x, c=np.asarray(c): np.broadcast_to(c[:, :, None], c.shape + (x.shape[1],))
+                 for c in fields)
+
+
+class TestConstantCoefficients:
+    @pytest.mark.parametrize("name, ns", [("heat2d", (12, 12)), ("aniso2d", (12, 16)), ("heat1d", (32,))])
+    def test_one_point_transport_table_is_every_cells(self, name, ns):
+        grid = rb.SpatialGrid(ns, (1.0,) * len(ns))
+        sys = builder.demo(name, grid).system
+        cells = replace(sys, m12=_per_cell(sys.m12), m21=_per_cell(sys.m21), m22=_per_cell(sys.m22))
+        assert sys.constant_coefficients and not cells.constant_coefficients
+        one, each = (hypersolver._Workspace(s, grid, 0.1, SolverOptions()) for s in (sys, cells))
+        assert one.cmat.shape == (grid.d, sys.n, sys.n) and each.cmat.shape == (grid.d, sys.n, sys.n) + ns
+        spread = np.broadcast_to(one.cmat.reshape(one.cmat.shape + (1,) * grid.d), each.cmat.shape)
+        assert np.ascontiguousarray(spread).tobytes() == each.cmat.tobytes()
+        assert one.speed == each.speed and one.dt_max == each.dt_max
+
+    @pytest.mark.parametrize("name, ns, flux", [("heat2d", (12, 12), "rusanov"), ("aniso2d", (12, 16), "rusanov"),
+                                                ("aniso2d", (8, 12), "spectral"), ("heat1d", (32,), "spectral"),
+                                                ("sqrt-heat", (32,), "spectral")])
+    def test_kept_source_matrix_is_the_per_step_per_cell_solve(self, monkeypatch, name, ns, flux):
+        grid = rb.SpatialGrid(ns, (1.0,) * len(ns))
+        bundle = builder.demo(name, grid)
+        sys = bundle.system
+        q = np.asarray(sys.q_nu)
+        per_step = replace(sys, q_nu=lambda x, u, z: np.broadcast_to(q[:, :, None], q.shape + (z.shape[-1],)))
+        built = []
+        matrix = hypersolver._Workspace._source_matrix
+        monkeypatch.setattr(hypersolver._Workspace, "_source_matrix",
+                            lambda ws, dt: built.append(dt) or matrix(ws, dt))
+        # irregular snapshot times clip steps, whose matrix is built per step
+        times = np.sort(np.random.default_rng(3).uniform(0.0, 0.01, 5))
+        init = hypersolver.well_prepared_state(sys, grid, bundle.u0(grid), 0.1)
+        kept, each = (run(s, init, 0.01, SolverOptions(flux=flux), snapshot_times=times) for s in (sys, per_step))
+        assert q.shape == (sys.m, sys.m) and (np.count_nonzero(q) > sys.m) == (name == "aniso2d")
+        assert [_state_bytes(s) for s in kept.snapshots] == [_state_bytes(s) for s in each.snapshots]
+        assert kept.steps_csv() == each.steps_csv()
+        # dt_max's matrix is built once, a clipped step's once per step, and the per-cell run builds none
+        dt_max = max(kept.records.dt)
+        clipped = [dt for dt in kept.records.dt[:-1] if dt != dt_max]
+        assert len(clipped) >= 5 and sorted(built) == sorted([dt_max] + clipped)
 
 
 class TestSingleModeDecay:
