@@ -20,7 +20,6 @@ Conventions used throughout:
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field, fields
 from typing import Callable, List, Optional, Sequence, Tuple, Union
@@ -627,49 +626,258 @@ def equilibrium_uII(sys: RelaxationSystem, grid: SpatialGrid, uI: Array) -> Arra
 
 # ---------------------------------------------------------------------------
 # reports and tables
+#
+# Every number in a CSV file is the text of '%.17g' % v, which reads back to the same
+# float64.  `g17_bytes` writes that text for a whole column in NumPy passes, after
+# Adams, "Ryu revisited: printf floating point conversion" (OOPSLA 2019): with
+# k = floor(log10|v|), y = |v| 10^(16-k) is formed as an unevaluated sum p + t by
+# Dekker's exact product (Numer. Math. 18, 1971) against 10^(16-k) = hi + lo, so y
+# is known to about 2^-104 relative, some 1e-14 of a unit in its 17th digit.
+# Rounding y to the integer D then gives %.17g's digits, unless y's fraction lies
+# within 1e-9 of 1/2.  Those values, and zero, non-finite values and |v| outside
+# [1e-280, 1e280], are written by '%.17g' itself.
+
+_G17_BYTES = 32  # one number's text (at most 24 characters) in 4 little-endian words; byte 31 is NUL
+_POWERS = (-276, 298)  # the exponents s of 10^s tabulated: scaling asks for -265..298
+_EXPONENTS = 282  # |k| of the decades the exponent table covers
+_SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitter for 53-bit significands
+_U8 = np.dtype("<u8")
+_TEXT = str.maketrans(",\n\r\0", "    ")  # characters a text field may not hold
+_CHUNK_NUMBERS = 4096  # the numbers formatted at once, a chunk of rows
+
+
+def _split(a: Array) -> Tuple[Array, Array]:
+    """a = ah + al with ah, al of at most 26 significant bits."""
+    c = a * _SPLIT
+    ah = c - (c - a)
+    return ah, a - ah
+
+
+def _product_error(p: Array, a: Tuple[Array, Array], b: Tuple[Array, Array]) -> Array:
+    """x y - p, exactly, for p = fl(x y) and x, y given split (Dekker's TwoProduct)."""
+    (ah, al), (bh, bl) = a, b
+    return ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+@functools.lru_cache(maxsize=None)
+def _g17_tables():
+    """The kernel's constant tables, built on first use (about a millisecond), not at import."""
+    # 10^s = hi + lo for s = 23 j + i: the anchor 10^(23 j) rounded from exact integers,
+    # times the exact double 10^i by an error-free product, to ~2^-105 relative
+    anchors = []
+    for j in range(_POWERS[0] // 23, _POWERS[1] // 23 + 1):
+        n = 10 ** abs(23 * j)
+        if j >= 0:
+            hi = float(n)
+            anchors.append((hi, float(n - int(hi))))
+        else:
+            hi = 1 / n
+            num, den = hi.as_integer_ratio()
+            anchors.append((hi, (den - num * n) / (den * n)))
+    a_hi, a_lo = np.array(anchors).T[:, :, None]
+    steps = np.array([float(10 ** i) for i in range(23)])
+    hi = a_hi * steps
+    lo = _product_error(hi, _split(a_hi), _split(steps)) + a_lo * steps
+    hi, lo = hi.ravel(), lo.ravel()
+    powers = (hi, lo, *_split(hi))
+    # ASCII digits of 0..9999, four to a word, and each group's trailing zeros (4 for 0000)
+    d = [np.arange(10).reshape((10,) + (1,) * (3 - i)) for i in range(4)]
+    digits4 = np.empty((10, 10, 10, 10, 4), np.uint8)
+    for i, v in enumerate(d):
+        digits4[..., i] = 48 + v
+    digits4 = digits4.view("<u4").ravel()
+    z = [(v == 0).astype(np.int8) for v in d]
+    tz4 = (z[3] * (1 + z[2] * (1 + z[1] * (1 + z[0])))).ravel()
+    # per layout (k <= -5, each k in -4..16, k >= 17) and number of significant digits,
+    # for each body byte: whether it keeps its own digit, the digit one byte before it
+    # or the point; and the sign word's "0." prefix
+    k, b = np.arange(-5, 18)[:, None, None], np.arange(24)
+    expo, neg = (k < -4) | (k > 16), (k >= -4) & (k < 0)
+    point = np.where(expo, 1, np.where(neg, 18, k + 1))  # 18: no point among the digits
+    last = np.maximum(np.arange(18)[:, None], np.where(expo | neg, 0, k + 1))  # digits written
+    written = b < last + (last > point)
+
+    def words(flags, byte):
+        return (flags * np.uint8(byte)).view(_U8)
+
+    own, shifted, dot = (words(f & written, v)
+                         for f, v in ((b < point, 255), (b > point, 255), (b == point, 46)))
+    prefix = words(neg & (b >= 1) & (b <= 1 - k), np.frombuffer(b"\0" + b"0.000".ljust(23, b"\0"), np.uint8))
+    masks = np.stack([m[..., w] for w in range(3) for m in (own, shifted, dot)]
+                     + [np.broadcast_to(prefix[..., 0], own.shape[:2])]).reshape(10, -1)
+    # 'e' and the exponent, at bytes 2-6 of the last word, for every decade written that way
+    k = np.arange(-_EXPONENTS, _EXPONENTS + 1)
+    ak = np.abs(k)
+    d2, d1, d0 = 48 + ak // 100, 48 + ak // 10 % 10, 48 + ak % 10
+    digits = np.where(ak >= 100, d2 | d1 << 8 | d0 << 16, d1 | d0 << 8)
+    exponents = (101 | np.where(k < 0, 45, 43) << 8 | digits << 16).astype(_U8) << 16
+    exponents[(k >= -4) & (k <= 16)] = 0
+    return powers, digits4, tz4, masks, exponents
+
+
+def _scaled(a: Array, s: Array, powers) -> Tuple[Array, Array]:
+    """a 10^s as an unevaluated sum p + t, to about 2^-104 relative."""
+    hi, lo, hh, hl = (tab[s - _POWERS[0]] for tab in powers)
+    p = a * hi
+    return p, _product_error(p, _split(a), (hh, hl)) + a * lo
+
+
+def g17_bytes(values) -> Array:
+    """Each float64 of `values` as NUL-padded ASCII: row i of an (n, 32) uint8 array.
+
+    Row i with its NUL bytes removed is exactly '%.17g' % values[i], and its last
+    byte is NUL.  The row is four little-endian words: the sign and, for
+    -4 <= k < 0, "0." and zeros; then the 17 digits with the point after k + 1 of
+    them (after one in exponent form) and trailing zeros dropped; then `e+dd[d]`
+    when k < -4 or k >= 17.
+    """
+    x = np.asarray(values, dtype=np.float64).ravel()
+    powers, digits4, tz4, masks, exponents = _g17_tables()
+    a = np.abs(x)
+    fast = (a >= 1e-280) & (a <= 1e280)
+    a[~fast] = 1.0
+    # the decade: log10 can miss by one next to a power of ten, and p + t says which way
+    k = np.floor(np.log10(a)).astype(np.int64)
+    p, t = _scaled(a, 16 - k, powers)
+    below, above = (p - 1e16) + t < 0, (p - 1e17) + t >= 0
+    fix = np.flatnonzero(below | above)
+    if len(fix):
+        k[fix] += above[fix].astype(np.int64) - below[fix]
+        p[fix], t[fix] = _scaled(a[fix], 16 - k[fix], powers)
+    # D = round(p + t): p >= 2^53 is an integer, so t's fraction decides, and 10^17 carries
+    whole = np.floor(t)
+    t -= whole
+    fast &= np.abs(t - 0.5) >= 1e-9
+    D = p.astype(np.int64) + whole.astype(np.int64) + (t > 0.5)
+    del a, p, t, whole, below, above  # a chunk's scratch: only what the digits still need
+    carry = D == 10 ** 17
+    D[carry] = 10 ** 16
+    k += carry
+    # the digits: the first, then two words of eight; c0..c2 hold all 17 from byte 0 on
+    first, rest = np.divmod(D, 10 ** 16)
+    eights = np.divmod(rest, 10 ** 8)
+    groups = [np.divmod(v, 10 ** 4) for v in eights]
+    tz = [tz4[lo] + (lo == 0) * tz4[hi] for hi, lo in groups]
+    ndig = 17 - tz[1] - (eights[1] == 0) * tz[0]
+    w0, w1 = (digits4[hi] | digits4[lo].astype(_U8) << 32 for hi, lo in groups)
+    del D, rest, eights, groups, tz
+    c0 = (first.astype(_U8) + 48) | w0 << 8
+    c1 = w0 >> 56 | w1 << 8
+    c2 = w1 >> 56
+    # the layout: each body word keeps its own digits before the point and the digits
+    # one byte on after it, cut after the last digit written
+    layout = (np.clip(k, -5, 17) + 5) * 18 + ndig
+    out = np.empty((len(x), 4), _U8)
+    out[:, 0] = masks[9][layout] | np.signbit(x).astype(_U8) * 45
+    for w, (own, shifted) in enumerate(((c0, c0 << 8), (c1, c1 << 8 | c0 >> 56), (c2, c2 << 8 | c1 >> 56))):
+        own_mask, shifted_mask, point = (masks[3 * w + i][layout] for i in range(3))
+        out[:, w + 1] = (own & own_mask) | (shifted & shifted_mask) | point
+    out[:, 3] |= exponents[k + _EXPONENTS]
+    slow = np.flatnonzero(~fast)
+    if len(slow):
+        out[slow] = _percent_g17(x[slow])
+    return out.view(np.uint8)
+
+
+def _percent_g17(x: Array) -> Array:
+    """g17_bytes's words for the values it leaves to '%.17g' % v, formatted once per distinct value."""
+    bits, inverse = np.unique(x.view(np.int64), return_inverse=True)
+    text = b"".join(("%.17g" % v).encode().ljust(_G17_BYTES, b"\0") for v in bits.view(np.float64).tolist())
+    return np.frombuffer(text, _U8).reshape(-1, 4)[inverse.ravel()]
+
+
+def _text_block(cells: List[bytes], least: int = 1) -> Array:
+    """Each cell left-aligned in a row of whole words, NUL-padded, with a byte to spare for the separator."""
+    width = -(-(max([len(c) + 1 for c in cells] + [least])) // 8) * 8
+    block = np.frombuffer(bytearray(b"".join(c.ljust(width, b"\0") for c in cells)), _U8)
+    return block.reshape(len(cells), width // 8)
+
+
+def _cell_blocks(columns: Sequence) -> List[Array]:
+    """Columns of text, None and numbers as blocks: rows of whole words, NUL-padded.
+
+    The numbers of all the columns go through one g17_bytes call.
+    """
+    texts = [[b"" if v is None else v.translate(_TEXT).encode() if isinstance(v, str) else None
+              for v in col] for col in columns]
+    numbers = [col[i] for col, text in zip(columns, texts) for i, v in enumerate(text) if v is None]
+    numbers = g17_bytes(numbers).view(_U8) if numbers else None
+    blocks, done = [], 0
+    for text in texts:
+        rows = [i for i, v in enumerate(text) if v is None]
+        block = _text_block([v or b"" for v in text], _G17_BYTES if rows else 1)
+        if rows:
+            block[rows, :4] = numbers[done:done + len(rows)]
+            done += len(rows)
+        blocks.append(block)
+    return blocks
+
+
+def _rows(fields: Sequence[Array], n: int) -> List[str]:
+    """The text of n rows, a chunk at a time.
+
+    A float64 field holds numbers, and each chunk's numbers go through one
+    g17_bytes call; any other field is a block of finished text, copied.
+    """
+    words = [4 if f.dtype == np.float64 else f.shape[1] for f in fields]
+    ends = np.cumsum(words)
+    seps = np.full(len(fields), ord(","), np.uint8)
+    seps[-1] = ord("\n")
+    numeric = [f.dtype == np.float64 for f in fields]
+    step = max(1, _CHUNK_NUMBERS // max(1, sum(numeric)))
+    parts = []
+    for start in range(0, n, step):
+        rows = min(n, start + step) - start
+        cells = [f[start:start + rows] for f in fields]
+        numbers = [c for c, num in zip(cells, numeric) if num]
+        if numbers:
+            numbers = g17_bytes(np.concatenate(numbers)).view(_U8).reshape(len(numbers), rows, 4)
+        numbers = iter(numbers)
+        block = np.empty((rows, int(ends[-1])), _U8)
+        for cell, num, end, width in zip(cells, numeric, ends, words):
+            block[:, end - width:end] = next(numbers) if num else cell
+        block.view(np.uint8)[:, 8 * ends - 1] = seps
+        parts.append(block.tobytes().translate(None, b"\0").decode())
+    return parts
 
 
 def csv_text(header: Sequence[str], columns: Sequence) -> str:
-    """CSV text of a table: the header line, then one line per row, one %-format per chunk.
+    """CSV text of a table: the header line, then one line per row.
 
-    Numbers are written with %.17g, which reads back to the same float64.  An
-    array column holds numbers, or finished text if its dtype is object; any other
-    column holds text (commas become spaces, so every row keeps its fields),
-    numbers, or None for an empty field.
-    Rows are formatted 1024 at a time, so only one chunk's cells are Python
-    objects at once.
+    Every number is written as '%.17g' % v (by `g17_bytes`), which reads back to
+    the same float64.  An array column holds numbers; any other column holds text
+    (commas, newlines, carriage returns and NULs become spaces, so every row keeps
+    its fields), numbers, or None for an empty field.  There must be one header name
+    per column, and every column must have the same length.  Rows are formatted a
+    chunk at a time into NUL-padded blocks of whole words, each compacted once by
+    `bytes.translate`, so only one chunk's block exists beside the text.
     """
-    number, chunk = "%.17g", 1024
-    formats, cols = [], []
-    for col in columns:
-        if isinstance(col, np.ndarray):
-            formats.append("%s" if col.dtype == object else number)
-            cols.append(col)
-        else:
-            formats.append("%s")
-            cols.append(np.array(["" if v is None else v.replace(",", " ") if isinstance(v, str)
-                                  else number % v for v in col], dtype=object))
-    row = ",".join(formats) + "\n"
-    parts = [",".join(header) + "\n"]
-    for start in range(0, len(cols[0]), chunk):
-        cells = [c[start:start + chunk].tolist() for c in cols]
-        values = tuple(itertools.chain.from_iterable(zip(*cells)))
-        parts.append((row * len(cells[0])) % values)
-    return "".join(parts)
+    if len(header) != len(columns):
+        raise ValueError(f"{len(header)} header names for {len(columns)} columns")
+    numeric = [isinstance(col, np.ndarray) and col.dtype != object for col in columns]
+    blocks = iter(_cell_blocks([col for col, num in zip(columns, numeric) if not num]))
+    fields = [np.asarray(col, dtype=np.float64) if num else next(blocks)
+              for col, num in zip(columns, numeric)]
+    if any(f.ndim != 1 for f, num in zip(fields, numeric) if num):
+        raise ValueError("an array column must be 1-d")
+    lengths = [len(f) for f in fields]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"columns differ in length: {', '.join(map(str, lengths))}")
+    return "".join([",".join(header) + "\n", *(_rows(fields, lengths[0]) if fields else ())])
 
 
-@functools.lru_cache(maxsize=8)  # grids are small frozen keys; a 128^2 grid's text is ~2 MB
-def _coordinate_text(grid: SpatialGrid) -> Array:
-    """Each cell center's `x[,y]` text, as csv_text formats it, once per grid."""
-    fmt = ",".join(["%.17g"] * grid.d)
-    text = np.array([fmt % p for p in map(tuple, grid.flat_points().T.tolist())], dtype=object)
-    text.flags.writeable = False  # every caller gets this one array
-    return text
+@functools.lru_cache(maxsize=8)  # grids are small frozen keys; a 128^2 grid's block is ~0.8 MB
+def _coordinate_block(grid: SpatialGrid) -> Array:
+    """Each cell center's `x[,y]` text as csv_text writes it, one row of whole words per cell."""
+    block = _text_block("".join(_rows(list(grid.flat_points()), grid.cell_count)).encode().split(b"\n")[:-1])
+    block.flags.writeable = False  # every caller gets this one array
+    return block
 
 
 def field_csv(grid: SpatialGrid, names: Sequence[str], rows) -> str:
     """Fields on a grid, one row of cell values per name, in the export schema x[,y],<names>."""
-    return csv_text(["x", "y"][: grid.d] + list(names), [_coordinate_text(grid), *rows])
+    fields = [_coordinate_block(grid), *(np.asarray(r, dtype=np.float64) for r in rows)]
+    return "".join([",".join(["x", "y"][: grid.d] + list(names)) + "\n", *_rows(fields, grid.cell_count)])
 
 
 @dataclass(frozen=True)

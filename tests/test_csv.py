@@ -7,15 +7,19 @@ where %.17g switches to exponent form, and (where the type admits them) inf
 and nan.
 """
 
+import decimal
 import io
+import math
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import relaxbench as rb
-from relaxbench import cli, parasolver
+from relaxbench import cli, core, parasolver
 from relaxbench.core import CheckResult, ConvergenceTable, LadderRow, ValidationReport, csv_text
 from relaxbench.hypersolver import StepRecord, Trajectory, snapshot_csv
 
@@ -179,3 +183,137 @@ def test_field_csv_keys_its_coordinates_by_the_whole_grid():
              for lengths in ((1.0, 1.0), (1.0, 2.0), (1.0, 1.0))]
     assert texts[0] != texts[1] and texts[0] == texts[2]
     assert texts[1].split("\n")[1] == "0.041666666666666664,0.083333333333333329,0"
+
+
+def test_ragged_columns_are_refused():
+    """Columns of different lengths, or a header of another count, raise rather than drop rows."""
+    with pytest.raises(ValueError, match="columns differ in length: 1, 2"):
+        csv_text(("a", "b"), [[1.0], [3.0, 4.0]])
+    with pytest.raises(ValueError, match="columns differ in length: 2, 3"):
+        csv_text(("a", "b"), [np.zeros(2), np.zeros(3)])
+    with pytest.raises(ValueError, match="3 header names for 2 columns"):
+        csv_text(("a", "b", "c"), [[1.0], [2.0]])
+    with pytest.raises(ValueError, match="2 header names for 3 columns"):
+        csv_text(("a", "b"), np.zeros((3, 4)))
+    with pytest.raises(ValueError, match="1-d"):
+        csv_text(("a",), [np.zeros((2, 2))])
+
+
+def test_text_fields_keep_their_row():
+    """Newlines, carriage returns and NULs in a text field become spaces, as commas do."""
+    text = csv_text(("a", "note"), [[1.0, 2.0, 3.0], ["x\ny", "p,q\r\nr", "n\0m"]])
+    assert text == "a,note\n1,x y\n2,p q  r\n3,n m\n"
+    assert len(text.splitlines()) == 4
+
+
+# ---------------------------------------------------------------------------
+# the vectorized %.17g: exactly the text of '%.17g' % v, for every float64
+
+
+def _percent_column(values) -> str:
+    return "v\n" + "".join("%.17g\n" % v for v in np.asarray(values, dtype=np.float64).tolist())
+
+
+def _ties():
+    """Doubles whose exact decimal expansion has 18 significant digits, the last a 5.
+
+    m / 2^e with m odd has e decimals, the last a 5, and m 5^e as its significant
+    digits; the %.17g of each lies exactly halfway between two 17-digit decimals.
+    """
+    out = []
+    for e in range(2, 26):
+        lo, hi = -(-10 ** 17 // 5 ** e), min(10 ** 18 // 5 ** e, 2 ** 53)
+        for m in (lo, (lo + hi) // 2, hi - 1):
+            m -= 1 - m % 2  # odd
+            if m >= lo:
+                out += [math.ldexp(m, -e), -math.ldexp(m, -e)]
+    return out
+
+
+def _fallback_values(monkeypatch):
+    """Record every value g17_bytes leaves to '%.17g' % v."""
+    seen = []
+    percent = core._percent_g17
+
+    def recorded(x):
+        seen.extend(x.tolist())
+        return percent(x)
+
+    monkeypatch.setattr(core, "_percent_g17", recorded)
+    return seen
+
+
+@settings(max_examples=200)
+@given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=64))
+def test_g17_matches_percent_on_any_bits(bits):
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    assert csv_text(("v",), [values]) == _percent_column(values)
+
+
+def test_g17_matches_percent_on_the_hard_cases():
+    """Powers of ten +-3 ulps, big integers, zeros, subnormals, non-finite values, exact ties."""
+    tens = np.array([float(f"1e{j}") for j in range(-323, 309)])
+    cases = [tens]
+    for direction in (np.inf, -np.inf):
+        near = tens
+        for _ in range(3):
+            near = np.nextafter(near, direction)
+            cases.append(near)
+    rng = np.random.default_rng(5)
+    for b in range(53, 64):
+        cases.append(np.array([2.0 ** b + j * 2.0 ** (b - 52) for j in range(-3, 4)]))
+    cases.append(rng.integers(2 ** 53, 2 ** 63, 4000, dtype=np.int64).astype(np.float64))
+    subnormals = rng.integers(1, 2 ** 52, 200, dtype=np.uint64).view(np.float64)
+    cases.append(np.concatenate([[0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                                  2.2250738585072014e-308, np.inf, -np.inf, np.nan, -np.nan],
+                                 subnormals, -subnormals]))
+    cases.append(np.array(_ties()))
+    values = np.concatenate(cases)
+    assert csv_text(("v",), [values]) == _percent_column(values)
+
+
+def _is_tie(x: float) -> bool:
+    digits = decimal.Decimal(x).as_tuple().digits
+    return len(digits) == 18 and digits[-1] == 5
+
+
+def test_g17_ties_take_the_fallback(monkeypatch):
+    """Exact ties go to '%.17g' itself (its round-half-even); other finite values in range do not."""
+    ties = _ties()
+    assert len(ties) > 40 and all(map(_is_tie, ties))
+    seen = _fallback_values(monkeypatch)
+    assert csv_text(("v",), [np.array(ties)]) == _percent_column(ties)
+    assert sorted(seen) == sorted(ties)
+    seen.clear()
+    # ties are common where few fraction bits are left (x.25 and x.75 near 1e15)
+    ordinary = np.random.default_rng(6).standard_normal(4000) * 10.0 ** np.arange(-20, 20).repeat(100)
+    assert csv_text(("v",), [ordinary]) == _percent_column(ordinary)
+    assert 0 < len(seen) < 200 and all(map(_is_tie, seen))
+
+
+def test_g17_bytes_rows_are_nul_padded_percent_text():
+    values = np.array(AWKWARD + NONFINITE + [-1.2345678901234567e-300])
+    rows = core.g17_bytes(values)
+    assert rows.shape == (len(values), 32) and rows.dtype == np.uint8
+    assert (rows[:, -1] == 0).all()
+    assert [r.tobytes().replace(b"\0", b"").decode() for r in rows] == ["%.17g" % v for v in values.tolist()]
+
+
+def test_field_csv_memory_is_bounded():
+    """A 128^2 three-component snapshot peaks below 2.5x its text.
+
+    The grid's coordinate block is cached first, as it is for every field file
+    of a run after the first; it is built once per grid and kept.
+    """
+    grid = rb.SpatialGrid((128, 128), (1.0, 1.0))
+    rng = np.random.default_rng(0)
+    uI, uII = rng.standard_normal((1, 128, 128)), rng.standard_normal((2, 128, 128))
+    state = rb.FieldState(grid, uI, uII, 0.0, 0.05)
+    snapshot_csv(state)
+    tracemalloc.start()
+    try:
+        text = snapshot_csv(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * len(text)
