@@ -43,22 +43,29 @@ def _cli(command, name, flux, ns, tmp, experiment, *flags):
     return code, out
 
 
-def artifact_hash(name, flux, ns, tmp, reference):
-    code, out = _cli("run", name, flux, ns, tmp, f"epsilon = 0.1\nreference = {str(reference).lower()}\n",
-                     "--allow-invalid")
-    if code != 0:
-        return f"exit code {code}"
-    files = ["steps.csv", sorted(out.glob("snapshot_*.csv"))[-1].name, "report.csv"]
-    files += sorted(p.name for p in out.glob("reference_*.csv"))
-    return _digest(out, files)
+def outputs(tmp):
+    """(label, exit code, output directory, the files its line digests) of every command, run in turn.
 
-
-def convergence_hash(name, tmp):
-    """Hash of convergence.csv and report.csv, which exit code 1 (errI not decreasing) also writes."""
-    code, out = _cli("converge", name, "spectral", (32,), tmp, "epsilons = 0.2, 0.1, 0.05\n")
-    if not (out / "convergence.csv").exists():
-        return f"exit code {code}"
-    return _digest(out, ["convergence.csv", "report.csv"]) + ("" if code == 0 else f" (exit code {code})")
+    A command that writes no digested file, a failed run or a converge without
+    convergence.csv, digests none."""
+    for name in builder.DEMO_NAMES:
+        d = builder.DEMO_DIMS[name]
+        for ns in GRIDS[d]:
+            bundle = builder.demo(name, rb.SpatialGrid(ns, (1.0,) * d))
+            for flux in hypersolver.admissible_fluxes(bundle.system):
+                code, out = _cli("run", name, flux, ns, tmp,
+                                 f"epsilon = 0.1\nreference = {str(bundle.target is not None).lower()}\n",
+                                 "--allow-invalid")
+                files = []
+                if code == 0:
+                    files = ["steps.csv", sorted(out.glob("snapshot_*.csv"))[-1].name, "report.csv"]
+                    files += sorted(p.name for p in out.glob("reference_*.csv"))
+                yield f"{name} {flux} n={'x'.join(map(str, ns))}", code, out, files
+    for name in CONVERGE_DEMOS:
+        # exit code 1 (errI not decreasing) also writes convergence.csv and report.csv
+        code, out = _cli("converge", name, "spectral", (32,), tmp, "epsilons = 0.2, 0.1, 0.05\n")
+        files = ["convergence.csv", "report.csv"] if (out / "convergence.csv").exists() else []
+        yield f"converge {name} spectral n=32", code, out, files
 
 
 def _digest(out, files):
@@ -70,17 +77,12 @@ def _digest(out, files):
 
 def main():
     with tempfile.TemporaryDirectory() as tmp:
-        for name in builder.DEMO_NAMES:
-            d = builder.DEMO_DIMS[name]
-            for ns in GRIDS[d]:
-                bundle = builder.demo(name, rb.SpatialGrid(ns, (1.0,) * d))
-                for flux in hypersolver.admissible_fluxes(bundle.system):
-                    label = f"{name} {flux} n={'x'.join(map(str, ns))}"
-                    digest = artifact_hash(name, flux, ns, Path(tmp), bundle.target is not None)
-                    print(f"{label:<44} {digest}")
-        for name in CONVERGE_DEMOS:
-            label = f"converge {name} spectral n=32"
-            print(f"{label:<44} {convergence_hash(name, Path(tmp))}")
+        for label, code, out, files in outputs(Path(tmp)):
+            if not files:
+                line = f"exit code {code}"
+            else:
+                line = _digest(out, files) + (f" (exit code {code})" if code else "")
+            print(f"{label:<44} {line}")
 
 
 if __name__ == "__main__":

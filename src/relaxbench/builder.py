@@ -444,10 +444,12 @@ def decouple(raw: RawSystem, transform: DecouplingTransform) -> RelaxationSystem
     def q(x, u, z):
         return transform.p_II @ np.asarray(raw.b(x, to_w(u, z)), dtype=float)
 
+    # q_nu = p_II jac pinv[:, k:] per point, as one (m m, n n) matrix on jac's (n n, M) entries
+    q_nu_of_jac = np.einsum("ab,cd->adbc", transform.p_II, pinv[:, k:]).reshape((n - k) ** 2, n * n)
+
     def q_nu(x, u, z):
         jac = np.asarray(raw.b_jac(x, to_w(u, z)), dtype=float)  # (n, n, M)
-        # not two products or optimize=True: their summation orders move carleman's source by round-off
-        return np.einsum("ab,bcm,cd->adm", transform.p_II, jac, pinv[:, k:])
+        return (q_nu_of_jac @ jac.reshape(n * n, -1)).reshape(n - k, n - k, -1)
 
     dtilde_I = None
     d_II = None

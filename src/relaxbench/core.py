@@ -143,56 +143,47 @@ def spectral_gradient(grid: SpatialGrid, fields: Array) -> Array:
 
 
 def mode_table(grid: SpatialGrid, stack: Array) -> Array:
-    """A stack of per-mode matrices (M or *ns, r, c), modes in C order, as apply_modes takes it:
-    contiguous (r, c, *ns) complex, so each entry's modes form one row."""
+    """A stack of per-mode matrices P (M or *ns, r, c) over every mode, in C order, as apply_modes takes it.
+
+    That is contiguous (r, c, *ns[:-1], ns[-1] // 2 + 1) complex, so each entry's modes form one row: the
+    modes irfft reads of (P(k) + conj P(-k)) / 2, all of P that a real field's real image depends on.
+    A real operator's P(-k) is conj P(k), except where an even axis's unpaired Nyquist wavenumber
+    stands for both k and -k.
+    """
     r, c = stack.shape[-2:]
-    return np.ascontiguousarray(np.moveaxis(stack.reshape(-1, r, c), 0, -1), dtype=complex).reshape((r, c) + grid.ns)
+    spatial = tuple(range(2, 2 + grid.d))
+    full = np.moveaxis(stack.reshape(grid.ns + (r, c)), (-2, -1), (0, 1))
+    mirror = np.roll(np.flip(full, spatial), 1, spatial)  # P(-k) at k
+    half = (Ellipsis, slice(grid.ns[-1] // 2 + 1))
+    return np.ascontiguousarray(0.5 * (full[half] + np.conj(mirror[half])), dtype=complex)
 
 
 def mode_work(grid: SpatialGrid, rows: int, cols: int) -> Tuple[Array, Array, Array]:
-    """apply_modes' complex scratch for an (rows, cols) table: spectrum (cols, *ns), product and term (rows, *ns)."""
-    return (np.empty((cols,) + grid.ns, complex), np.empty((rows,) + grid.ns, complex),
-            np.empty((rows,) + grid.ns, complex))
+    """apply_modes' complex scratch for an (rows, cols) table: spectrum (cols, ...), product and term (rows, ...)."""
+    half = grid.ns[:-1] + (grid.ns[-1] // 2 + 1,)
+    return np.empty((cols,) + half, complex), np.empty((rows,) + half, complex), np.empty((rows,) + half, complex)
 
 
 def apply_modes(grid: SpatialGrid, table: Array, fields: Array, out: Optional[Array] = None,
                 work: Optional[Tuple[Array, Array, Array]] = None) -> Array:
-    """Per-mode action of a mode_table (r, c, *ns) on real fields (c, *ns) -> (r, *ns), into out if given.
+    """Per-mode action of a mode_table on real fields (c, *ns) -> (r, *ns), into out if given.
 
-    fft/ifft run axis by axis, last first: fftn's order and bits, without its per-call set-up.
-    Per mode the product is matmul's on the (*ns, r, c) stack bit for bit, as elementwise
-    multiply-adds over whole rows of modes: one column takes matmul's plain loop, in real
-    arithmetic; two or three take BLAS's gemv, which sums NumPy's complex products in column
-    order from +0.  From four columns on gemv blocks its sum, so that order matches it to
-    round-off only.  work is mode_work's scratch, allocated per call if not given; fields
-    may be out, read before out is written.
+    rfft on the last axis and fft on the others, the product summed column by column over the
+    half spectrum, then the inverse transforms.  work is mode_work's scratch, allocated per call
+    if not given; fields may be out, read before out is written.
     """
     spectrum, product, term = work if work is not None else mode_work(grid, *table.shape[:2])
-    axes = range(grid.d, 0, -1)
-    for ax in axes:
-        np.fft.fft(fields, axis=ax, out=spectrum)
-        fields = spectrum
-    if table.shape[1] == 1:
-        t, f = table[:, 0], spectrum[0]
-        np.multiply(t.real, f.real, out=product.real)
-        np.multiply(t.imag, f.imag, out=term.real)
-        np.subtract(product.real, term.real, out=product.real)
-        np.multiply(t.real, f.imag, out=product.imag)
-        np.multiply(t.imag, f.real, out=term.imag)
-        np.add(product.imag, term.imag, out=product.imag)
-        product += 0.0  # the sum starts from +0, which turns a -0.0 product into +0.0
-    else:
-        np.multiply(table[:, 0], spectrum[0], out=product)
-        product += 0.0
-        for col in range(1, table.shape[1]):
-            np.multiply(table[:, col], spectrum[col], out=term)
-            product += term
-    for ax in axes:
+    np.fft.rfft(fields, axis=-1, out=spectrum)
+    for ax in range(1, grid.d):
+        np.fft.fft(spectrum, axis=ax, out=spectrum)
+    np.multiply(table[:, 0], spectrum[0], out=product)
+    for col in range(1, table.shape[1]):
+        np.multiply(table[:, col], spectrum[col], out=term)
+        product += term
+    for ax in range(1, grid.d):
         np.fft.ifft(product, axis=ax, out=product)
-    if out is None:
-        return product.real.copy()
-    np.copyto(out, product.real)
-    return out
+    out = np.empty((table.shape[0],) + grid.ns) if out is None else out
+    return np.fft.irfft(product, n=grid.ns[-1], axis=-1, out=out)
 
 
 def plan_times(T: float, snapshot_times: Optional[Sequence[float]]) -> List[float]:
@@ -276,15 +267,6 @@ def solve_points(mats: Array, rhs: Array) -> Array:
         if not mats.all():
             raise np.linalg.LinAlgError("Singular matrix")
         return rhs / mats[0]
-    # a diagonal stack is LAPACK's solve bit for bit, except that LAPACK may flip the sign of a -0.0 in rhs
-    if not mats[~np.eye(len(mats), dtype=bool)].any() and not np.signbit(rhs[rhs == 0]).any():
-        diag = np.einsum("ii...->i...", mats)
-        if not diag.all():
-            raise np.linalg.LinAlgError("Singular matrix")
-        # LAPACK's point-major layout: np.sum follows memory order, and C order moves steps.csv energies
-        sol = np.empty(rhs.shape[::-1])
-        np.divide(rhs, diag, out=sol.T)
-        return sol.T
     sol = np.linalg.solve(mats.transpose(2, 0, 1), rhs.T[..., None])
     return sol[..., 0].T
 
@@ -620,6 +602,8 @@ def equilibrium_uII(sys: RelaxationSystem, grid: SpatialGrid, uI: Array) -> Arra
     xs = grid.flat_points()
     uflat = uI.reshape(sys.k, -1)
     rhsflat = rhs.reshape(sys.m, -1) - sys.lower_order_II(uflat, np.zeros((sys.m, uflat.shape[1])))
+    if (qnu := constant_matrix(sys.q_nu)) is not None:  # one matrix for every point, inverted once
+        return (np.linalg.inv(qnu) @ rhsflat).reshape((sys.m,) + grid.ns)
     qnu = sys.stiff_source_jacobian(xs, uflat, np.zeros_like(rhsflat))
     return solve_points(qnu, rhsflat).reshape((sys.m,) + grid.ns)
 

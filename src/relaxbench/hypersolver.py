@@ -6,15 +6,22 @@ pointwise implicit solve of the relaxation source, unconditionally stable in
 the relaxation parameter.  Transport is done with a Rusanov flux on the grid,
 or exactly in Fourier space from the transport symbol (constant coefficients,
 multiplier systems included).
+
+Constant transport blocks make the Rusanov step one matrix product of the
+state with every neighbour's weights, stacked, and a constant source matrix
+is inverted once; both are kept for the recurring step size.  The spectral
+step runs on the half spectrum of the real state.  Each agrees to round-off,
+not bit for bit, with the difference-first, per-cell-solve and full-spectrum
+forms that the tests keep as oracles.  Per-cell transport tables keep the
+difference-first form, which is the paper's C(x) dy.
 """
 
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 from dataclasses import dataclass, fields
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -41,6 +48,7 @@ from .core import (
 )
 
 FLUXES = ("rusanov", "spectral")
+Kept = TypeVar("Kept")  # what _Workspace._recurring builds and keeps
 NEWTON_TOL = 1e-12
 NEWTON_MAXITER = 25
 MAX_STEPS = 10 ** 6  # a run refuses more; the deepest ladder rung today takes 10240
@@ -156,51 +164,31 @@ def max_wave_speed(sys: RelaxationSystem, grid: SpatialGrid) -> float:
 
 
 def squared_norms(uI: Array, uII: Array, vol: float) -> Tuple[float, float]:
-    """(||uI||^2, ||uII||^2); the energy is ||uI||^2 + eps^2 ||uII||^2.
-
-    Each is np.sum(u ** 2) bit for bit, whose sum follows u's memory layout, without np.sum's wrappers.
-    """
-    return (float(np.add.reduce(np.square(uI), axis=None) * vol),
-            float(np.add.reduce(np.square(uII), axis=None) * vol))
+    """(||uI||^2, ||uII||^2); the energy is ||uI||^2 + eps^2 ||uII||^2."""
+    uI, uII = uI.ravel(), uII.ravel()
+    return float(np.dot(uI, uI) * vol), float(np.dot(uII, uII) * vol)
 
 
-def _coefficient_product(mat: Array) -> Callable[..., Array]:
-    """x -> einsum("ab...,b...->a...", mat, x), into out if given, over mat's nonzero coefficients where the bits allow.
-
-    A row of at most two nonzero products sums to the same bits in any order, and
-    einsum's zero products add nothing but a +0.0 start, which adding 0.0 to a row's
-    first product supplies.  Three nonzero products sum in an order that follows the
-    operand's memory layout, so such a matrix, and a per-cell table (n, n, *ns), keep einsum.
-    """
-    if mat.ndim != 2 or np.count_nonzero(mat, axis=1).max() > 2:
-        return functools.partial(np.einsum, "ab...,b...->a...", mat)
-    rows = [[(b, mat[a, b]) for b in np.flatnonzero(mat[a])] for a in range(len(mat))]
-
-    def product(x: Array, out: Optional[Array] = None) -> Array:
-        out = np.empty(mat.shape[:1] + x.shape[1:]) if out is None else out
-        for row, terms in zip(out, rows):
-            if not terms:
-                row.fill(0.0)
-                continue
-            (b, coef), *second = terms
-            np.multiply(x[b], coef, out=row)
-            row += 0.0
-            for b, coef in second:
-                row += coef * x[b]
-        return out
-    return product
+def _along(j: int, start: int, stop: int) -> tuple:
+    """The cells start:stop along grid axis j of an (N, *ns) field."""
+    return (slice(None),) * (j + 1) + (slice(start, stop),)
 
 
 def _periodic_sides(ns: Tuple[int, ...], j: int) -> List[Tuple[tuple, tuple, tuple]]:
-    """(cells, up, down) index triples along axis j of a (*ns) field, whose up and down neighbours wrap:
+    """(cells, up, down) index triples along axis j of an (N, *ns) field, whose up and down neighbours wrap:
     the interior cells, the first and the last."""
     n = ns[j]
+    return [(_along(j, 1, n - 1), _along(j, 2, n), _along(j, 0, n - 2)),
+            (_along(j, 0, 1), _along(j, 1, 2), _along(j, n - 1, n)),
+            (_along(j, n - 1, n), _along(j, 0, 1), _along(j, n - 2, n - 1))]
 
-    def along(start: int, stop: int) -> tuple:
-        return (slice(None),) * j + (slice(start, stop),)
-    return [(along(1, n - 1), along(2, n), along(0, n - 2)),
-            (along(0, 1), along(1, 2), along(n - 1, n)),
-            (along(n - 1, n), along(0, 1), along(n - 2, n - 1))]
+
+def _periodic_shifts(ns: Tuple[int, ...], j: int) -> List[Tuple[int, tuple, tuple]]:
+    """(side, cells, neighbours) along axis j of an (N, *ns) field, whose neighbours wrap: cells take a
+    product of their up (side 0) or down (side 1) neighbour, in two slices each."""
+    n = ns[j]
+    return [(0, _along(j, 0, n - 1), _along(j, 1, n)), (0, _along(j, n - 1, n), _along(j, 0, 1)),
+            (1, _along(j, 1, n), _along(j, 0, n - 1)), (1, _along(j, 0, 1), _along(j, n - 1, n))]
 
 
 class _Workspace:
@@ -219,13 +207,11 @@ class _Workspace:
         self.n, self.k, self.m = sys.n, sys.k, sys.m
         self.xflat = grid.flat_points()
         self.speed = max_wave_speed(sys, grid)
-        self.eps2_eye = eps ** 2 * np.eye(self.m)[:, :, None]  # the eps^2 I of every source solve
+        self.eps2_eye = eps ** 2 * np.eye(self.m)[:, :, None]  # the eps^2 I of every per-cell source solve
         self.q_const = constant_matrix(sys.q_nu)  # None for a callable q_nu
         # a callable jacobian of a linear source is evaluated at v = 0
         self.zero_v = np.zeros((self.m, grid.cell_count)) if self.q_const is None else None
         self._kept = {}  # what _recurring keeps for dt_max
-        # absent lower-order terms are not evaluated; a scalar 0.0 gives the bits of dt * zeros
-        self.absent_I = sys.dtilde_I is None and sys.reaction is None
         self.y = np.empty((self.n,) + grid.ns)
 
         if opts.flux not in admissible_fluxes(sys):
@@ -249,7 +235,7 @@ class _Workspace:
     # -- transport tabulation --------------------------------------------------
 
     def _build_grid_transport(self):
-        """Tabulate C_j: M12_j, M21_j / eps^2, and M11_j, M22_j / eps.
+        """Tabulate C_j: M12_j, M21_j / eps^2, and M11_j, M22_j / eps, and the Rusanov radius r_j of each axis.
 
         C_j is similar to T_j / eps, so eps times its largest spectral radius is a
         wave speed; it raises self.speed where the sampled max_wave_speed missed it.
@@ -269,42 +255,64 @@ class _Workspace:
             radii = np.max(np.abs(np.linalg.eigvals(np.moveaxis(tab, -1, 1))), axis=(1, 2))
         if eps * radii.max() > self.speed * (1.0 + 1e-9):
             self.speed = eps * float(radii.max())
-        self.advect = [_coefficient_product(c) for c in self.cmat]
-        # the Rusanov dissipation radius_j * I, not a scalar multiply: radius * x would
-        # keep a -0.0 that einsum's +0.0 start does not
-        self.dissipate = [_coefficient_product(float(r) * np.eye(n)) for r in radii]
-        # the columns of the difference each C_j reads: its nonzero ones, or all of them for einsum
-        self.read = [range(n) if isinstance(p, functools.partial) else np.flatnonzero(c.any(axis=0))
-                     for p, c in zip(self.advect, self.cmat)]
-        self.sides = [_periodic_sides(grid.ns, j) for j in range(grid.d)]
+        self.radii = [float(r) for r in radii]
         shape = (n,) + grid.ns
-        self.twice, self.diff, self.adv = np.empty(shape), np.empty(shape), np.empty(shape)
-        # each axis's increment, all from one y; the last axis's is formed over 2y, then spent
-        self.incs = [np.empty(shape) for _ in range(grid.d - 1)] + [self.twice]
+        if constant:
+            self.weighted = np.empty((2 * grid.d,) + shape)  # each neighbour's weights times y
+            self.shifts = [(2 * j + side, cells, nbrs) for j in range(grid.d)
+                           for side, cells, nbrs in _periodic_shifts(grid.ns, j)]
+        else:
+            self.sides = [_periodic_sides(grid.ns, j) for j in range(grid.d)]
+            self.twice, self.diff, self.adv = np.empty(shape), np.empty(shape), np.empty(shape)
+            # each axis's increment, all from one y; the last axis's is formed over 2y, then spent
+            self.incs = [np.empty(shape) for _ in range(grid.d - 1)] + [self.twice]
 
     def _transport_grid(self, dt: float) -> None:
-        """y += dt * (D_j - C_j) of y's periodic differences along each axis j in turn, all from the old y.
+        """The Rusanov step on y in place."""
+        if self.sys.constant_coefficients:
+            self._transport_constant(dt)
+        else:
+            self._transport_cells(dt)
 
-        C_j acts on the central difference (up - dn) / 2h, of which only the columns C_j
-        reads are formed, and D_j = radius_j I on (up - 2y + dn) / 2h; up and dn are
-        slices of y, and 2y is formed once per step.
+    def _transport_weights(self, dt: float) -> Tuple[Array, float]:
+        """The Rusanov step of constant C_j as weights: y's own, 1 - dt sum_j 2 r_j / 2h_j, and (2 d N, N)
+        stacked, dt (r_j I - C_j) / 2h_j on the up neighbour along axis j and dt (r_j I + C_j) / 2h_j on
+        the down one."""
+        eye, own, stack = np.eye(self.n), 1.0, []
+        for c, r, h in zip(self.cmat, self.radii, self.grid.h):
+            w = dt / (2.0 * h)
+            own -= 2.0 * r * w
+            stack += [w * (r * eye - c), w * (r * eye + c)]
+        return np.concatenate(stack), own
+
+    def _transport_constant(self, dt: float) -> None:
+        """y = own y + the up and down neighbours' weights times y, shifted into place along each axis."""
+        stack, own = self._recurring("transport", self._transport_weights, dt)
+        y, weighted = self.y, self.weighted
+        np.matmul(stack, y.reshape(self.n, -1), out=weighted.reshape(len(stack), -1))
+        y *= own
+        for w, cells, nbrs in self.shifts:
+            y[cells] += weighted[w][nbrs]
+
+    def _transport_cells(self, dt: float) -> None:
+        """y += dt * (r_j (up - 2y + dn) - C_j(x) (up - dn)) / 2h_j of y's periodic neighbours along each axis j
+        in turn, all from the old y: per-cell C_j(x) act on the central differences, as in the paper's C(x) dy.
+
+        up and dn are slices of y, and 2y is formed once per step.
         """
-        y, twice, diff, every = self.y, self.twice, self.diff, (slice(None),)
+        y, twice, diff = self.y, self.twice, self.diff
         np.multiply(y, 2.0, out=twice)
         for j, inc in enumerate(self.incs):
             h2 = 2.0 * self.grid.h[j]
             for cells, up, dn in self.sides[j]:
-                for b in self.read[j]:
-                    np.subtract(y[b][up], y[b][dn], out=diff[b][cells])
-                cells, up, dn = every + cells, every + up, every + dn
+                np.subtract(y[up], y[dn], out=diff[cells])
                 np.subtract(y[up], twice[cells], out=inc[cells])
                 np.add(inc[cells], y[dn], out=inc[cells])
-            for b in self.read[j]:
-                np.divide(diff[b], h2, out=diff[b])
+            np.divide(diff, h2, out=diff)
             np.divide(inc, h2, out=inc)
-            self.advect[j](diff, out=self.adv)
-            self.dissipate[j](inc, out=diff)  # the differences are spent
-            np.subtract(diff, self.adv, out=inc)
+            np.einsum("ab...,b...->a...", self.cmat[j], diff, out=self.adv)
+            np.multiply(inc, self.radii[j], out=inc)
+            np.subtract(inc, self.adv, out=inc)
             np.multiply(inc, dt, out=inc)
         for inc in self.incs:
             y += inc
@@ -326,11 +334,11 @@ class _Workspace:
         self.work = mode_work(grid, n, n)
 
     def _propagator(self, dt: float) -> Array:
-        """S^-1 exp((dt / eps) P) S per mode, a mode_table (N, N, *ns) complex."""
+        """S^-1 exp((dt / eps) P) S per mode, as a mode_table."""
         vals, vecs, vecs_inv, rescale = self._factors
         return mode_table(self.grid, eig_function(vecs, np.exp(-1j * (dt / self.eps) * vals), vecs_inv) * rescale)
 
-    def _recurring(self, name: str, build: Callable[[float], Array], dt: float) -> Array:
+    def _recurring(self, name: str, build: Callable[[float], Kept], dt: float) -> Kept:
         """build(dt): dt_max's is kept under name, as every step but a clipped one takes it; any other dt's is
         built per step."""
         if dt != self.dt_max:
@@ -341,33 +349,39 @@ class _Workspace:
 
     # -- source ---------------------------------------------------------------
 
-    def _source(self, dt: float) -> Array:
-        """The implicit source step on y in place; returns the new uII (m, M) as the solve left it."""
+    def _source(self, dt: float) -> None:
+        """The implicit source step on y in place."""
         sys, eps = self.sys, self.eps
         uflat = self.y[: self.k].reshape(self.k, -1)  # views, as y is C-ordered
         vflat = self.y[self.k:].reshape(self.m, -1)
 
-        du = 0.0 if self.absent_I else sys.lower_order_I(self.xflat, uflat, vflat, eps) + sys.reaction_term(uflat)
-        np.add(uflat, dt * du, out=uflat)
-
-        d2 = 0.0 if sys.d_II is None else sys.lower_order_II(uflat, eps * vflat)
-        rhs = eps ** 2 * vflat + dt * d2
+        if sys.dtilde_I is not None or sys.reaction is not None:  # lower-order terms of uI's equation
+            uflat += dt * (sys.lower_order_I(self.xflat, uflat, vflat, eps) + sys.reaction_term(uflat))
+        rhs = eps ** 2 * vflat
+        if sys.d_II is not None:
+            rhs += dt * sys.lower_order_II(uflat, eps * vflat)
 
         # a source linear in v is solved exactly with its jacobian at v = 0; any other by Newton
-        if sys.source_linear_in_v:
-            if self.q_const is None:
-                mats = self.eps2_eye - dt * sys.stiff_source_jacobian(self.xflat, uflat, self.zero_v)
-            else:
-                mats = self._recurring("source", self._source_matrix, dt)
-            vnew = solve_points(mats, rhs)
+        if not sys.source_linear_in_v:
+            vflat[...] = self._newton_source(uflat, vflat, rhs, dt)
+        elif self.q_const is None:
+            vflat[...] = solve_points(self.eps2_eye - dt * sys.stiff_source_jacobian(self.xflat, uflat, self.zero_v),
+                                      rhs)
+        elif self.m == 1:
+            np.divide(rhs, self._recurring("source", self._source_matrix, dt), out=vflat)
         else:
-            vnew = self._newton_source(uflat, vflat, rhs, dt)
-        vflat[...] = vnew
-        return vnew
+            np.matmul(self._recurring("source", self._source_matrix, dt), rhs, out=vflat)
 
     def _source_matrix(self, dt: float) -> Array:
-        """eps^2 I - dt q_nu of a constant q_nu, (m, m, 1): one matrix for every cell."""
-        return self.eps2_eye - dt * self.q_const[:, :, None]
+        """eps^2 I - dt q_nu of a constant q_nu, (1, 1), or its inverse if m > 1: one matrix for every cell.
+
+        SolverError if its condition number exceeds 1e12, as it may where dissipativity is waived.
+        """
+        mat = self.eps ** 2 * np.eye(self.m) - dt * self.q_const
+        if not (cond := np.linalg.cond(mat)) <= 1e12:
+            raise SolverError(f"the source matrix eps^2 I - dt q_nu at eps={self.eps:g}, dt={dt:.6g} is singular "
+                              f"to working precision: condition number {cond:.3g} > 1e12")
+        return mat if self.m == 1 else np.linalg.inv(mat)
 
     def _newton_source(self, u: Array, v0: Array, rhs: Array, dt: float) -> Array:
         sys, eps = self.sys, self.eps
@@ -387,11 +401,8 @@ class _Workspace:
 
     # -- one full step ----------------------------------------------------------
 
-    def advance(self, dt: float) -> Array:
-        """Advance y by one step in place; returns the new uII (m, M) as the source solve left it.
-
-        That array's memory layout is the one the run's ||uII||^2 sums in, as it always has.
-        """
+    def advance(self, dt: float) -> None:
+        """Advance y by one step in place."""
         if self.opts.flux == "spectral":
             apply_modes(self.grid, self._recurring("propagator", self._propagator, dt), self.y,
                         out=self.y, work=self.work)
@@ -401,7 +412,7 @@ class _Workspace:
                     f"time step {dt:.3e} violates the transport stability bound {self.dt_max:.3e}"
                 )
             self._transport_grid(dt)
-        return self._source(dt)
+        self._source(dt)
 
     def step(self, uI: Array, uII: Array, dt: float) -> Tuple[Array, Array]:
         """(uI, uII) advanced by one step, through copies in and out of y."""
@@ -490,8 +501,8 @@ def run(
         if pending[0] - t > tiny:
             dt = min(dt, pending[0] - t)
         rows.append((t, dt, nI2 + eps2 * nII2, speed_scaled, nII2))
-        vnew = ws.advance(dt)
-        nI2, nII2 = squared_norms(uI, vnew, vol)
+        ws.advance(dt)
+        nI2, nII2 = squared_norms(uI, uII, vol)
         if not math.isfinite(nI2 + nII2):  # a non-finite entry, or a finite state whose norm overflows
             bad = ~np.isfinite(ws.y.reshape(sys.n, -1)).all(axis=0)
             if bad.any():

@@ -1,4 +1,3 @@
-import functools
 import weakref
 from dataclasses import replace
 
@@ -8,7 +7,7 @@ from scipy.linalg import expm
 
 import relaxbench as rb
 from relaxbench import builder, hypersolver, parasolver
-from relaxbench.core import apply_modes, l2_norm
+from relaxbench.core import apply_modes, eig_function, l2_norm
 from relaxbench.hypersolver import SolverError, SolverOptions, max_wave_speed, run, snapshot_csv, step
 
 from conftest import four_block_2d, sine_mode
@@ -151,11 +150,24 @@ class TestStep:
 ARTIFACT_GRIDS = {1: ((16,), (24,)), 2: ((12, 12), (16, 20))}  # those of scripts/artifact_hashes.py
 
 
+def _mirrored(full, d):
+    """A full per-mode stack (*ns, r, c) at -k, for each mode k."""
+    axes = tuple(range(d))
+    return np.roll(np.flip(full, axes), 1, axes)
+
+
+def _hermitian_defect(full, ns):
+    """max |P(-k) - conj P(k)| of a full per-mode stack (*ns, r, c) off the modes on an even axis's Nyquist
+    index, which stands for both k and -k: where irfft's half spectrum, which assumes it 0, would drop a part."""
+    unpaired = np.any([(i == n // 2) & (n % 2 == 0) for i, n in zip(np.indices(ns), ns)], axis=0)
+    return np.max(np.abs(_mirrored(full, len(ns)) - full.conj())[~unpaired])
+
+
 class TestSpectralConvention:
     """The spectral step of every system is generated by its principal symbol P over eps."""
 
     @pytest.mark.parametrize("name, ns", [("heat1d", (16,)), ("heat2d", (8, 8)), ("aniso2d", (8, 6)),
-                                          ("sqrt-heat", (16,))])
+                                          ("sqrt-heat", (16,)), ("aniso2d", (7, 9))])
     def test_propagator_is_expm_of_principal_symbol(self, name, ns):
         grid = rb.SpatialGrid(ns, (1.0,) * len(ns))
         sys = builder.demo(name, grid).system
@@ -163,10 +175,33 @@ class TestSpectralConvention:
         prop = hypersolver._Workspace(sys, grid, eps, SolverOptions(flux="spectral"))._propagator(dt)
         kappa = grid.wavenumbers().reshape(grid.d, -1)
         scale = np.diag([1.0] * sys.k + [eps] * sys.m)  # the step moves (uI, eps uII)
-        for mode, xi in enumerate(kappa.T):
-            want = np.linalg.inv(scale) @ expm((dt / eps) * rb.principal_symbol(sys, [0.0] * grid.d, xi)) @ scale
-            got = prop.reshape(sys.n, sys.n, -1)[..., mode]  # a mode table: modes last
-            assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want))), (name, xi)
+        full = np.array([np.linalg.inv(scale) @ expm((dt / eps) * rb.principal_symbol(sys, [0.0] * grid.d, xi))
+                         @ scale for xi in kappa.T]).reshape(ns + (sys.n, sys.n))
+        # a mode table keeps, modes last, the half spectrum of (P(k) + conj P(-k)) / 2
+        half = 0.5 * (full + _mirrored(full, grid.d).conj())[..., : ns[-1] // 2 + 1, :, :]
+        want = np.moveaxis(half, (-2, -1), (0, 1))
+        assert prop.shape == want.shape
+        assert np.max(np.abs(prop - want)) <= 1e-12 * max(1.0, np.max(np.abs(want))), name
+
+    @pytest.mark.parametrize("name", [n for n in builder.DEMO_NAMES if n != "null-limit"])
+    def test_full_table_is_hermitian(self, name):
+        # irfft reads half of the modes: the others must be the conjugates it assumes, P(-k) = conj P(k)
+        d = builder.DEMO_DIMS[name]
+        for ns in ARTIFACT_GRIDS[d] + (((15,), (9, 7))[d - 1],):
+            grid = rb.SpatialGrid(ns, (1.0,) * d)
+            ws = hypersolver._Workspace(builder.demo(name, grid).system, grid, 0.1, SolverOptions(flux="spectral"))
+            vals, vecs, vecs_inv, rescale = ws._factors
+            full = (eig_function(vecs, np.exp(-1j * (0.013 / 0.1) * vals), vecs_inv) * rescale).reshape(
+                ns + (ws.n, ws.n))
+            assert _hermitian_defect(full, ns) <= 1e-12 * max(1.0, np.max(np.abs(full))), (name, ns)
+
+    @pytest.mark.parametrize("name, ns", [("heat1d", (16,)), ("heat1d", (15,)), ("heat2d", (8, 8)),
+                                          ("aniso2d", (8, 6)), ("aniso2d", (7, 9))])
+    def test_reference_table_is_hermitian(self, name, ns):
+        grid = rb.SpatialGrid(ns, (1.0,) * len(ns))
+        ref = parasolver._LinearRD(builder.demo(name, grid).target, grid)
+        full = eig_function(ref.vecs, np.exp(0.013 * ref.vals), ref.vecs_inv).reshape(ns + (ref.k, ref.k))
+        assert _hermitian_defect(full, ns) <= 1e-12 * max(1.0, np.max(np.abs(full))), (name, ns)
 
 
 def _operands(ns, n, seed):
@@ -186,55 +221,13 @@ def _operands(ns, n, seed):
     }
 
 
-class TestCoefficientProduct:
-    @pytest.mark.parametrize("name", builder.DEMO_NAMES)
-    def test_bit_equal_to_einsum_on_every_grid_flux_run(self, name):
-        d = builder.DEMO_DIMS[name]
-        for ns in ARTIFACT_GRIDS[d]:
-            grid = rb.SpatialGrid(ns, (1.0,) * d)
-            sys = builder.demo(name, grid).system
-            for flux in set(hypersolver.admissible_fluxes(sys)) - {"spectral"}:
-                ws = hypersolver._Workspace(sys, grid, 0.1, SolverOptions(flux=flux))
-                for j in range(d):
-                    # the dissipation matrix is recovered from its product with the identity
-                    for product, mat in ((ws.advect[j], ws.cmat[j]),
-                                         (ws.dissipate[j], ws.dissipate[j](np.eye(sys.n)))):
-                        for label, x in _operands(ns, sys.n, seed=j).items():
-                            want = np.einsum("ab...,b...->a...", mat, x)
-                            assert product(x).tobytes() == want.tobytes(), (name, ns, flux, j, label)
-
-    def test_signed_zero_rows(self):
-        mat = np.array([[0.0, -1.0, 0.0], [2.0, 0.0, -0.0], [0.0, 0.0, 0.0]])
-        product = hypersolver._coefficient_product(mat)
-        assert not isinstance(product, functools.partial)
-        for label, x in _operands((7, 5), 3, seed=3).items():
-            got, want = product(x), np.einsum("ab...,b...->a...", mat, x)
-            assert got.tobytes() == want.tobytes(), label
-            assert not np.signbit(got[2]).any()
-
-    def test_two_term_rows_take_the_sparse_path(self):
-        grid = rb.SpatialGrid((16, 16), (1.0, 1.0))
-        ws = hypersolver._Workspace(builder.demo("heat2d", grid).system, grid, 0.05, SolverOptions())
-        assert not any(isinstance(p, functools.partial) for p in ws.advect + ws.dissipate)
-
-    def test_dense_rows_and_per_cell_tables_keep_einsum(self):
-        mat = np.array([[1.5, -0.0, 0.25], [-2.0, 0.5, -0.75], [0.0, 0.0, 3.0]])
-        product = hypersolver._coefficient_product(mat)
-        assert isinstance(product, functools.partial) and product.func is np.einsum
-        for label, x in _operands((7, 5), 3, seed=4).items():
-            assert product(x).tobytes() == np.einsum("ab...,b...->a...", mat, x).tobytes(), label
-        grid = rb.SpatialGrid((12, 12), (1.0, 1.0))
-        ws = hypersolver._Workspace(four_block_2d(), grid, 0.1, SolverOptions())
-        assert all(isinstance(p, functools.partial) and p.func is np.einsum for p in ws.advect)
-
-
 def _roll_einsum_transport(ws, y, dt):
     """The Rusanov step as np.roll and einsum formed it, on y as laid out: the oracle of _transport_grid."""
     out = y.copy()
     for j in range(ws.grid.d):
         up, dn, h2 = np.roll(y, -1, axis=1 + j), np.roll(y, +1, axis=1 + j), 2.0 * ws.grid.h[j]
         adv = np.einsum("ab...,b...->a...", ws.cmat[j], (up - dn) / h2)
-        diss = np.einsum("ab...,b...->a...", ws.dissipate[j](np.eye(ws.n)), (up - 2.0 * y + dn) / h2)
+        diss = ws.radii[j] * ((up - 2.0 * y + dn) / h2)
         out += dt * (diss - adv)
     return out
 
@@ -242,6 +235,7 @@ def _roll_einsum_transport(ws, y, dt):
 class TestGridTransport:
     @pytest.mark.parametrize("name", ["heat2d", "aniso2d", "four-block-2d"])
     def test_bit_equal_to_roll_and_einsum(self, name):
+        # per-cell tables (four-block-2d) bit for bit; constant blocks, one stacked matmul, to round-off
         for ns in ARTIFACT_GRIDS[2]:
             grid = rb.SpatialGrid(ns, (1.0, 1.0))
             sys = four_block_2d() if name == "four-block-2d" else builder.demo(name, grid).system
@@ -250,12 +244,41 @@ class TestGridTransport:
                 want = _roll_einsum_transport(ws, x, ws.dt_max)
                 ws.y[...] = x
                 ws._transport_grid(ws.dt_max)
-                assert ws.y.tobytes() == np.ascontiguousarray(want).tobytes(), (name, ns, label)
+                if sys.constant_coefficients:
+                    assert np.max(np.abs(ws.y - want)) <= 1e-13 * np.max(np.abs(want)), (name, ns, label)
+                else:
+                    assert ws.y.tobytes() == np.ascontiguousarray(want).tobytes(), (name, ns, label)
 
-    def test_sparse_advection_differences_only_the_columns_it_reads(self):
-        grid = rb.SpatialGrid((16, 16), (1.0, 1.0))
-        ws = hypersolver._Workspace(builder.demo("heat2d", grid).system, grid, 0.05, SolverOptions())
-        assert [list(cols) for cols in ws.read] == [[0, 1], [0, 2]]
+    @pytest.mark.parametrize("name", builder.DEMO_NAMES)
+    def test_matches_roll_and_einsum(self, name):
+        # constant blocks take one stacked matmul, equal to round-off; per-cell tables the differences first
+        d = builder.DEMO_DIMS[name]
+        for ns in ARTIFACT_GRIDS[d]:
+            grid = rb.SpatialGrid(ns, (1.0,) * d)
+            sys = builder.demo(name, grid).system
+            for flux in set(hypersolver.admissible_fluxes(sys)) - {"spectral"}:
+                ws = hypersolver._Workspace(sys, grid, 0.1, SolverOptions(flux=flux))
+                for dt in (ws.dt_max, 0.3 * ws.dt_max):  # the kept weights and a clipped step's
+                    for label, x in _operands(ns, sys.n, seed=5).items():
+                        want = np.ascontiguousarray(_roll_einsum_transport(ws, x, dt))
+                        ws.y[...] = x
+                        ws._transport_grid(dt)
+                        if sys.constant_coefficients:
+                            assert np.max(np.abs(ws.y - want)) <= 1e-13 * max(np.max(np.abs(want)), 1e-300)
+                        else:
+                            assert ws.y.tobytes() == want.tobytes(), (name, ns, label, dt)
+
+    def test_constant_blocks_keep_one_stacked_matrix(self):
+        grid = rb.SpatialGrid((16, 20), (1.0, 1.0))
+        ws = hypersolver._Workspace(builder.demo("aniso2d", grid).system, grid, 0.05, SolverOptions())
+        ws.y[...] = 1.0
+        ws._transport_grid(ws.dt_max)
+        stack, own = ws._kept["transport"]
+        assert stack.shape == (2 * 2 * ws.n, ws.n)
+        # a constant state does not move: own plus every neighbour's weights sum to the identity
+        assert np.allclose(own * np.eye(ws.n) + stack.reshape(4, ws.n, ws.n).sum(axis=0), np.eye(ws.n),
+                           rtol=0.0, atol=1e-13)
+        assert np.allclose(ws.y, 1.0, rtol=0.0, atol=1e-13)
 
 
 def _workspace_arrays(ws):
@@ -384,12 +407,29 @@ class TestConstantCoefficients:
         init = hypersolver.well_prepared_state(sys, grid, bundle.u0(grid), 0.1)
         kept, each = (run(s, init, 0.01, SolverOptions(flux=flux), snapshot_times=times) for s in (sys, per_step))
         assert q.shape == (sys.m, sys.m) and (np.count_nonzero(q) > sys.m) == (name == "aniso2d")
-        assert [_state_bytes(s) for s in kept.snapshots] == [_state_bytes(s) for s in each.snapshots]
-        assert kept.steps_csv() == each.steps_csv()
+        # the kept inverse's product against LAPACK's per-cell solve: equal to round-off
+        assert kept.times.tobytes() == each.times.tobytes()
+        for a, b in zip(kept.snapshots, each.snapshots):
+            for f, g in ((a.uI, b.uI), (a.uII, b.uII)):
+                assert np.max(np.abs(f - g)) <= 1e-13 * np.max(np.abs(g))
+        assert kept.records.dt == each.records.dt
+        assert np.allclose(kept.records.energy, each.records.energy, rtol=1e-13, atol=0.0)
         # dt_max's matrix is built once, a clipped step's once per step, and the per-cell run builds none
         dt_max = max(kept.records.dt)
         clipped = [dt for dt in kept.records.dt[:-1] if dt != dt_max]
         assert len(clipped) >= 5 and sorted(built) == sorted([dt_max] + clipped)
+
+    def test_singular_source_matrix_is_refused(self):
+        # q_nu = (eps^2 / dt_max) diag(1, 2) makes eps^2 I - dt_max q_nu singular: no inverse of it is taken
+        grid = rb.SpatialGrid((12, 12), (1.0, 1.0))
+        bundle = builder.demo("heat2d", grid)
+        eps = 0.1
+        dt_max = hypersolver._Workspace(bundle.system, grid, eps, SolverOptions()).dt_max
+        sys = replace(bundle.system, q_nu=(eps ** 2 / dt_max) * np.diag([1.0, 2.0]))
+        init = rb.FieldState(grid, bundle.u0(grid), np.zeros((2,) + grid.ns), 0.0, eps)
+        with pytest.raises(SolverError, match=rf"eps=0.1, dt={dt_max:.6g} is singular to working precision: "
+                                              r"condition number (inf|[0-9.e+]+) > 1e12"):
+            run(sys, init, 0.01)
 
 
 class TestSingleModeDecay:
