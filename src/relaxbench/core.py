@@ -164,26 +164,41 @@ def mode_work(grid: SpatialGrid, rows: int, cols: int) -> Tuple[Array, Array, Ar
     return np.empty((cols,) + half, complex), np.empty((rows,) + half, complex), np.empty((rows,) + half, complex)
 
 
+def to_modes(grid: SpatialGrid, fields: Array, out: Optional[Array] = None) -> Array:
+    """Half spectrum of real fields (c, *ns): rfft on the last axis, fft on the others, into out if given."""
+    out = np.fft.rfft(fields, axis=-1, out=out)
+    for ax in range(1, grid.d):
+        np.fft.fft(out, axis=ax, out=out)
+    return out
+
+
+def mode_product(table: Array, spectrum: Array, out: Array, term: Array) -> Array:
+    """A mode_table's per-mode action on a half spectrum (c, ...), into out (r, ...), summed column by column."""
+    np.multiply(table[:, 0], spectrum[0], out=out)
+    for col in range(1, table.shape[1]):
+        np.multiply(table[:, col], spectrum[col], out=term)
+        out += term
+    return out
+
+
+def from_modes(grid: SpatialGrid, spectrum: Array, out: Optional[Array] = None) -> Array:
+    """Real fields (r, *ns) of a half spectrum, into out if given; to_modes inverted.  In 2-d the
+    spectrum is overwritten."""
+    for ax in range(1, grid.d):
+        np.fft.ifft(spectrum, axis=ax, out=spectrum)
+    return np.fft.irfft(spectrum, n=grid.ns[-1], axis=-1, out=out)
+
+
 def apply_modes(grid: SpatialGrid, table: Array, fields: Array, out: Optional[Array] = None,
                 work: Optional[Tuple[Array, Array, Array]] = None) -> Array:
     """Per-mode action of a mode_table on real fields (c, *ns) -> (r, *ns), into out if given.
 
-    rfft on the last axis and fft on the others, the product summed column by column over the
-    half spectrum, then the inverse transforms.  work is mode_work's scratch, allocated per call
-    if not given; fields may be out, read before out is written.
+    to_modes, mode_product over the half spectrum, then from_modes.  work is mode_work's scratch,
+    allocated per call if not given; fields may be out, read before out is written.
     """
     spectrum, product, term = work if work is not None else mode_work(grid, *table.shape[:2])
-    np.fft.rfft(fields, axis=-1, out=spectrum)
-    for ax in range(1, grid.d):
-        np.fft.fft(spectrum, axis=ax, out=spectrum)
-    np.multiply(table[:, 0], spectrum[0], out=product)
-    for col in range(1, table.shape[1]):
-        np.multiply(table[:, col], spectrum[col], out=term)
-        product += term
-    for ax in range(1, grid.d):
-        np.fft.ifft(product, axis=ax, out=product)
-    out = np.empty((table.shape[0],) + grid.ns) if out is None else out
-    return np.fft.irfft(product, n=grid.ns[-1], axis=-1, out=out)
+    to_modes(grid, fields, spectrum)
+    return from_modes(grid, mode_product(table, spectrum, product, term), out)
 
 
 def plan_times(T: float, snapshot_times: Optional[Sequence[float]]) -> List[float]:
