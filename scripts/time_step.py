@@ -13,12 +13,17 @@ cost and the identity of a change.  The cases are:
 * heat1d, spectral, n=256, eps 0.025, cfl 0.1: the same rung of the heat1d ladder;
 * heat2d, Rusanov, 128 x 128, eps 0.05: the heat2d run's steps (T=0.005);
 * aniso2d, Rusanov, 128 x 128, eps 0.05: the same with a cross diffusion term,
-  whose constant source matrix is not diagonal (T=0.005).
+  whose constant source matrix is not diagonal (T=0.005);
+* null-limit, Rusanov, n=256, eps 0.05: transport blocks that vary in x, so
+  the Rusanov weights are tabulated per cell (T=0.01).
 
 The digests changed once, when the solver dropped the code that kept NumPy's
 and BLAS's summation order (the Rusanov step became one stacked matmul, the
 constant source a kept inverse, and the spectral step a half-spectrum
-transform): every final state moved at round-off only.
+transform): every final state moved at round-off only.  The null-limit
+digest changed once more, when per-cell transport tables took the same kept
+neighbour-weights product as constant blocks in place of a difference-first
+loop: its final state moved at round-off only, and no other digest moved.
 
 From the root of a source checkout:
 
@@ -42,6 +47,7 @@ CASES = (  # name, demo, ns, flux, cfl, eps, T
     ("heat1d", "heat1d", (256,), "spectral", 0.1, 0.025, 0.01),
     ("heat2d", "heat2d", (128, 128), "rusanov", 0.45, 0.05, 0.005),
     ("aniso2d", "aniso2d", (128, 128), "rusanov", 0.45, 0.05, 0.005),
+    ("null-limit", "null-limit", (256,), "rusanov", 0.45, 0.05, 0.01),
 )
 
 

@@ -82,9 +82,8 @@ SCHEMA: Dict[str, Dict[str, Tuple[str, object]]] = {
         "length": ("floats", (1.0,)),
     },
     "solver": {
-        "cfl": ("float", 0.45),
-        "flux": ("str", "rusanov"),
-        "snapshot_stride": ("int", 0),
+        key: (kind, getattr(SolverOptions(), key))
+        for key, kind in (("cfl", "float"), ("flux", "str"), ("snapshot_stride", "int"))
     },
     "experiment": {
         "T": ("float", REQUIRED),

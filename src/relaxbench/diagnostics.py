@@ -60,19 +60,19 @@ def energy_inequality_check(traj: Trajectory, lam0: float) -> EnergyInequality:
     then verifies (lam0 / 4) * sum dt ||uII||^2 <= E(0) (e^{cT} + 2).  For a
     source-free system the fitted c should come out exactly zero.
     """
-    recs = traj.records
-    e0 = recs[0].energy
+    log = traj.records
+    e0 = log.energy[0]
     slack = 1.0 + 1e-9
     c = 0.0
     if e0 > 0.0:
-        for r in recs[1:]:
-            if r.t > 0 and r.energy > e0 * slack:
-                c = max(c, float(np.log(r.energy / (e0 * slack)) / r.t))
+        for t, e in zip(log.t[1:], log.energy[1:]):
+            if t > 0 and e > e0 * slack:
+                c = max(c, float(np.log(e / (e0 * slack)) / t))
     else:
-        if any(r.energy > 0 for r in recs):
+        if any(e > 0 for e in log.energy):
             return EnergyInequality(np.inf, np.inf, 0.0, False)
-    t_final = recs[-1].t
-    lhs = (lam0 / 4.0) * sum(r.dt * r.uII_norm2 for r in recs if r.dt > 0)
+    t_final = log.t[-1]
+    lhs = (lam0 / 4.0) * sum(dt * n2 for dt, n2 in zip(log.dt, log.uII_norm2) if dt > 0)
     rhs = e0 * (float(np.exp(c * t_final)) + 2.0)
     return EnergyInequality(c, lhs, rhs, lhs <= rhs * (1.0 + 1e-12))
 

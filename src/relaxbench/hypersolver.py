@@ -7,20 +7,22 @@ the relaxation parameter.  Transport is done with a Rusanov flux on the grid,
 or exactly in Fourier space from the transport symbol (constant coefficients,
 multiplier systems included).
 
-Constant transport blocks make the Rusanov step one matrix product of the
-state with every neighbour's weights, stacked, and a constant source matrix
-is inverted once; both are kept for the recurring step size.  The spectral
+The Rusanov step is one product of the state with every neighbour's weights,
+stacked, then shifted adds: one matrix for constant transport blocks, a
+per-cell table for blocks that vary in x.  A per-cell weight is stored at the
+neighbour it multiplies, so each cell's own C(x) acts on its neighbours'
+values, the paper's C(x) dy.  A constant source matrix is inverted once; the
+weights and the inverse are kept for the recurring step size.  The spectral
 step runs on the half spectrum of the real state.  Each agrees to round-off,
 not bit for bit, with the difference-first, per-cell-solve and full-spectrum
-forms that the tests keep as oracles.  Per-cell transport tables keep the
-difference-first form, which is the paper's C(x) dy.
+forms that the tests keep as oracles.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
@@ -76,17 +78,8 @@ class SolverOptions:
 
 
 @dataclass(frozen=True)
-class StepRecord:
-    t: float
-    dt: float
-    energy: float
-    max_speed: float
-    uII_norm2: float
-
-
-@dataclass(frozen=True)
-class StepLog(Sequence):
-    """Per-step scalar records kept as columns, one per StepRecord field; item i is row i's StepRecord."""
+class StepLog:
+    """Per-step scalar records kept as columns: row i is the state at t[i] and the step dt[i] taken from it."""
 
     t: Sequence[float]
     dt: Sequence[float]
@@ -94,17 +87,8 @@ class StepLog(Sequence):
     max_speed: Sequence[float]
     uII_norm2: Sequence[float]
 
-    @classmethod
-    def of(cls, records: Sequence[StepRecord]) -> "StepLog":
-        return cls(*([getattr(r, f.name) for r in records] for f in fields(StepRecord)))
-
     def __len__(self) -> int:
         return len(self.t)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        return StepRecord(self.t[i], self.dt[i], self.energy[i], self.max_speed[i], self.uII_norm2[i])
 
     def csv(self) -> str:
         """The step log's text: columns t, dt, energy, max_speed."""
@@ -114,14 +98,14 @@ class StepLog(Sequence):
 
 @dataclass
 class Trajectory:
-    """Snapshots plus per-step scalar records of one integration; records given as rows become a StepLog.
+    """Snapshots plus the step log of one integration.
 
     times and final default to the snapshots' times and the last snapshot; a streamed run,
     which keeps no snapshot, gives them.
     """
 
     snapshots: List[FieldState]
-    records: Sequence[StepRecord]
+    records: StepLog
     sup_uI: float
     sup_eps_uII: float
     clamp_events: int = 0  # always 0: run raises where a positive-state system leaves its states
@@ -129,8 +113,6 @@ class Trajectory:
     final: Optional[FieldState] = None
 
     def __post_init__(self):
-        if not isinstance(self.records, StepLog):
-            self.records = StepLog.of(self.records)
         self.times = np.array([s.t for s in self.snapshots] if self.times is None else self.times)
         if self.final is None and self.snapshots:
             self.final = self.snapshots[-1]
@@ -172,15 +154,6 @@ def squared_norms(uI: Array, uII: Array, vol: float) -> Tuple[float, float]:
 def _along(j: int, start: int, stop: int) -> tuple:
     """The cells start:stop along grid axis j of an (N, *ns) field."""
     return (slice(None),) * (j + 1) + (slice(start, stop),)
-
-
-def _periodic_sides(ns: Tuple[int, ...], j: int) -> List[Tuple[tuple, tuple, tuple]]:
-    """(cells, up, down) index triples along axis j of an (N, *ns) field, whose up and down neighbours wrap:
-    the interior cells, the first and the last."""
-    n = ns[j]
-    return [(_along(j, 1, n - 1), _along(j, 2, n), _along(j, 0, n - 2)),
-            (_along(j, 0, 1), _along(j, 1, 2), _along(j, n - 1, n)),
-            (_along(j, n - 1, n), _along(j, 0, 1), _along(j, n - 2, n - 1))]
 
 
 def _periodic_shifts(ns: Tuple[int, ...], j: int) -> List[Tuple[int, tuple, tuple]]:
@@ -239,83 +212,52 @@ class _Workspace:
 
         C_j is similar to T_j / eps, so eps times its largest spectral radius is a
         wave speed; it raises self.speed where the sampled max_wave_speed missed it.
-        Constant blocks are evaluated at one point.
+        Constant blocks are evaluated at one point, a table of one cell.
         """
         grid, n, k, eps = self.grid, self.n, self.k, self.eps
         div = np.full((n, n, 1), eps)
         div[:k, k:], div[k:, :k] = 1.0, eps ** 2
         constant = self.sys.constant_coefficients
         tab = transport_blocks(self.sys, self.xflat[:, :1] if constant else self.xflat) / div
-        # one C_j per axis if constant, so one spectral radius per axis, else one per cell
-        if constant:
-            self.cmat = tab[..., 0]
-            radii = np.max(np.abs(np.linalg.eigvals(self.cmat)), axis=1)
-        else:
-            self.cmat = tab.reshape((grid.d, n, n) + grid.ns)
-            radii = np.max(np.abs(np.linalg.eigvals(np.moveaxis(tab, -1, 1))), axis=(1, 2))
+        radii = np.max(np.abs(np.linalg.eigvals(np.moveaxis(tab, -1, 1))), axis=(1, 2))
         if eps * radii.max() > self.speed * (1.0 + 1e-9):
             self.speed = eps * float(radii.max())
         self.radii = [float(r) for r in radii]
-        shape = (n,) + grid.ns
-        if constant:
-            self.weighted = np.empty((2 * grid.d,) + shape)  # each neighbour's weights times y
-            self.shifts = [(2 * j + side, cells, nbrs) for j in range(grid.d)
-                           for side, cells, nbrs in _periodic_shifts(grid.ns, j)]
-        else:
-            self.sides = [_periodic_sides(grid.ns, j) for j in range(grid.d)]
-            self.twice, self.diff, self.adv = np.empty(shape), np.empty(shape), np.empty(shape)
-            # each axis's increment, all from one y; the last axis's is formed over 2y, then spent
-            self.incs = [np.empty(shape) for _ in range(grid.d - 1)] + [self.twice]
-
-    def _transport_grid(self, dt: float) -> None:
-        """The Rusanov step on y in place."""
-        if self.sys.constant_coefficients:
-            self._transport_constant(dt)
-        else:
-            self._transport_cells(dt)
+        self.cmat = tab[..., 0] if constant else tab.reshape((grid.d, n, n) + grid.ns)
+        self.weighted = np.empty((2 * grid.d, n) + grid.ns)  # each neighbour's weights times y
+        self.shifts = [(2 * j + side, cells, nbrs) for j in range(grid.d)
+                       for side, cells, nbrs in _periodic_shifts(grid.ns, j)]
 
     def _transport_weights(self, dt: float) -> Tuple[Array, float]:
-        """The Rusanov step of constant C_j as weights: y's own, 1 - dt sum_j 2 r_j / 2h_j, and (2 d N, N)
-        stacked, dt (r_j I - C_j) / 2h_j on the up neighbour along axis j and dt (r_j I + C_j) / 2h_j on
-        the down one."""
-        eye, own, stack = np.eye(self.n), 1.0, []
-        for c, r, h in zip(self.cmat, self.radii, self.grid.h):
+        """The Rusanov step as weights: y's own, 1 - dt sum_j 2 r_j / 2h_j, and dt (r_j I - C_j) / 2h_j on the
+        up neighbour along axis j and dt (r_j I + C_j) / 2h_j on the down one, stacked.
+
+        Constant C_j stack as one (2 d N, N) matrix.  Per-cell C_j(x) stack as (2 d, N, N, *ns), each weight
+        rolled onto the neighbour it multiplies (up by +1 along axis j, down by -1): the product at a
+        neighbour then takes the cell's own C_j(x), the paper's C(x) dy, not the conservative d(C(x) y).
+        """
+        per_cell = self.cmat.ndim > 3
+        eye = np.eye(self.n).reshape((self.n, self.n) + (1,) * (self.cmat.ndim - 3))
+        own, stack = 1.0, []
+        for j, (c, r, h) in enumerate(zip(self.cmat, self.radii, self.grid.h)):
             w = dt / (2.0 * h)
             own -= 2.0 * r * w
-            stack += [w * (r * eye - c), w * (r * eye + c)]
-        return np.concatenate(stack), own
+            up, dn = w * (r * eye - c), w * (r * eye + c)
+            stack += [np.roll(up, 1, axis=2 + j), np.roll(dn, -1, axis=2 + j)] if per_cell else [up, dn]
+        return (np.stack(stack) if per_cell else np.concatenate(stack)), own
 
-    def _transport_constant(self, dt: float) -> None:
-        """y = own y + the up and down neighbours' weights times y, shifted into place along each axis."""
+    def _transport_grid(self, dt: float) -> None:
+        """The Rusanov step on y in place: y = own y + the up and down neighbours' weights times y, shifted into
+        place along each axis."""
         stack, own = self._recurring("transport", self._transport_weights, dt)
         y, weighted = self.y, self.weighted
-        np.matmul(stack, y.reshape(self.n, -1), out=weighted.reshape(len(stack), -1))
+        if stack.ndim == 2:
+            np.matmul(stack, y.reshape(self.n, -1), out=weighted.reshape(len(stack), -1))
+        else:
+            np.einsum("wab...,b...->wa...", stack, y, out=weighted)
         y *= own
         for w, cells, nbrs in self.shifts:
             y[cells] += weighted[w][nbrs]
-
-    def _transport_cells(self, dt: float) -> None:
-        """y += dt * (r_j (up - 2y + dn) - C_j(x) (up - dn)) / 2h_j of y's periodic neighbours along each axis j
-        in turn, all from the old y: per-cell C_j(x) act on the central differences, as in the paper's C(x) dy.
-
-        up and dn are slices of y, and 2y is formed once per step.
-        """
-        y, twice, diff = self.y, self.twice, self.diff
-        np.multiply(y, 2.0, out=twice)
-        for j, inc in enumerate(self.incs):
-            h2 = 2.0 * self.grid.h[j]
-            for cells, up, dn in self.sides[j]:
-                np.subtract(y[up], y[dn], out=diff[cells])
-                np.subtract(y[up], twice[cells], out=inc[cells])
-                np.add(inc[cells], y[dn], out=inc[cells])
-            np.divide(diff, h2, out=diff)
-            np.divide(inc, h2, out=inc)
-            np.einsum("ab...,b...->a...", self.cmat[j], diff, out=self.adv)
-            np.multiply(inc, self.radii[j], out=inc)
-            np.subtract(inc, self.adv, out=inc)
-            np.multiply(inc, dt, out=inc)
-        for inc in self.incs:
-            y += inc
 
     # -- spectral transport ----------------------------------------------------
 
@@ -484,7 +426,7 @@ def run(
 
     t = 0.0
     speed_scaled = ws.speed / eps
-    rows: List[Tuple[float, ...]] = []  # the step log, as StepRecord field tuples
+    rows: List[Tuple[float, ...]] = []  # the step log's rows, transposed into its columns at the end
     nI2, nII2 = squared_norms(uI, uII, vol)
     top_nI2, top_nII2 = nI2, nII2  # sqrt and eps * sqrt are monotone, so their maxima are these maxima's
 
@@ -538,7 +480,6 @@ __all__ = [
     "NEWTON_TOL",
     "NEWTON_MAXITER",
     "MAX_STEPS",
-    "StepRecord",
     "StepLog",
     "Trajectory",
     "snapshot_csv",

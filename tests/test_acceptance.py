@@ -170,7 +170,7 @@ def test_criterion_06_energy_law(grid):
 
     init = hypersolver.well_prepared_state(bundle.system, grid, bundle.u0(grid), 0.05)
     traj = hypersolver.run(bundle.system, init, 0.05, SolverOptions(flux="rusanov"))
-    energies = [r.energy for r in traj.records]
+    energies = traj.records.energy
     assert all(b <= a * (1.0 + 1e-10) for a, b in zip(energies, energies[1:]))
     chk = diagnostics.energy_inequality_check(traj, lam0)
     assert chk.fitted_c == 0.0

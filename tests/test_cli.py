@@ -136,6 +136,10 @@ class TestConfigParsing:
         assert values["solver"]["cfl"] == 0.45
         assert values["experiment"]["well_prepared"] is True
 
+    def test_solver_defaults_are_solver_options(self, tmp_path):
+        cfg = write_cfg(tmp_path, "[system]\nkind = demo\nname = heat1d\n[grid]\nn = 64\n[experiment]\nT = 0.1\n")
+        assert cli.build_experiment(cli.parse_config(cfg)).opts == hypersolver.SolverOptions()
+
 
 class TestValidateCommand:
     def test_carleman_demo_passes(self, tmp_path):

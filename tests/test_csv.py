@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import relaxbench as rb
 from relaxbench import cli, core, parasolver
 from relaxbench.core import CheckResult, ConvergenceTable, LadderRow, ValidationReport, csv_text
-from relaxbench.hypersolver import StepRecord, Trajectory, snapshot_csv
+from relaxbench.hypersolver import StepLog, Trajectory, snapshot_csv
 
 GOLDEN = Path(__file__).parent / "data"
 
@@ -61,12 +61,9 @@ def reference_2d():
 
 def trajectory():
     values = AWKWARD + NONFINITE
-    records = [
-        StepRecord(t, dt, energy, speed, 0.0)
-        for t, dt, energy, speed in zip(values, values[5:] + values[:5],
-                                        values[11:] + values[:11], values[17:] + values[:17])
-    ]
-    return Trajectory([snapshot_1d()], records, 1.0, 0.0)
+    log = StepLog(values, values[5:] + values[:5], values[11:] + values[:11], values[17:] + values[:17],
+                  [0.0] * len(values))
+    return Trajectory([snapshot_1d()], log, 1.0, 0.0)
 
 
 def table():
@@ -105,7 +102,7 @@ def test_golden_inputs_cover_the_awkward_values():
 
 
 def test_empty_tables_are_header_only():
-    empty = Trajectory([snapshot_1d()], [], 1.0, 0.0)
+    empty = Trajectory([snapshot_1d()], StepLog([], [], [], [], []), 1.0, 0.0)
     assert empty.steps_csv() == "t,dt,energy,max_speed\n"
     header = "epsilon,errI,errII_weak,sup_eps_uII,observed_order\n"
     assert ConvergenceTable(rows=()).to_csv() == header

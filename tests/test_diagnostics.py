@@ -81,10 +81,11 @@ class TestEnergyInequality:
 
     def test_growth_is_fitted(self, grid64):
         # synthetic trajectory growing like e^t must fit c close to 1
-        from relaxbench.hypersolver import StepRecord, Trajectory
+        from relaxbench.hypersolver import StepLog, Trajectory
 
-        recs = [StepRecord(t, 0.01, float(np.exp(t)), 1.0, 0.0) for t in np.linspace(0, 1, 101)]
-        traj = Trajectory(snapshots=[], records=recs, sup_uI=0.0, sup_eps_uII=0.0)
+        t = np.linspace(0, 1, 101)
+        log = StepLog(t, np.full(101, 0.01), np.exp(t), np.ones(101), np.zeros(101))
+        traj = Trajectory(snapshots=[], records=log, sup_uI=0.0, sup_eps_uII=0.0)
         chk = energy_inequality_check(traj, lam0=1.0)
         assert chk.fitted_c == pytest.approx(1.0, abs=1e-6)
 

@@ -37,7 +37,12 @@ reference a half-spectrum transform, and the step log's norms `np.dot`.
 `scripts/pin_drift.py` against the parent tree put every field, energy,
 `errI` and `errII_weak` within 2.0e-14 of its column's largest value (an
 `observed_order` within 1.4e-13); `four-block-2d`'s final snapshot, on the
-per-cell path, did not move.  `golden_texts` writes every `run_*` file.
+per-cell path, did not move.  `four-block-2d`'s two run files and the two
+`null-limit rusanov` hash lines were rewritten when per-cell transport tables
+took the same kept neighbour-weights product as constant blocks, in place of
+the difference-first loop: every value moved by at most 2.9e-15 of its
+column's largest, and every other file and line is unchanged.  `golden_texts`
+writes every `run_*` file.
 """
 
 import os
