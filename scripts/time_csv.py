@@ -12,9 +12,10 @@ command.  This script measures it directly, with one BLAS thread:
   the first field file of a run), beside the same text joined row by row
   with `'%.17g' %`, which each must equal byte for byte;
 * one heat2d-run (as the benchmark's: Rusanov, eps 0.05, T 0.02, a snapshot
-  every 23 steps, reference on) in a fresh process: its wall time and the
-  user + system CPU of the command (RUSAGE_SELF) and of its writers
-  (RUSAGE_CHILDREN).
+  every 23 steps, reference on) in a fresh process: its wall time, the time
+  from its start to the end of the preflight (`cli._preflight`: validation and
+  report.csv) and to the writers' first fork, and the user + system CPU of the
+  command (RUSAGE_SELF) and of its writers (RUSAGE_CHILDREN).
 
 From the root of a source checkout:
 
@@ -41,10 +42,21 @@ REPEATS = 7
 HEAT2D = ("[system]\nkind = demo\nname = heat2d\n[grid]\nn = 128\n"
           "[solver]\nflux = rusanov\nsnapshot_stride = 23\n"
           "[experiment]\nT = 0.02\nepsilon = 0.05\nreference = true\nu0_amplitude = 1.0\n")
-# run in the child: the command, then its wall time and the CPU seconds of itself and its writers
+# run in the child: the command, then its wall time, when its preflight ended and its first fork
+# began, and the CPU seconds of itself and its writers
 CHILD = """
-import resource, sys, time
+import os, resource, sys, time
 import relaxbench.cli as cli
+marks, preflight, fork = {}, cli._preflight, os.fork
+def timed_preflight(*args, **kwargs):
+    try:
+        return preflight(*args, **kwargs)
+    finally:
+        marks.setdefault("preflight", time.perf_counter())
+def timed_fork():
+    marks.setdefault("fork", time.perf_counter())
+    return fork()
+cli._preflight, os.fork = timed_preflight, timed_fork
 def cpu(who):
     r = resource.getrusage(who)
     return r.ru_utime + r.ru_stime
@@ -52,7 +64,8 @@ before = cpu(resource.RUSAGE_SELF), cpu(resource.RUSAGE_CHILDREN)
 t0 = time.perf_counter()
 rc = cli.main(sys.argv[1:])
 wall = time.perf_counter() - t0
-print(rc, wall, cpu(resource.RUSAGE_SELF) - before[0], cpu(resource.RUSAGE_CHILDREN) - before[1])
+print(rc, wall, marks["preflight"] - t0, marks.get("fork", float("nan")) - t0,
+      cpu(resource.RUSAGE_SELF) - before[0], cpu(resource.RUSAGE_CHILDREN) - before[1])
 """
 
 
@@ -107,8 +120,9 @@ def heat2d_run():
         env = dict(os.environ, PYTHONPATH=str(Path(rb.__file__).resolve().parents[1]))  # the tree timed above
         command = [sys.executable, "-c", CHILD, "run", str(config), "--out", str(Path(tmp) / "out")]
         proc = subprocess.run(command, env=env, capture_output=True, text=True, check=True)
-    rc, wall, own, writers = proc.stdout.split()[-4:]
-    print(f"heat2d-run: exit {rc}, wall {float(wall):.3f} s, command CPU (RUSAGE_SELF) {float(own):.3f} s, "
+    rc, wall, preflight, fork, own, writers = proc.stdout.split()[-6:]
+    print(f"heat2d-run: exit {rc}, wall {float(wall):.3f} s, preflight done at {float(preflight):.3f} s, "
+          f"first fork at {float(fork):.3f} s, command CPU (RUSAGE_SELF) {float(own):.3f} s, "
           f"writers' CPU (RUSAGE_CHILDREN) {float(writers):.3f} s")
 
 

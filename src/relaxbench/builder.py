@@ -483,14 +483,10 @@ def carleman() -> Tuple[RawSystem, DecouplingTransform, RelaxationSystem]:
     def b(x, w):
         return np.stack([w[1] ** 2 - w[0] ** 2, w[0] ** 2 - w[1] ** 2])
 
+    signs = np.array([[-2.0, 2.0], [2.0, -2.0]])[:, :, None]
+
     def b_jac(x, w):
-        m = w.shape[-1]
-        out = np.empty((2, 2, m))
-        out[0, 0] = -2.0 * w[0]
-        out[0, 1] = 2.0 * w[1]
-        out[1, 0] = 2.0 * w[0]
-        out[1, 1] = -2.0 * w[1]
-        return out
+        return signs * w[None]
 
     raw = RawSystem(
         n=2, d=1, a=(np.diag([1.0, -1.0]),), b=b, b_jac=b_jac,

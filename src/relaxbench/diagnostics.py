@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import gc
 import os
+import pickle
+from collections import deque
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -174,79 +176,157 @@ def _ladder_workers(jobs: Optional[int], threads: Optional[int] = None) -> int:
 
 WINDOW = 2  # jobs in flight per ForkedJobs worker: one running, one queued to start when it ends
 
-# what the jobs of a ForkedJobs pool share, set in each worker right after the fork: a
-# system's callables cannot be pickled, and a forked worker inherits them instead
-_SHARED = None
+
+def _send(fd: int, data: bytes) -> None:
+    """data, after its length in 8 bytes, down the pipe fd."""
+    view = memoryview(len(data).to_bytes(8, "little") + data)
+    while view:
+        view = view[os.write(fd, view):]
 
 
-def _share(shared) -> None:
-    global _SHARED
-    _SHARED = shared
+def _receive(stream) -> Optional[bytes]:
+    """The next message _send put in the pipe that stream reads, or None if the pipe closes first."""
+    size = int.from_bytes(head := stream.read(8), "little")
+    data = stream.read(size)
+    return data if len(head) == 8 and len(data) == size else None
 
 
-def _shared_job(fn, *args):
-    return fn(_SHARED, *args)
+def _serve(shared, jobs, results: int) -> None:
+    """A worker's loop: for each job (fn, args) read from jobs, send back (True, fn(shared, *args))
+    or (False, its error), until the job pipe breaks."""
+    while (data := _receive(jobs)) is not None:
+        try:
+            fn, args = pickle.loads(data)
+            outcome = True, fn(shared, *args)
+        except BaseException as err:  # the parent raises it as this job's error
+            outcome = False, err
+        try:
+            data = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
+        except Exception as err:
+            what = "result" if outcome[0] else f"error {outcome[1]!r}"
+            data = pickle.dumps((False, pickle.PicklingError(f"the job's {what} cannot be pickled: {err}")))
+        _send(results, data)
 
 
 class ForkedJobs:
     """Jobs fn(shared, *args) in _ladder_workers(jobs, threads) worker processes forked from
     this one, or in this process when that is 1.
 
-    Within `with ForkedJobs(shared, jobs) as pool:`, pool.submit(fn, *args) starts one job:
-    fn is a module-level function and args are pickled, while shared reaches the workers by
-    the fork.  In this process a job runs inside submit.  At most WINDOW jobs per worker are
-    in flight, so their args are all this process holds of them: at that limit submit waits
-    for whichever job ends first, and jobs still start in submission order.  Leaving the
-    block collects every result into pool.results in submission order, so either path
-    raises the first failing job's error; jobs not yet started are then cancelled.  An error
-    raised inside the block lets the jobs already submitted finish, then propagates.  Either
-    way the pool is joined before the block is left, so no worker outlives it.  This
-    process's objects stay frozen (gc.freeze) while the workers run: the workers'
-    collections then leave them alone, and the pages they share with this process
-    copy-on-write stay shared.
+    Within `with ForkedJobs(shared, jobs) as pool:`, pool.submit(fn, *args) starts one job.
+    In this process a job runs inside submit.  Otherwise the workers, forked as the block
+    opens, inherit shared; a job's fn and args go to an idle worker, and its outcome comes
+    back, as length-prefixed pickles on the worker's two pipes.  Jobs start in submission
+    order, and at most WINDOW per worker are in flight: at that limit submit waits for one
+    to end.  Leaving the block collects the results into pool.results in submission order,
+    so either path raises the first failing job's error; jobs still waiting once a failure
+    is known there are dropped.  An error raised inside the block lets the jobs submitted
+    finish, then propagates.  A worker that dies without a result fails its job with a
+    ChildProcessError naming it, and a new worker takes its place.  Every worker is killed,
+    idle, and reaped before the block is left.  This process's objects stay frozen
+    (gc.freeze) meanwhile, so the workers' collections leave the pages they share alone.
     """
 
     def __init__(self, shared, jobs: Optional[int], threads: Optional[int] = None):
         self.shared, self.workers = shared, _ladder_workers(jobs, threads)
-        self.results: list = []
-        self._pool = None
-        self._futures: list = []
-        self._in_flight: set = set()
+        # a worker is (pid, job pipe fd, result pipe stream); _busy maps its result pipe to it and
+        # its job's index and name; _queue holds (index, name, pickle) of the jobs waiting for a
+        # worker; _outcomes holds (ok, result or error) per job, None until it ends
+        self.results, self._idle, self._busy, self._queue, self._outcomes = [], [], {}, deque(), []
 
     def __enter__(self) -> "ForkedJobs":
         if self.workers > 1:
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            self._pool = ProcessPoolExecutor(self.workers, mp_context=multiprocessing.get_context("fork"),
-                                             initializer=_share, initargs=(self.shared,))
             gc.freeze()
+            try:
+                for _ in range(self.workers):
+                    self._fork()
+            except BaseException:
+                self._close()
+                raise
         return self
 
+    def _fork(self) -> None:
+        """One more idle worker."""
+        pipes = (job_r, job_w), (result_r, result_w) = os.pipe(), os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            list(map(os.close, pipes[0] + pipes[1]))
+            raise
+        if pid == 0:
+            try:
+                _serve(self.shared, os.fdopen(job_r, "rb"), result_w)
+            finally:
+                os._exit(1)  # _serve returns only if the job pipe breaks
+        os.close(job_r)
+        os.close(result_w)
+        # a pipe holds at most one message at a time, so no read-ahead can hide one from select
+        self._idle.append((pid, job_w, os.fdopen(result_r, "rb")))
+
     def submit(self, fn, *args) -> None:
-        if self._pool is None:
+        if self.workers == 1:
             self.results.append(fn(self.shared, *args))
             return
-        if len(self._in_flight) >= WINDOW * self.workers:
-            from concurrent.futures import FIRST_COMPLETED, wait
+        while len(self._queue) + len(self._busy) >= WINDOW * self.workers:
+            self._collect()
+        self._queue.append((len(self._outcomes), fn.__qualname__, pickle.dumps((fn, args), pickle.HIGHEST_PROTOCOL)))
+        self._outcomes.append(None)
+        self._dispatch()
 
-            self._in_flight = wait(self._in_flight, return_when=FIRST_COMPLETED).not_done
-        self._futures.append(self._pool.submit(_shared_job, fn, *args))
-        self._in_flight.add(self._futures[-1])
+    def _dispatch(self) -> None:
+        while self._queue and self._idle:
+            worker, (index, name, data) = self._idle.pop(), self._queue.popleft()
+            self._busy[worker[2]] = worker, index, name
+            _send(worker[1], data)
+
+    def _collect(self) -> None:
+        """Wait until at least one job ends, and record how."""
+        import select  # here, so that importing this module does not load it
+
+        for stream in select.select(list(self._busy), [], [])[0]:
+            worker, index, name = self._busy.pop(stream)
+            if (data := _receive(stream)) is not None:
+                self._idle.append(worker)
+                self._outcomes[index] = pickle.loads(data)
+                continue
+            code = self._reap(worker)
+            how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+            self._outcomes[index] = False, ChildProcessError(f"job {index} ({name}) sent no result: its worker {how}")
+            self._fork()
+        self._dispatch()
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        if self._pool is None:
+        if self.workers == 1:
             return
         try:
+            while self._busy:
+                if exc_type is None and any(o and not o[0] for o in self._outcomes):
+                    self._queue.clear()
+                self._collect()
             if exc_type is None:
-                self.results = [f.result() for f in self._futures]
-        except BaseException:
-            for f in self._futures:
-                f.cancel()
-            raise
+                for ok, value in self._outcomes:
+                    if not ok:
+                        raise value
+                self.results = [value for _, value in self._outcomes]
         finally:
-            self._pool.shutdown(wait=True)
-            gc.unfreeze()
+            self._close()
+
+    def _reap(self, worker) -> int:
+        """Wait until the worker ends and close its pipes; its exit code."""
+        code = os.waitstatus_to_exitcode(os.waitpid(worker[0], 0)[1])
+        os.close(worker[1])
+        worker[2].close()
+        return code
+
+    def _close(self) -> None:
+        import signal
+
+        workers = self._idle + [worker for worker, _, _ in self._busy.values()]
+        for worker in workers:
+            os.kill(worker[0], signal.SIGKILL)  # idle, unless collecting failed
+        for worker in workers:
+            self._reap(worker)
+        self._idle, self._busy = [], {}
+        gc.unfreeze()
 
 
 def ladder_runs(

@@ -140,8 +140,10 @@ def max_wave_speed(sys: RelaxationSystem, grid: SpatialGrid) -> float:
     Characteristic speeds of the scaled system are this value divided by the
     relaxation parameter; multiplier systems are integrated exactly per mode,
     so for them the value only enters step-size selection, not stability.
+    Constant coefficients give every point the same symbols: one point serves.
     """
-    syms = principal_symbols(sys, grid.sample_points(32), unit_directions(grid.d))
+    points = grid.sample_points(1 if sys.constant_coefficients else 32)
+    syms = principal_symbols(sys, points, unit_directions(grid.d))
     return float(np.max(np.abs(np.linalg.eigvals(1j * syms))))
 
 

@@ -211,18 +211,15 @@ class _PicardQL:
         """The mode table mapping a Krylov vector to the frozen-mean solve z's spectrum and its derivative rows'.
 
         The frozen-mean operator is I - dt/2 L with the blocks replaced by their cell mean; on mode
-        kappa it is the k x k matrix I + dt/2 sum_ij kappa_i kappa_j mean(B_ij), solved exactly.  If on
-        some mode it is not finite or has an eigenvalue of non-positive real part, the reason instead.
+        kappa it is the k x k matrix I + dt/2 sum_ij kappa_i kappa_j mean(B_ij), solved exactly.  The
+        blocks are those of a span's start, which step has found positive definite in every cell, so
+        the mean is too and each matrix has eigenvalues of real part >= 1; if the mean is not finite,
+        the reason instead.
         """
         mean = blocks.mean(axis=-1)
         if not np.isfinite(mean).all():
             return "the frozen-mean operator is not finite"
         mats = np.eye(self.k) + 0.5 * dt * np.einsum("mi,mj,ijab->mab", self.kappa, self.kappa, mean)
-        lowest = np.linalg.eigvals(mats).real.min(axis=-1)
-        mode = int(np.argmin(lowest))
-        if not lowest[mode] > 0.0:
-            return (f"the frozen-mean operator is not positive definite: at wavenumber "
-                    f"{self.kappa[mode].tolist()} an eigenvalue has real part {lowest[mode]:.3g}")
         inverse = np.linalg.inv(mats)
         return mode_table(self.grid, np.concatenate([inverse, self.derivs_stack @ inverse], axis=1)) / self.parseval
 
@@ -291,11 +288,15 @@ class _PicardQL:
 
     def step(self, u: Array, span: float, nsub: int) -> Array:
         dt, k = span / nsub, self.k
+        start = u.reshape(k, -1)
+        blocks = np.asarray(self.diffusion(start), dtype=float)
+        if why := self._witness(start, blocks):
+            raise ReferenceError(f"a span starts where the target is not parabolic{why}")
         # the span's first sweep freezes the mean of the blocks for every solve of the span
-        precon = self._preconditioner(np.asarray(self.diffusion(u.reshape(k, -1)), dtype=float), dt)
+        precon = self._preconditioner(blocks, dt)
         table, work = self.derivs
         du = apply_modes(self.grid, table, u, work=work).reshape(len(table), -1)
-        states = [(u.reshape(k, -1), du)]  # the span's last three (u, derivative rows), oldest first
+        states = [(start, du)]  # the span's last three (u, derivative rows), oldest first
         for _ in range(nsub):
             weights = _EXTRAPOLATION[len(states)]
             guess = [sum(w * state[i] for w, state in zip(weights, states)) for i in (0, 1)]
@@ -331,8 +332,8 @@ class _PicardQL:
             if failure is not None:
                 it, rel, why = failure
                 raise ReferenceError(f"Krylov solve of I - dt/2 L failed after {it} iterations at relative "
-                                     f"residual {rel:.3g} (KRYLOV_TOL = {KRYLOV_TOL:g})"
-                                     + (f": {why}" if why else "") + self._witness(start))
+                                     f"residual {rel:.3g} (KRYLOV_TOL = {KRYLOV_TOL:g})" + (f": {why}" if why else "")
+                                     + self._witness(start, self.diffusion(start)))
             if self.linear:
                 return new, new_derivs
             inc = np.abs(new - x).reshape(-1)
@@ -345,13 +346,13 @@ class _PicardQL:
             f"lagged-coefficient iteration did not reach {PICARD_TOL:g} "
             f"in {PICARD_MAXITER} sweeps; the last max increment was {inc[worst]:.3g} "
             f"in component {comp + 1} at cell {cell} (x = {grid.flat_points()[:, cell].tolist()})"
-            + self._witness(start))
+            + self._witness(start, self.diffusion(start)))
 
-    def _witness(self, u: Array) -> str:
-        """Where B(u) at the step's start is not positive definite, a witness that does not depend
-        on where an iteration wandered; else empty."""
+    def _witness(self, u: Array, blocks: Array) -> str:
+        """Where B(u), given as blocks, is not positive definite at the step's start u, a witness that
+        does not depend on where an iteration wandered; else empty."""
         grid = self.grid
-        bmat = _block_matrix(np.asarray(self.diffusion(u), dtype=float), grid.cell_count).transpose(2, 0, 1)
+        bmat = _block_matrix(np.asarray(blocks, dtype=float), grid.cell_count).transpose(2, 0, 1)
         lowest = np.linalg.eigvalsh(0.5 * (bmat + bmat.transpose(0, 2, 1)))[:, 0]
         bad = np.flatnonzero(lowest <= 0.0)
         if not bad.size:

@@ -1,4 +1,4 @@
-import concurrent.futures
+import gc
 import os
 
 import numpy as np
@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import relaxbench as rb
+from relaxbench import diagnostics
 
 settings.register_profile(
     "ci",
@@ -40,17 +41,34 @@ def grid2d():
 @pytest.fixture
 def process_pools(monkeypatch):
     """Report 64 usable CPUs, so a ladder takes the worker-process path on any host, and
-    record the max_workers of every ProcessPoolExecutor started."""
-    started = []
+    record how many workers each ForkedJobs forks as its block is entered."""
+    started, forked = [], []
+    fork, enter = os.fork, diagnostics.ForkedJobs.__enter__
 
-    class Recorded(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers=None, *args, **kwargs):
-            started.append(max_workers)
-            super().__init__(max_workers, *args, **kwargs)
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    def recorded_enter(pool):
+        forked.clear()
+        entered = enter(pool)
+        if forked:
+            started.append(len(forked))
+        return entered
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(diagnostics.ForkedJobs, "__enter__", recorded_enter)
     return started
+
+
+def assert_no_child_process():
+    """No child process of this one is left, running or unreaped, and no object stays gc-frozen."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert gc.get_freeze_count() == 0
 
 
 def sine_mode(grid, mode=1, amplitude=1.0, offset=0.0):

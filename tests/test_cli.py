@@ -1,7 +1,5 @@
 import ast
-import gc
 import hashlib
-import multiprocessing
 import os
 import pickle
 import re
@@ -17,6 +15,8 @@ from relaxbench.builder import BuildError
 from relaxbench.core import SingularSourceError, SymbolError
 from relaxbench.hypersolver import SolverError
 from relaxbench.parasolver import ReferenceError
+
+from conftest import assert_no_child_process
 
 
 def write_cfg(tmp_path, body, name="exp.cfg"):
@@ -295,7 +295,7 @@ def writers(request, monkeypatch):
 class TestRunWriters:
     def _run(self, tmp_path, body, out, *flags):
         code = cli.main(["run", write_cfg(tmp_path, body), "--out", str(out), *flags])
-        assert multiprocessing.active_children() == [] and gc.get_freeze_count() == 0
+        assert_no_child_process()
         return code
 
     def test_writers_are_byte_identical_to_in_process(self, tmp_path, monkeypatch):
@@ -352,11 +352,13 @@ class TestImportCost:
                                  "parasolver.run_reference(bundle.target, bundle.u0(grid), grid, 0.01)") == []
 
     def test_no_module_imports_scipy(self):
+        # nor a process pool: ForkedJobs forks its workers itself
         for path in sorted((ROOT / "src" / "relaxbench").glob("*.py")):
             for node in ast.walk(ast.parse(path.read_text())):
                 names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
                          else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
-                assert not [n for n in names if n.split(".")[0] == "scipy"], f"{path.name} imports {names}"
+                banned = ("scipy", "concurrent", "multiprocessing")
+                assert not [n for n in names if n.split(".")[0] in banned], f"{path.name} imports {names}"
 
 
 # a ladder job's error crosses from its worker process to the parent by pickle
@@ -468,7 +470,7 @@ class TestConvergeCommand:
                 out = tmp_path / f"{name}-{label}"
                 codes.append(cli.main(["converge", cfg, "--out", str(out), *flags]))
                 outs.append((out / "convergence.csv").read_bytes())
-                assert multiprocessing.active_children() == [] and gc.get_freeze_count() == 0
+                assert_no_child_process()
             assert codes == [codes[0]] * 3 and (name != "heat1d" or codes[0] == 0), (name, codes)
             assert outs[0] == outs[1] == outs[2], name
         assert process_pools == [4, 4, 4, 4]
@@ -487,7 +489,7 @@ class TestConvergeCommand:
         for flags in (["--threads", "1"], []):
             assert cli.main(["converge", cfg, "--out", str(tmp_path / "o"), *flags]) == 1
             errs.append(capsys.readouterr().err)
-            assert multiprocessing.active_children() == [] and gc.get_freeze_count() == 0
+            assert_no_child_process()
         assert errs[0] == errs[1] == "error: stiff step failed at eps = 0.1\n"
         assert process_pools == [4]
         assert not (tmp_path / "o" / "convergence.csv").exists()

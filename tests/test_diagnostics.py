@@ -1,6 +1,7 @@
-import gc
-import multiprocessing
+import contextlib
 import os
+import pickle
+import signal
 import time
 
 import numpy as np
@@ -21,7 +22,7 @@ from relaxbench.diagnostics import (
 )
 from relaxbench.hypersolver import SolverOptions
 
-from conftest import sine_mode
+from conftest import assert_no_child_process, sine_mode
 
 TWO_PI = 2.0 * np.pi
 
@@ -235,6 +236,28 @@ def _timed_job(done, i, seconds, fail=False):
     return i
 
 
+def _killing_job(done, i, kill):
+    """Kill this process by SIGKILL, or leave a file named i in the directory done."""
+    if kill:
+        os.kill(os.getpid(), signal.SIGKILL)
+    (done / str(i)).touch()
+
+
+def _large_job(done, i):
+    """8 MiB of the number i."""
+    return np.full(1 << 20, float(i))
+
+
+def _unpicklable_job(done, raises):
+    """A function defined in here, returned or carried by a ValueError: neither can be pickled."""
+    def local():
+        pass
+
+    if raises:
+        raise ValueError(local)
+    return local
+
+
 class TestForkedJobs:
     def _submit_all(self, tmp_path, jobs):
         """Submit jobs (seconds, fail) to 2 forked workers; the most jobs pending after any submit."""
@@ -245,7 +268,7 @@ class TestForkedJobs:
                 pool.submit(_timed_job, i, seconds, fail)
                 # a job whose file exists has ended, so this counts no more than the jobs in flight
                 pending.append(i + 1 - len(list(tmp_path.iterdir())))
-        assert multiprocessing.active_children() == [] and gc.get_freeze_count() == 0
+        assert_no_child_process()
         return pool, pending
 
     def test_window_bounds_the_pending_jobs_and_keeps_their_order(self, tmp_path, monkeypatch):
@@ -261,7 +284,78 @@ class TestForkedJobs:
         jobs[3], jobs[9] = (0.3, True), (0.0, True)
         with pytest.raises(ValueError, match="job 3 failed"):
             self._submit_all(tmp_path, jobs)
-        assert multiprocessing.active_children() == [] and gc.get_freeze_count() == 0
+        assert_no_child_process()
+
+    @pytest.fixture
+    def two_workers(self, monkeypatch):
+        """2 usable CPUs, and a TimeoutError here if a test's pool hangs for 60 s."""
+        def hung(signum, frame):
+            raise TimeoutError("the pool hung")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+    def test_killed_worker_fails_its_job_by_name(self, tmp_path, two_workers):
+        # jobs 1 and 2 kill both first workers; the jobs submitted meanwhile still run, in order, on
+        # the workers forked in their place, and those not started when the block is left are dropped
+        with pytest.raises(ChildProcessError, match=r"^job 1 \(_killing_job\) sent no result: "
+                                                    r"its worker was killed by signal 9$"):
+            with diagnostics.ForkedJobs(tmp_path, jobs=None) as pool:
+                for i in range(8):
+                    pool.submit(_killing_job, i, i in (1, 2))
+        assert_no_child_process()
+        done = sorted(int(f.name) for f in tmp_path.iterdir())
+        assert done == [0] + list(range(3, 2 + len(done))) and len(done) >= 3
+
+    def test_jobs_not_started_after_a_failure_are_dropped(self, tmp_path, two_workers):
+        # job 0 fails at once; jobs 2 and 3 take its worker in turn while job 1 holds the other, and
+        # jobs 4 and 5 still wait when the block is left
+        with pytest.raises(ValueError, match="job 0 failed"):
+            with diagnostics.ForkedJobs(tmp_path, jobs=None) as pool:
+                pool.submit(_timed_job, 0, 0.0, True)
+                pool.submit(_timed_job, 1, 0.5)
+                for i in range(2, 6):
+                    pool.submit(_timed_job, i, 0.0)
+        assert_no_child_process()
+        assert sorted(int(f.name) for f in tmp_path.iterdir()) == [0, 1, 2, 3]
+
+    def test_result_larger_than_a_pipe_buffer_round_trips(self, tmp_path, two_workers):
+        with diagnostics.ForkedJobs(tmp_path, jobs=None) as pool:
+            for i in range(3):
+                pool.submit(_large_job, i)
+        assert_no_child_process()
+        for i, got in enumerate(pool.results):
+            assert got.nbytes == 8 << 20 and np.array_equal(got, _large_job(tmp_path, i))
+
+    @pytest.mark.parametrize("raises", [False, True], ids=["result", "error"])
+    def test_unpicklable_outcome_is_its_jobs_error(self, tmp_path, two_workers, raises):
+        what = r"error ValueError\(<function" if raises else "result"
+        with pytest.raises(pickle.PicklingError, match=f"^the job's {what}.* cannot be pickled: "):
+            with diagnostics.ForkedJobs(tmp_path, jobs=None) as pool:
+                pool.submit(_timed_job, 0, 0.0)
+                pool.submit(_unpicklable_job, raises)
+        assert_no_child_process()
+
+    def test_no_file_descriptor_stays_open(self, tmp_path, two_workers):
+        before = len(os.listdir("/proc/self/fd"))
+        for jobs, error in (([(_timed_job, 0, 0.0)] * 6, None),
+                            ([(_timed_job, 0, 0.0, True)] * 3, ValueError),
+                            ([(_killing_job, 0, True)] * 3, ChildProcessError),
+                            ([(_unpicklable_job, False)], pickle.PicklingError),
+                            ([], KeyError)):
+            with pytest.raises(error) if error else contextlib.nullcontext():
+                with diagnostics.ForkedJobs(tmp_path, jobs=None) as pool:
+                    for fn, *args in jobs:
+                        pool.submit(fn, *args)
+                    if error is KeyError:
+                        pool.submit(_timed_job, 0, 0.0)
+                        raise KeyError("inside the block")
+            assert_no_child_process()
+        assert len(os.listdir("/proc/self/fd")) == before
 
 
 class TestConvergenceTable:

@@ -7,7 +7,7 @@ from scipy.linalg import expm
 
 import relaxbench as rb
 from relaxbench import builder, hypersolver, parasolver
-from relaxbench.core import apply_modes, eig_function, l2_norm
+from relaxbench.core import apply_modes, eig_function, l2_norm, principal_symbols, unit_directions
 from relaxbench.hypersolver import SolverError, SolverOptions, max_wave_speed, run, snapshot_csv, step
 
 from conftest import four_block_2d, sine_mode
@@ -33,6 +33,15 @@ class TestWaveSpeed:
         sys = builder.demo("sqrt-heat", grid64).system
         assert max_wave_speed(sys, grid64) == pytest.approx(1.0, rel=1e-12)
 
+
+    @pytest.mark.parametrize("name", ["heat1d", "heat2d", "aniso2d", "sqrt-heat", "carleman"])
+    def test_constant_coefficients_take_one_point(self, name):
+        # every point has the same symbols, so one gives the 32-point lattice's speed to the bit
+        grid = rb.SpatialGrid((16, 16), (1.0, 2.0)) if name.endswith("2d") else rb.SpatialGrid((64,), (1.0,))
+        sys = builder.demo(name, grid).system
+        syms = principal_symbols(sys, grid.sample_points(32), unit_directions(grid.d))
+        assert sys.constant_coefficients
+        assert max_wave_speed(sys, grid) == float(np.max(np.abs(np.linalg.eigvals(1j * syms))))
 
     def test_2d_speed_sees_upper_half(self):
         # i * symbol has eigenvalues +-(xi_1 + xi_2) sqrt(c(y)), c = 4 for y > 1/2 and 1 below

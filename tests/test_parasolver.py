@@ -589,8 +589,8 @@ class TestLinearStep:
         assert "not positive definite" not in str(info.value)
 
     def test_singular_callable_diffusion_raises_reference_error(self):
-        # a(x) = (-3/2, 0, 1, 3/2) on 4 cells makes I - (dt/2) L singular at dt = 2 / pi^2, while the
-        # mean of a is positive; the right-hand side of this start has a part outside its range
+        # a(x) = (-3/2, 0, 1, 3/2) on 4 cells would make I - (dt/2) L singular at dt = 2 / pi^2, while
+        # the mean of a is positive; the span is refused at its start, before any solve
         grid = rb.SpatialGrid((4,), (1.0,))
         table = np.array([-1.5, 0.0, 1.0, 1.5])
 
@@ -598,16 +598,16 @@ class TestLinearStep:
             return table[(4 * x[0]).astype(int)].reshape(1, 1, 1, 1, -1)
 
         target = ReactionDiffusion(k=1, d=1, diffusion=diffusion)
-        with pytest.raises(ReferenceError, match=r"Krylov solve of I - dt/2 L failed after 4 iterations at "
-                                                 r"relative residual [0-9.e+-]+ \(KRYLOV_TOL = 1e-13\): it is "
-                                                 r"numerically singular") as info:
+        with pytest.raises(ReferenceError, match=REFUSED + "at cell 0 "):
             parasolver._PicardQL(target, grid).step(np.array([[1.0, 2.0, 0.5, 1.0]]), 2.0 / np.pi ** 2, 1)
-        assert "B(u) is not positive definite at cell 0" in str(info.value)
 
 
+REFUSED = r"a span starts where the target is not parabolic; at the step's start B\(u\) is not positive definite "
 KRYLOV_FAILED = r"Krylov solve of I - dt/2 L failed after \d+ iterations at relative residual [0-9.e+-]+ " \
                 r"\(KRYLOV_TOL = 1e-13\): "
-INDEFINITE = KRYLOV_FAILED + "the frozen-mean operator is not positive definite"
+# b(u) = 1 - u is positive on the start 0.5 + 0.4 sin 2 pi x, but the growth 50 u lifts the sweeps'
+# midpoint past u = 1 within the step, where the lagged coefficient turns anti-diffusive
+WANDERING = builder.scalar_quasilinear(b=lambda u: 1.0 - u, g=lambda u: 50.0 * u)
 
 
 class TestPicardStep:
@@ -623,12 +623,11 @@ class TestPicardStep:
 
     def test_singular_system_raises_reference_error(self):
         # backward diffusion b = -1 with dt / h^2 = 1 makes I - (dt/2) L indefinite on the first Fourier
-        # mode; the constant start solves it, but the step refuses the operator all the same
+        # mode; the constant start solves it, but the span is refused all the same
         grid = rb.SpatialGrid((4,), (1.0,))
         target = builder.scalar_quasilinear(b=lambda u: -np.ones_like(u))
-        with pytest.raises(ReferenceError, match=INDEFINITE) as info:
+        with pytest.raises(ReferenceError, match=REFUSED + "at cell 0 "):
             run_reference(target, np.ones((1, 4)), grid, 1 / 16, dt=1 / 16)
-        assert "B(u) is not positive definite at cell 0" in str(info.value)
 
     def test_scalar_source_step_matches_dense_picard(self, grid64):
         target = builder.scalar_quasilinear(b=lambda u: 1.0 + u ** 2, g=lambda u: 5.0 * u * (1.0 - u))
@@ -655,10 +654,10 @@ class TestPicardStep:
         assert np.max(np.abs(got - u)) > 1e-3  # the step moves the state
         assert np.max(np.abs(got - _dense_picard_step(target, grid, u, dt))) <= 1e-12
 
-    # b(u) = u on 4 cells at u = (1, -1, 1, -3): the first sweep's mean coefficient -1/2 makes the
-    # frozen-mean operator indefinite at dt = 1/8; 1e308 u overflows its mean
+    # b(u) = u on 4 cells at u = (1, -1, 1, -3) is refused at the start, before its mean coefficient
+    # -1/2 makes the frozen-mean operator indefinite at dt = 1/8; 1e308 u overflows its mean
     @pytest.mark.parametrize("b, u0, message", [
-        (lambda u: u, [1.0, -1.0, 1.0, -3.0], INDEFINITE + r".*B\(u\) is not positive definite at cell 1 "),
+        (lambda u: u, [1.0, -1.0, 1.0, -3.0], REFUSED + "at cell 1 "),
         (lambda u: 1e308 * u, [1.0, 1.0, 1.0, 1.0], KRYLOV_FAILED + "the frozen-mean operator is not finite$"),
     ], ids=["zero-pivot", "overflow"])
     def test_cyclic_solve_failure_raises_reference_error(self, b, u0, message):
@@ -669,11 +668,11 @@ class TestPicardStep:
                 stepper.step(np.array([u0]), 1 / 8, 1)
 
     def test_singular_2d_system_raises_reference_error(self):
-        # the same construction on a 4 x 4 grid: b = -I makes I - (dt/2) L indefinite
+        # the same construction on a 4 x 4 grid: b = -I would make I - (dt/2) L indefinite
         grid = rb.SpatialGrid((4, 4), (1.0, 1.0))
         target = QuasilinearDivergence(k=1, d=2, diffusion=_constant_diffusion(-np.eye(2)[:, :, None, None]),
                                        state_box=((-1.0,), (1.0,)))
-        with pytest.raises(ReferenceError, match=INDEFINITE + r".*B\(u\) is not positive definite at cell 0 "):
+        with pytest.raises(ReferenceError, match=REFUSED + "at cell 0 "):
             run_reference(target, sine_mode(grid, offset=1.0), grid, 1 / 16, dt=1 / 16)
 
     def test_non_finite_coefficient_names_cell(self, grid64):
@@ -687,28 +686,40 @@ class TestPicardStep:
         assert "u = [0.0]" in msg
 
     def test_negative_mean_coefficient_is_refused_before_a_sweep(self, grid64):
-        # at this start the cell mean of 1/(2u) is -0.75: the frozen-mean operator is indefinite
+        # at this start the cell mean of 1/(2u) is -0.75, which would make the frozen-mean operator
+        # indefinite; the start is refused before that, at its first cell with u < 0
         u0 = sine_mode(grid64, amplitude=0.5, offset=0.2)
-        with pytest.raises(ReferenceError, match=INDEFINITE) as info:
+        with pytest.raises(ReferenceError, match=REFUSED) as info:
             run_reference(builder.carleman_limit_target(), u0, grid64, 1e-3, dt=1e-4)
         start = re.search(r"B\(u\) is not positive definite at cell (\d+) ", str(info.value))
         assert int(start.group(1)) == np.flatnonzero(u0[0] < 0.0)[0]
 
-    def test_non_convergence_reports_last_increment(self, grid64):
-        # negative density makes the lagged coefficient 1/(2u) anti-diffusive; at this start its cell
-        # mean is positive (0.46), so the Picard sweeps run and diverge
-        u0 = sine_mode(grid64, amplitude=0.5, offset=0.35)
+    def test_start_below_zero_with_converging_sweeps_is_refused(self, grid64):
+        # 0.49 + 0.5 sin 2 pi x dips below zero at 4 cells, where 1/(2u) < 0, yet its frozen mean is
+        # positive and the sweeps converge: only the refusal keeps it from backward diffusion
+        u0 = sine_mode(grid64, amplitude=0.5, offset=0.49)
+        stepper = parasolver._PicardQL(builder.carleman_limit_target(), grid64)
+        with pytest.raises(ReferenceError, match=REFUSED + r"at cell (\d+) .*smallest eigenvalue") as info:
+            stepper.step(u0, 1e-3, 10)
+        assert re.search(r"at cell (\d+) ", str(info.value)).group(1) == str(np.flatnonzero(u0[0] < 0.0)[0])
+        assert stepper.sweeps == 0
+
+    def test_non_convergence_reports_last_increment(self):
+        # a start the span accepts, whose sweeps wander where B(u) < 0 and diverge
+        grid = rb.SpatialGrid((16,), (1.0,))
         with pytest.raises(ReferenceError, match="last max increment") as info:
-            run_reference(builder.carleman_limit_target(), u0, grid64, 1e-3, dt=1e-4)
+            parasolver._PicardQL(WANDERING, grid).step(sine_mode(grid, amplitude=0.4, offset=0.5), 1e-2, 1)
         match = re.search(r"was ([0-9.e+-]+) in component 1 at cell (\d+)", str(info.value))
         assert match is not None
         assert float(match.group(1)) > parasolver.PICARD_TOL
-        # where the last max increment lands is round-off luck; the witness named after it is
-        # the start state's first cell with u < 0, where B(u) = 1 / (2u) is negative
-        start = re.search(r"at the step's start B\(u\) is not positive definite at cell (\d+) "
-                          r".*smallest eigenvalue", str(info.value))
-        assert start is not None
-        assert int(start.group(1)) == np.flatnonzero(u0[0] < 0.0)[0]
+        assert "B(u) is not positive definite" not in str(info.value)  # not at the step's start
+
+    def test_singular_sweep_operator_raises_reference_error(self):
+        # the same start at dt = 0.1 on 4 cells: a sweep's lagged operator is singular
+        grid = rb.SpatialGrid((4,), (1.0,))
+        with pytest.raises(ReferenceError, match=KRYLOV_FAILED + "it is numerically singular: ") as info:
+            parasolver._PicardQL(WANDERING, grid).step(sine_mode(grid, amplitude=0.4, offset=0.5), 0.1, 1)
+        assert "B(u) is not positive definite" not in str(info.value)
 
 
 class TestCyclicSolve:
@@ -731,13 +742,13 @@ class TestCyclicSolve:
             assert np.linalg.norm(got - want) <= bound * np.linalg.norm(want)
 
     def test_nearly_singular_crank_nicolson_step_raises_reference_error(self):
-        # b = -1 makes I - (dt/2) L = I + (dt/2) d_xx singular on the first Fourier mode at
-        # dt = 2 / (2 pi)^2 and indefinite on the higher ones: the frozen-mean check, exact for a
-        # constant b, refuses it before a solve could return numbers of size 1/eps
+        # b = -1 would make I - (dt/2) L = I + (dt/2) d_xx singular on the first Fourier mode at
+        # dt = 2 / (2 pi)^2 and indefinite on the higher ones: the span is refused at its start,
+        # before a solve could return numbers of size 1/eps
         grid = rb.SpatialGrid((8,), (1.0,))
         stepper = parasolver._PicardQL(builder.scalar_quasilinear(b=lambda u: -np.ones_like(u)), grid)
         u0 = 1.0 + 0.3 * np.sin(2.0 * np.pi * grid.points())
-        with pytest.raises(ReferenceError, match=INDEFINITE):
+        with pytest.raises(ReferenceError, match=REFUSED + "at cell 0 "):
             stepper.step(u0, 2.0 / (2.0 * np.pi) ** 2, 1)
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import relaxbench as rb
-from relaxbench import builder, cli
+from relaxbench import builder, cli, validator
 from relaxbench.builder import ReactionDiffusion, isotropic_diffusion, scalar_diffusion_matrix
 from relaxbench.core import CheckResult, unit_directions
 from relaxbench.validator import (
@@ -22,6 +22,8 @@ from relaxbench.validator import (
     check_symmetrizer,
     validate_all,
 )
+
+from conftest import four_block_2d
 
 TWO_PI = 2.0 * np.pi
 GOLDEN = Path(__file__).parent / "data"
@@ -298,6 +300,55 @@ class TestValidateAll:
             assert a.name == b.name and a.passed == b.passed
             assert a.margin == b.margin  # bit-identical
             assert a.witness_str() == b.witness_str()
+
+    @pytest.mark.parametrize("name, evaluated", [
+        ("heat2d", 1), ("aniso2d", 1), ("null-limit", 64), ("four-block-2d", 64), ("carleman", 64),
+        ("callable-diffusion", 64),
+    ])
+    def test_x_samples_read_only_where_a_field_reads_x(self, monkeypatch, name, evaluated):
+        # the callable-diffusion case is heat1d's constant system with the same diffusion as a callable
+        d = 2 if name in ("heat2d", "aniso2d", "four-block-2d") else 1
+        grid = rb.SpatialGrid((16,) * d if d == 2 else (64,), (1.0,) * d)
+        if name == "four-block-2d":
+            sysm, target, symmetrizer, box = four_block_2d(), None, None, None
+        else:
+            bundle = builder.demo("heat1d" if name == "callable-diffusion" else name, grid)
+            sysm, target, symmetrizer, box = bundle.system, bundle.target, bundle.symmetrizer, bundle.state_box
+        if name == "callable-diffusion":
+            blocks = isotropic_diffusion(1, 1)
+            target = ReactionDiffusion(k=1, d=1, diffusion=lambda x: np.repeat(blocks[..., None], x.shape[1], -1))
+        seen = {}
+        for attr in ("check_hyperbolicity", "check_dissipativity", "check_symmetrizer", "check_petrowski",
+                     "check_source_structure"):
+            def spy(sys_or_target, *args, check=getattr(validator, attr), **kwargs):
+                seen.setdefault(check.__name__, set()).update(
+                    a.x_points.shape[1] for a in args if isinstance(a, SampleSet))
+                return check(sys_or_target, *args, **kwargs)
+
+            monkeypatch.setattr(validator, attr, spy)
+        s = SampleSet.build(grid, sysm.k, sysm.m, u_box=box)
+        assert s.x_points.shape[1] == 64
+        validate_all(sysm, s, target=target, symmetrizer=symmetrizer)
+        # the source check reads q, which may read x whatever the other fields are
+        assert seen.pop("check_source_structure") == {64}
+        assert seen and all(xs == {evaluated} for xs in seen.values())
+
+    def test_callable_q_nu_is_checked_at_every_x(self, grid, samples):
+        # dissipative at the first x sample only: the check must look past it
+        def q_nu(x, u, z):
+            return np.where(x[0] < 0.25, -1.0, 0.5).reshape(1, 1, -1)
+
+        sysm = replace(_simple_system(), q=lambda x, u, z: q_nu(x, u, z)[0] * z, q_nu=q_nu)
+        report = validate_all(sysm, samples)
+        assert "dissipativity" in report.failing()
+        assert report.entry("dissipativity").witness["x"][0] > samples.x_points[0, 0]
+
+    def test_source_reading_x_is_checked_at_every_x(self, samples):
+        # q_nu is a constant array, but q is wrong only at x > 1/2, away from the first x sample
+        sysm = replace(_simple_system(), q=lambda x, u, z: -z + (x[0] > 0.5), q_nu=np.array([[-1.0]]))
+        report = validate_all(sysm, samples)
+        assert report.failing() == ("source_structure",)
+        assert report.entry("source_structure").witness["x"][0] > 0.5 > samples.x_points[0, 0]
 
     def test_every_check_appears_once(self, grid):
         bundle = builder.demo("heat1d", grid)
