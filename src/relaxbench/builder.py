@@ -237,7 +237,7 @@ def from_reaction_diffusion(target: ReactionDiffusion) -> RelaxationSystem:
     m22 = tuple(np.zeros((k * d, k * d)) for _ in range(d))
     return RelaxationSystem(
         k=k, m=k * d, d=d, m12=m12, m21=m21, m22=m22,
-        q=q, q_nu=q_nu, reaction=target.f, source_linear_in_v=True,
+        q=q, q_nu=q_nu, reaction=target.f,
         name=target.name or "reaction-diffusion",
     )
 
@@ -288,7 +288,7 @@ def from_quasilinear(target: QuasilinearDivergence) -> RelaxationSystem:
 
     return RelaxationSystem(
         k=k, m=k * d, d=d, m12=m12, m21=m21, m22=m22,
-        q=q, q_nu=q_nu, d_II=d_II, reaction=target.g, source_linear_in_v=True,
+        q=q, q_nu=q_nu, d_II=d_II, reaction=target.g,
         name=target.name or "quasilinear",
     )
 
@@ -321,8 +321,7 @@ def from_sqrt_symbol(target: ReactionDiffusion) -> RelaxationSystem:
         return -z
 
     return RelaxationSystem(
-        k=k, m=k, d=d, q=q, q_nu=-np.eye(k), reaction=target.f,
-        multiplier=mult, source_linear_in_v=True,
+        k=k, m=k, d=d, q=q, q_nu=-np.eye(k), reaction=target.f, multiplier=mult,
         name=target.name or "sqrt-multiplier",
     )
 
@@ -386,7 +385,9 @@ def decouple(raw: RawSystem, transform: DecouplingTransform) -> RelaxationSystem
 
     The transform must annihilate the stiff source on its first k rows; that
     property is verified on a lattice of x in the unit cell and W in the unit
-    box, and violations are rejected with the worst (x, W) witness.
+    box, and violations are rejected with the worst (x, W) witness.  The solver takes
+    the decoupled source as linear in v, q = q_nu(x, u, 0) z, as carleman's -2 u z is;
+    nothing here checks that, and validation's source_structure check refuses one that is not.
     """
     n, k = raw.n, transform.k
     if transform.p.shape[0] != n:
@@ -493,9 +494,7 @@ def carleman() -> Tuple[RawSystem, DecouplingTransform, RelaxationSystem]:
         source_range_dim=1, name="carleman-raw",
     )
     transform = DecouplingTransform(p=np.array([[1.0, 1.0], [1.0, -1.0]]), k=1)
-    sys = decouple(raw, transform)
-    sys = replace(sys, source_linear_in_v=True, positive_states=True, name="carleman")
-    return raw, transform, sys
+    return raw, transform, replace(decouple(raw, transform), positive_states=True, name="carleman")
 
 
 def carleman_limit_target() -> QuasilinearDivergence:

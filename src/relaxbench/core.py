@@ -323,9 +323,10 @@ class RelaxationSystem:
     The transport blocks are matrix fields per axis; m11 is zero unless the
     system deliberately violates the conserved-block structure (those systems
     relax to the null solution, not to a parabolic limit).  The stiff source
-    q(x, u, z) takes the unscaled non-conserved state z and must vanish at
-    z = 0; q_nu is its derivative in z, a callable (x, u, z) -> (m, m[, M]), or a
-    constant (m, m) array, which the solver tabulates once.
+    q(x, u, z) takes the unscaled non-conserved state z and must be linear in it,
+    q = q_nu(x, u, 0) z, as the solver's exact source step takes it and validation's
+    source_structure check certifies; q_nu is its derivative in z, a callable
+    (x, u, z) -> (m, m[, M]), or a constant (m, m) array, which the solver tabulates once.
     """
 
     k: int
@@ -341,7 +342,6 @@ class RelaxationSystem:
     d_II: Optional[Callable[[Array, Array], Array]] = None
     reaction: Optional[Callable[[Array], Array]] = None
     multiplier: Optional[SpectralMultiplier] = None
-    source_linear_in_v: bool = False
     positive_states: bool = False  # the structure holds only while every uI component stays > 0
     name: str = ""
 
@@ -358,21 +358,22 @@ class RelaxationSystem:
     def __post_init__(self):
         if self.k <= 0 or self.m <= 0 or not 1 <= self.d <= 2:
             raise ValueError("need k >= 1, m >= 1, d in {1, 2}")
-        if self.multiplier is None:
-            for blocks, rows, cols, label in (
-                (self.m12, self.k, self.m, "m12"),
-                (self.m21, self.m, self.k, "m21"),
-            ):
-                if blocks is None or len(blocks) != self.d:
-                    raise ValueError(f"{label} must provide one field per axis")
-                for b in blocks:
-                    c = constant_matrix(b)
-                    if c is not None and c.shape != (rows, cols):
-                        raise ValueError(f"{label} block has shape {c.shape}, expected {(rows, cols)}")
-        elif self.k != self.m:
-            raise ValueError("multiplier transport requires k == m")
         if self.q is None or self.q_nu is None:
             raise ValueError("systems must carry q and q_nu")
+        if self.multiplier is not None and self.k != self.m:
+            raise ValueError("multiplier transport requires k == m")
+        k, m, d = self.k, self.m, self.d
+        fields_ = [((self.q_nu,) * d, m, m, "q_nu")]  # one q_nu serves every axis
+        if self.multiplier is None:  # an absent m22 or m11 is zero
+            fields_ += [(self.m12, k, m, "m12"), (self.m21, m, k, "m21")]
+            fields_ += [f for f in ((self.m22, m, m, "m22"), (self.m11, k, k, "m11")) if f[0]]
+        for blocks, rows, cols, label in fields_:
+            if blocks is None or len(blocks) != d:
+                raise ValueError(f"{label} must provide one field per axis")
+            for b in blocks:
+                c = constant_matrix(b)
+                if c is not None and c.shape != (rows, cols):
+                    raise ValueError(f"{label} block has shape {c.shape}, expected {(rows, cols)}")
 
     def stiff_source(self, x: Array, u: Array, z: Array) -> Array:
         return np.asarray(self.q(x, u, z), dtype=float)

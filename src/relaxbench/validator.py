@@ -260,7 +260,8 @@ def check_source_structure(sys: RelaxationSystem, samples: SampleSet) -> CheckRe
     points, that the stiff source vanishes at zero non-conserved state, that
     the scaled conserved source vanishes there for several epsilon probes,
     that difference quotients of the order-one sources stay bounded over the
-    u box, and that a source flagged linear in v is q_nu(x, u, 0) z there.
+    u box, and that the stiff source is finite and linear in v, q = q_nu(x, u, 0) z to
+    EIG_RTOL relative on the (x, u, v) lattice, as the solver's exact source step takes it.
     """
     xs, us = samples.x_points, samples.u_points
     mx, mu = xs.shape[1], us.shape[1]
@@ -292,16 +293,19 @@ def check_source_structure(sys: RelaxationSystem, samples: SampleSet) -> CheckRe
         iu, comp = np.unravel_index(int(np.argmax(bad)), bad.shape)
         witness = {"u": us[:, iu], "component": int(comp), "value": "non-finite difference quotient"}
         margin = -np.inf
-    if sys.source_linear_in_v:
-        x3, u3, z3 = _xuv_lattice(samples)
-        q = sys.stiff_source(x3, u3, z3)
+    x3, u3, z3 = _xuv_lattice(samples)
+    q = sys.stiff_source(x3, u3, z3)
+    with np.errstate(invalid="ignore"):
         lin = np.einsum("abm,bm->am", sys.stiff_source_jacobian(x3, u3, np.zeros_like(z3)), z3)
         scale = np.maximum(np.abs(q), np.abs(lin)).max(axis=0)
         defect = np.max(np.abs(q - lin), axis=0) / np.maximum(scale, 1e-300)
-        i = int(np.argmax(defect))
-        if defect[i] > EIG_RTOL:
-            witness = _witness(samples, ("x", "u", "v"), i, defect=float(defect[i]))
-            margin = min(margin, EIG_RTOL - float(defect[i]))
+    finite = np.isfinite(defect)  # False where q or q_nu z is not finite
+    if not finite.all():
+        witness = _witness(samples, ("x", "u", "v"), int(np.argmin(finite)), value="non-finite stiff source")
+        margin = -np.inf
+    elif (worst := float(defect.max())) > EIG_RTOL:
+        witness = _witness(samples, ("x", "u", "v"), int(np.argmax(defect)), defect=worst)
+        margin = min(margin, EIG_RTOL - worst)
     return CheckResult("source_structure", bool(margin >= 0.0), margin, witness)
 
 

@@ -112,6 +112,5 @@ def four_block_2d():
     return rb.RelaxationSystem(
         k=1, m=2, d=2,
         m12=(ax1[0], ax2[0]), m21=(ax1[1], ax2[1]), m22=(ax1[2], ax2[2]), m11=(ax1[3], ax2[3]),
-        q=lambda x, u, z: -kmat @ z, q_nu=lambda x, u, z: -kmat,
-        source_linear_in_v=True, name="four-block-2d",
+        q=lambda x, u, z: -kmat @ z, q_nu=lambda x, u, z: -kmat, name="four-block-2d",
     )

@@ -1,7 +1,9 @@
 import ast
 import hashlib
+import importlib
 import os
 import pickle
+import pkgutil
 import re
 import subprocess
 import sys
@@ -10,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import relaxbench
 from relaxbench import builder, cli, hypersolver
 from relaxbench.builder import BuildError
 from relaxbench.core import SingularSourceError, SymbolError
@@ -109,7 +112,8 @@ class TestConfigParsing:
         ("solver", "positivity_floor = 1e-8"),
     ])
     def test_retired_keys_are_config_errors(self, tmp_path, capsys, section, line):
-        # the source solve, Newton limits, ladder times and positive states follow from the system
+        # retired keys: the source solve is one exact solve of a source linear in v, with no
+        # iteration to limit, and ladder times and positive states follow from the system
         cfg = write_cfg(tmp_path, CARLEMAN_CFG + f"\n[{section}]\n{line}\n")
         assert cli.main(["validate", cfg, "--out", str(tmp_path / "o")]) == 2
         assert f"unknown key {section}.{line.split()[0]}" in capsys.readouterr().err
@@ -359,6 +363,17 @@ class TestImportCost:
                          else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
                 banned = ("scipy", "concurrent", "multiprocessing")
                 assert not [n for n in names if n.split(".")[0] in banned], f"{path.name} imports {names}"
+
+
+def test_every_all_names_existing_attributes_once():
+    exported = 0
+    for info in pkgutil.iter_modules(relaxbench.__path__):
+        module = importlib.import_module(f"relaxbench.{info.name}")
+        names = getattr(module, "__all__", [])
+        assert len(names) == len(set(names)), f"{info.name}.__all__ repeats a name"
+        assert [n for n in names if not hasattr(module, n)] == [], f"{info.name}.__all__ names what it lacks"
+        exported += bool(names)
+    assert exported >= 6  # builder, core, diagnostics, hypersolver, parasolver and validator export
 
 
 # a ladder job's error crosses from its worker process to the parent by pickle

@@ -168,6 +168,20 @@ class TestLimitGenerator:
         assert err.value.smallest_singular_value == pytest.approx(0.0, abs=1e-12)
 
 
+class TestRelaxationSystem:
+    @pytest.mark.parametrize("name, field, value, message", [
+        ("heat1d", "q_nu", -np.eye(2), r"q_nu block has shape \(2, 2\), expected \(1, 1\)"),
+        ("heat1d", "m22", (np.zeros((2, 2)),), r"m22 block has shape \(2, 2\), expected \(1, 1\)"),
+        ("heat1d", "m11", (np.zeros((1, 2)),), r"m11 block has shape \(1, 2\), expected \(1, 1\)"),
+        ("heat1d", "m22", (np.zeros((1, 1)),) * 2, "m22 must provide one field per axis"),
+        ("sqrt-heat", "q_nu", -np.eye(2), r"q_nu block has shape \(2, 2\), expected \(1, 1\)"),
+    ], ids=["q_nu", "m22", "m11", "m22-per-axis", "multiplier-q_nu"])
+    def test_wrongly_shaped_constant_fields_are_refused(self, grid64, name, field, value, message):
+        sys = builder.demo(name, grid64).system
+        with pytest.raises(ValueError, match=message):
+            replace(sys, **{field: value})
+
+
 class TestStiffJacobian:
     def test_linear_source_constant(self):
         sys = builder.from_reaction_diffusion(

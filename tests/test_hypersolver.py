@@ -7,7 +7,7 @@ from scipy.linalg import expm
 
 import relaxbench as rb
 from relaxbench import builder, hypersolver, parasolver
-from relaxbench.core import apply_modes, eig_function, l2_norm, principal_symbols, unit_directions
+from relaxbench.core import eig_function, l2_norm, principal_symbols, unit_directions
 from relaxbench.hypersolver import SolverError, SolverOptions, max_wave_speed, run, snapshot_csv, step
 
 from conftest import four_block_2d, sine_mode
@@ -50,7 +50,7 @@ class TestWaveSpeed:
 
         sys = rb.RelaxationSystem(
             k=1, m=1, d=2, m12=(np.eye(1), np.eye(1)), m21=(m21, m21),
-            q=lambda x, u, z: -z, q_nu=lambda x, u, z: -np.eye(1), source_linear_in_v=True,
+            q=lambda x, u, z: -z, q_nu=lambda x, u, z: -np.eye(1),
         )
         grid = rb.SpatialGrid((32, 32), (1.0, 1.0))
         assert max_wave_speed(sys, grid) == pytest.approx(2.0 * np.sqrt(2.0), rel=1e-12)
@@ -66,7 +66,7 @@ class TestWaveSpeed:
 
         sys = rb.RelaxationSystem(
             k=1, m=1, d=1, m12=(np.eye(1),), m21=(m21,),
-            q=lambda x, u, z: -z, q_nu=lambda x, u, z: -np.eye(1), source_linear_in_v=True,
+            q=lambda x, u, z: -z, q_nu=lambda x, u, z: -np.eye(1),
         )
         assert max_wave_speed(sys, grid) == pytest.approx(1.0, rel=1e-12)
         eps = 0.1
@@ -520,57 +520,16 @@ class TestUniformBounds:
 
 
 class TestSourceSolvers:
-    def test_newton_matches_linear_exact(self, grid128):
-        _, _, sys = builder.carleman()
-        bundle_u0 = builder.demo("carleman", grid128).u0(grid128)
-        init = hypersolver.well_prepared_state(sys, grid128, bundle_u0, 0.1)
+    def test_raw_decouple_runs_like_the_builders_carleman(self, grid128):
+        # the builder adds only positive_states and a name, which no step of this run reads
+        raw, transform, sys = builder.carleman()
+        u0 = builder.demo("carleman", grid128).u0(grid128)
+        init = hypersolver.well_prepared_state(sys, grid128, u0, 0.1)
         t1 = run(sys, init, 0.01, SolverOptions(flux="spectral"))
-        t2 = run(replace(sys, source_linear_in_v=False), init, 0.01, SolverOptions(flux="spectral"))
-        assert np.allclose(t1.final.uI, t2.final.uI, atol=1e-12)
-        assert np.allclose(t1.final.uII, t2.final.uII, atol=1e-11)
-
-    def test_unflagged_source_runs_newton(self, grid64):
-        raw, transform, _ = builder.carleman()
-        sys = builder.decouple(raw, transform)  # not flagged as linear in v
-        u0 = builder.demo("carleman", grid64).u0(grid64)
-        init = hypersolver.well_prepared_state(sys, grid64, u0, 0.1)
-        traj = run(sys, init, 1e-3, SolverOptions(flux="spectral"))
-        assert np.all(np.isfinite(traj.final.uI)) and traj.final.t == pytest.approx(1e-3)
-
-    def test_newton_solves_cubic_source(self, grid64):
-        # q(x, u, z) = -z - z^3 is genuinely nonlinear in z
-        def q(x, u, z):
-            return -z - z ** 3
-
-        def q_nu(x, u, z):
-            return (-1.0 - 3.0 * z ** 2)[None]
-
-        sys = rb.RelaxationSystem(
-            k=1, m=1, d=1,
-            m12=(np.eye(1),), m21=(np.eye(1),), m22=(np.zeros((1, 1)),),
-            q=q, q_nu=q_nu,
-        )
-        eps = 0.1
-        state = hypersolver.well_prepared_state(sys, grid64, sine_mode(grid64, amplitude=0.2), eps)
-        opts = SolverOptions(flux="spectral")
-        out = step(sys, state, 1e-4, opts)
-        # the implicit relation must hold at the returned state
-        ws = hypersolver._Workspace(sys, grid64, eps, opts)
-        star = apply_modes(grid64, ws._propagator(1e-4), np.concatenate([state.uI, state.uII]))
-        v_star, v_new = star[1:], out.uII
-        lhs = eps ** 2 * (v_new - v_star)
-        rhs = 1e-4 * (q(None, None, eps * v_new) / eps)
-        assert np.allclose(lhs, rhs, atol=1e-12)
-
-    def test_newton_failure_names_the_cell(self, grid64):
-        # a jacobian of the wrong sign makes every Newton update overshoot by 3x
-        sys = replace(builder.demo("heat1d", grid64).system, source_linear_in_v=False,
-                      q_nu=lambda x, u, z: np.ones((1, 1, z.shape[-1])))
-        eps = 0.1
-        state = rb.FieldState(grid64, sine_mode(grid64), sine_mode(grid64), 0.0, eps)
-        with pytest.raises(SolverError, match=r"newton source solve failed to converge at cell \d+ "
-                                              r"\(last update [0-9.e+]+\)"):
-            step(sys, state, 0.5 * eps ** 2, SolverOptions(flux="spectral"))
+        t2 = run(builder.decouple(raw, transform), init, 0.01, SolverOptions(flux="spectral"))
+        for a, b in ((t1.final.uI, t2.final.uI), (t1.final.uII, t2.final.uII),
+                     (t1.records.t, t2.records.t), (t1.records.energy, t2.records.energy)):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 class TestRunBookkeeping:

@@ -421,7 +421,8 @@ class TestSecondOrderReference:
         steps = diagnostics.LADDER_REFERENCE_STEPS
         assert _step_distance("reaction2", 128, steps, 8 * steps) <= 1e-7
 
-    # the 1-d callable cases take the periodic tridiagonal solve, the 2-d ones SuperLU
+    # reaction2 takes _LinearRD's Strang splitting; every other case, 1-d and 2-d alike, takes _PicardQL's
+    # Crank-Nicolson with Fourier collocation
     @pytest.mark.parametrize("name, n", [
         ("carleman", 256), ("quasilinear-bu2", 128), ("reaction2", 128), ("callable", 256), ("callable", (32, 32)),
         ("callable-logistic", 256), ("callable-logistic", (32, 32)),

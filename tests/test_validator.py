@@ -49,7 +49,7 @@ def _simple_system(m12=1.0, m21=1.0, m11=None, q_sign=-1.0):
     kwargs = dict(
         k=1, m=1, d=1,
         m12=(np.array([[m12]]),), m21=(np.array([[m21]]),), m22=(np.zeros((1, 1)),),
-        q=q, q_nu=q_nu, source_linear_in_v=True,
+        q=q, q_nu=q_nu,
     )
     if m11 is not None:
         kwargs["m11"] = (np.array([[m11]]),)
@@ -104,7 +104,7 @@ class TestHyperbolicity:
         sys = rb.RelaxationSystem(
             k=1, m=1, d=2, m12=(np.eye(1), np.eye(1)), m21=(m21, m21),
             m22=(np.zeros((1, 1)), np.zeros((1, 1))),
-            q=lambda x, u, z: -z, q_nu=lambda x, u, z: -np.eye(1), source_linear_in_v=True,
+            q=lambda x, u, z: -z, q_nu=lambda x, u, z: -np.eye(1),
         )
         g = rb.SpatialGrid((128, 128), (1.0, 1.0))
         res = check_hyperbolicity(sys, SampleSet.build(g, 1, 1))
@@ -249,8 +249,8 @@ class TestPetrowski:
 
 
 class TestSourceStructure:
-    def test_flagged_nonlinear_source_fails_with_witness(self, samples):
-        # flagged linear, so the integrator would freeze the jacobian at z = 0
+    def test_nonlinear_source_fails_with_witness(self, samples):
+        # the integrator freezes the jacobian at z = 0, so a cubic source must be refused
         linear = _simple_system()
         cubic = replace(linear, q=lambda x, u, z: -z - z ** 3)
         passing = check_source_structure(linear, samples)
@@ -263,7 +263,38 @@ class TestSourceStructure:
         assert res.margin == EIG_RTOL - 0.5
         x, u, v = (res.witness[a].reshape(-1, 1) for a in ("x", "u", "v"))
         assert abs(cubic.stiff_source(x, u, v) - cubic.stiff_source_jacobian(x, u, 0 * v)[0] @ v) == 1.0
-        assert check_source_structure(replace(cubic, source_linear_in_v=False), samples).passed
+        assert validate_all(cubic, samples).failing() == ("source_structure",)
+
+    def test_nonlinear_raw_source_fails_with_witness(self, grid):
+        # b = (s, -s), s = -(w0 - w1)^3 - (w0 - w1); under p = [[1, 1], [1, -1]], z = w0 - w1 and q = -2 z^3 - 2 z
+        def b(x, w):
+            s = -(w[0] - w[1]) ** 3 - (w[0] - w[1])
+            return np.stack([s, -s])
+
+        def b_jac(x, w):
+            ds = -3.0 * (w[0] - w[1]) ** 2 - 1.0
+            return np.stack([np.stack([ds, -ds]), np.stack([-ds, ds])])
+
+        raw = builder.RawSystem(n=2, d=1, a=(np.array([[0.0, 1.0], [1.0, 0.0]]),), b=b, b_jac=b_jac,
+                                source_range_dim=1)
+        sys = builder.decouple(raw, builder.DecouplingTransform(np.array([[1.0, 1.0], [1.0, -1.0]]), k=1))
+        res = check_source_structure(sys, SampleSet.build(grid, 1, 1))
+        assert not res.passed and set(res.witness) == {"x", "u", "v", "defect"}
+        # the first worst sample: z = -1, where q = 4 and q_nu(x, u, 0) z = 2
+        assert res.witness["v"].tolist() == [-1.0] and res.witness["defect"] == pytest.approx(0.5, rel=1e-14)
+        assert res.margin == EIG_RTOL - res.witness["defect"]
+        x, u, v = (res.witness[a].reshape(-1, 1) for a in ("x", "u", "v"))
+        assert sys.stiff_source(x, u, v)[0, 0] == pytest.approx(4.0, rel=1e-14)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_stiff_source_fails(self, grid, bad):
+        # finite at z = 0, so only the (x, u, v) lattice sees it
+        heat = builder.demo("heat1d", grid).system
+        sys = replace(heat, q=lambda x, u, z: np.where(z > 0.5, bad, -z))
+        res = check_source_structure(sys, SampleSet.build(grid, 1, 1))
+        assert not res.passed and res.margin == -np.inf
+        assert set(res.witness) == {"x", "u", "v", "value"} and res.witness["value"] == "non-finite stiff source"
+        assert res.witness["v"][0] > 0.5
 
     def test_difference_quotients_cover_the_whole_box(self, grid):
         # d_II is infinite for u > 0.5 only; u = -1, 0 would miss it
