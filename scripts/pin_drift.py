@@ -12,6 +12,15 @@ the largest |new - old| of each numeric column divided by that column's largest
 |old| (the absolute difference where the old column is all zero), and names any
 text column that differs.  It exits 1 if a file is missing on either side, a
 shape or a text cell differs, or any column moves by more than 1e-12; else 0.
+
+Since both trees run this checkout's generators, a generator change would show
+as drift of the source.  So before the table the script compares this
+checkout's `tests/test_runs.py`, `tests/conftest.py` and
+`scripts/artifact_hashes.py` byte for byte with the same paths beside OLD_SRC
+(`OLD_SRC/../tests`, `OLD_SRC/../scripts`), and prints one line for each that
+differs or is missing there; the exit code does not depend on them.  Run
+against an exported parent commit whose `tests/conftest.py` was edited, it
+names that file alone.
 """
 
 import csv
@@ -23,6 +32,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BOUND = 1e-12
+GENERATORS = ("tests/test_runs.py", "tests/conftest.py", "scripts/artifact_hashes.py")
 
 
 def write_csvs(dest):
@@ -84,10 +94,23 @@ def drift(old, new):
     return moved, worst
 
 
+def generator_changes(old_src):
+    """One line for each generator of this checkout that differs from, or is missing in, OLD_SRC's checkout."""
+    old_root = Path(old_src).resolve().parent
+    for rel in GENERATORS:
+        theirs = old_root / rel
+        if not theirs.is_file():
+            yield f"{rel}: missing beside OLD_SRC; this checkout's copy ran on both trees"
+        elif theirs.read_bytes() != (ROOT / rel).read_bytes():
+            yield f"{rel}: differs from {theirs}; this checkout's copy ran on both trees"
+
+
 def main(argv):
     if len(argv) != 2:
         print(__doc__.strip(), file=sys.stderr)
         return 2
+    for line in generator_changes(argv[0]):
+        print(line)
     with tempfile.TemporaryDirectory() as tmp:
         old, new = (_tree_csvs(src, Path(tmp) / side) for src, side in zip(argv, ("old", "new")))
         worst = 0.0

@@ -334,16 +334,15 @@ def from_sqrt_symbol(target: ReactionDiffusion) -> RelaxationSystem:
 class RawSystem:
     """Hyperbolic system in original variables, before decoupling.
 
-    a is one (N, N) matrix field per axis; b(x, W) is the stiff source with
-    range of declared dimension source_range_dim, and b_jac(x, W) its exact
-    (N, N, M) Jacobian in W.  d_lower(W) is the order-one source, if any.
+    a is one (N, N) matrix field per axis; b(x, W) is the stiff source, and
+    b_jac(x, W) its exact (N, N, M) Jacobian in W.  d_lower(W) is the
+    order-one source, if any.
     """
 
     n: int
     d: int
     a: Tuple[MatrixField, ...]
     b: Callable[[Array, Array], Array]
-    source_range_dim: int
     b_jac: Callable[[Array, Array], Array]
     d_lower: Optional[Callable[[Array], Array]] = None
     name: str = ""
@@ -394,11 +393,6 @@ def decouple(raw: RawSystem, transform: DecouplingTransform) -> RelaxationSystem
         raise BuildError("transform size does not match the system")
     if not callable(raw.b_jac):
         raise BuildError("b_jac must be the exact Jacobian of b in W, a callable (x, W) -> (N, N, M)")
-    if raw.source_range_dim != n - k:
-        raise BuildError(
-            f"declared source range dimension {raw.source_range_dim} "
-            f"does not match transform split {n - k}"
-        )
     xs = _default_x_samples(raw.d)
     ws = box_lattice([-1.0] * n, [1.0] * n)
     p, pinv = transform.p, transform.p_inv
@@ -489,10 +483,7 @@ def carleman() -> Tuple[RawSystem, DecouplingTransform, RelaxationSystem]:
     def b_jac(x, w):
         return signs * w[None]
 
-    raw = RawSystem(
-        n=2, d=1, a=(np.diag([1.0, -1.0]),), b=b, b_jac=b_jac,
-        source_range_dim=1, name="carleman-raw",
-    )
+    raw = RawSystem(n=2, d=1, a=(np.diag([1.0, -1.0]),), b=b, b_jac=b_jac, name="carleman-raw")
     transform = DecouplingTransform(p=np.array([[1.0, 1.0], [1.0, -1.0]]), k=1)
     return raw, transform, replace(decouple(raw, transform), positive_states=True, name="carleman")
 

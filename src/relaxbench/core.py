@@ -35,7 +35,7 @@ class SymbolError(ValueError):
 
 
 class SingularSourceError(SymbolError):
-    """Stiff source derivative is singular where invertibility is required."""
+    """Stiff source derivative is singular, or not finite, where invertibility is required."""
 
     def __init__(self, message: str, smallest_singular_value: float, sample: int = 0):
         super().__init__(message)
@@ -72,8 +72,8 @@ class SpatialGrid:
             raise ValueError("only d = 1 or d = 2 grids are supported")
         if any(n < 4 for n in self.ns):
             raise ValueError("need at least 4 cells per axis")
-        if any(L <= 0 for L in self.lengths):
-            raise ValueError("period lengths must be positive")
+        if any(not 0 < L < np.inf for L in self.lengths):
+            raise ValueError(f"period lengths must be positive and finite, got {self.lengths}")
 
     @property
     def d(self) -> int:
@@ -493,14 +493,17 @@ def limit_generators(sys: RelaxationSystem, x_points: Array, u_points: Array,
     This is m12 Qnu^{-1} m21 of the coupling_symbols at z = 0, so a multiplier
     gives B(xi) Qnu^{-1} B(xi), of complex dtype.  The relaxed dynamics per mode
     reads du/dt = G u + lower order.  Returns (Mx, Mu, Mxi, k, k), x outer and
-    xi inner; SingularSourceError names the first singular (x, u) in that order.
+    xi inner; SingularSourceError names the first (x, u), in that order, where the
+    stiff jacobian is singular or not finite.
     """
     mx, mu = x_points.shape[1], u_points.shape[1]
     us = np.tile(u_points, mx)
     qnu = sys.stiff_source_jacobian(np.repeat(x_points, mu, axis=1), us, np.zeros((sys.m, mx * mu)))
     qnu = np.moveaxis(qnu, -1, 0)
-    if not np.all(np.isfinite(qnu)):
-        raise SymbolError("stiff source jacobian has non-finite entries")
+    finite = np.isfinite(qnu).all(axis=(1, 2))
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise SingularSourceError(f"stiff jacobian is not finite at u={us[:, i]}", np.nan, sample=i)
     svals = np.linalg.svd(qnu, compute_uv=False)
     singular = svals[:, -1] <= 1e-14 * np.maximum(1.0, svals[:, 0])
     if np.any(singular):
@@ -541,8 +544,8 @@ class FieldState:
         object.__setattr__(self, "uII", uII)
         if uI.shape[1:] != self.grid.ns or uII.shape[1:] != self.grid.ns:
             raise ValueError("field shapes do not match the grid")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        if not 0 < self.eps < np.inf:
+            raise ValueError(f"eps must be positive and finite, got {self.eps}")
         if not (np.all(np.isfinite(uI)) and np.all(np.isfinite(uII))):
             raise ValueError("fields must be finite")
 

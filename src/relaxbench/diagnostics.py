@@ -140,7 +140,7 @@ def check_ladder(T: float, eps_list: Sequence[float], threads: Optional[int] = N
                          f"times must lie more than 1e-12 * max(T, 1) apart")
     if len(eps_list) < 3:
         raise ValueError("epsilon ladder needs at least three entries")
-    if any(b >= a for a, b in zip(eps_list, eps_list[1:] + [0.0])):  # the last must exceed 0
+    if any(not b < a for a, b in zip(eps_list, eps_list[1:] + [0.0])):  # the last must exceed 0; NaN fails
         raise ValueError(f"epsilon ladder must decrease strictly and stay positive, got {eps_list}")
     return eps_list
 

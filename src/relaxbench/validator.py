@@ -7,6 +7,15 @@ generators) makes unit-sphere sampling sufficient.  Reports are deterministic
 and every failing entry carries a witness at which re-evaluating the scalar
 criterion reproduces the failure.
 
+Every check computes one margin per sample, and one reduction (_verdict)
+turns them into its result: the first lowest margin in C order over the
+sample axes, with that sample's coordinates and values as witness.  A value
+that is not finite gives its sample a NaN margin, and the first such sample
+fails the check with margin -inf.  Rank, dissipativity and both Petrowski
+checks pass on a positive margin, the others on a non-negative one.  A check
+made of parts (symmetrizer, source_structure) reports the first part with the
+lowest margin, so its margin and witness come from one sample.
+
 The constant-coefficient convergence theorem's undefined hypothesis labels
 are read as the lower-order-source and dissipativity conditions.
 """
@@ -84,46 +93,64 @@ def _witness(samples: SampleSet, axes: Tuple[str, ...], flat: int, **extra) -> d
     return {**{a: c[:, p] for a, c, p in zip(axes, cols, pos)}, **extra}
 
 
-def _first_unsolvable(mats: Array) -> int:
-    """Flat index of the first matrix of a stack that the eigensolver rejects."""
-    for i, mat in enumerate(mats.reshape((-1,) + mats.shape[-2:])):
-        try:
-            np.linalg.eigvals(mat)
-        except np.linalg.LinAlgError:
-            return i
-    raise np.linalg.LinAlgError("eigensolver failed on the stack but on no single sample")
+def _verdict(name: str, samples: SampleSet, axes: Tuple[str, ...], margins: Array, strict: bool,
+             **values) -> CheckResult:
+    """A check's result from its margins, one per sample of the named sample axes in C order.
+
+    The worst sample is the first lowest margin, or the first NaN margin, which
+    gives the check a margin of -inf.  The witness is that sample's coordinates
+    and its entry of each value array, one entry per margin; a value that is not
+    an array holds for every sample.  The check passes on margin > 0 if strict,
+    else on margin >= 0.
+    """
+    margins = np.asarray(margins, dtype=float)
+    i = int(np.argmin(margins))  # the first NaN, if there is one
+    margin = -np.inf if np.isnan(margins.flat[i]) else float(margins.flat[i])
+    picked = {key: val.flat[i].item() if isinstance(val, np.ndarray) else val for key, val in values.items()}
+    return CheckResult(name, bool(margin > 0.0 if strict else margin >= 0.0), margin,
+                       _witness(samples, axes, i, **picked))
+
+
+def _finite(name: str, samples: SampleSet, axes: Tuple[str, ...], ok: Array, what: str, **values) -> CheckResult:
+    """A part of a check that fails, margin -inf, at the first sample where ok is False."""
+    return _verdict(name, samples, axes, np.where(ok, np.inf, np.nan), False, **values, value=f"non-finite {what}")
+
+
+def _vanishing(name: str, samples: SampleSet, axes: Tuple[str, ...], vals: Array, **values) -> CheckResult:
+    """A check that vals, each >= 0, stay within ZERO_TOL; no witness where every one is exactly 0."""
+    res = _verdict(name, samples, axes, ZERO_TOL - vals, False, value=vals, **values)
+    return res if vals.any() else replace(res, witness={})
+
+
+def _per_matrix(op, mats: Array) -> Array:
+    """op (eigvals, eigvalsh or det) of each matrix of a stack, NaN where one is not finite or op rejects it."""
+    finite = np.isfinite(mats).all(axis=(-2, -1))
+    try:
+        out = op(mats if finite.all() else np.where(finite[..., None, None], mats, 0.0))
+    except np.linalg.LinAlgError:
+        if mats.ndim == 2:
+            return np.full(mats.shape[-1], np.nan)
+        out = np.stack([_per_matrix(op, mat) for mat in mats])
+    out[~finite] = np.nan
+    return out
 
 
 def check_hyperbolicity(sys: RelaxationSystem, samples: SampleSet) -> CheckResult:
     """Spectrum of i * principal symbol must be real at every sample."""
     syms = 1j * principal_symbols(sys, samples.x_points, samples.directions)
-    try:
-        eigs = np.linalg.eigvals(syms)
-    except np.linalg.LinAlgError:
-        return CheckResult(
-            "hyperbolicity", False, -np.inf,
-            _witness(samples, ("x", "xi"), _first_unsolvable(syms), value="eigensolver failed"),
-        )
-    eigs = eigs.reshape(-1, eigs.shape[-1])
+    eigs = _per_matrix(np.linalg.eigvals, syms).reshape(-1, syms.shape[-1])
     defect = np.max(np.abs(eigs.imag), axis=1) - EIG_RTOL * np.max(np.abs(eigs), axis=1)
-    i = int(np.argmax(defect))
-    bad = eigs[i, np.argmax(np.abs(eigs[i].imag))]
-    witness = _witness(samples, ("x", "xi"), i, eigenvalue=complex(bad))
-    return CheckResult("hyperbolicity", bool(defect[i] <= 0.0), -float(defect[i]), witness)
+    bad = eigs[np.arange(eigs.shape[0]), np.argmax(np.abs(eigs.imag), axis=1)]
+    return _verdict("hyperbolicity", samples, ("x", "xi"), -defect, False, eigenvalue=bad)
 
 
 def check_conserved_block(sys: RelaxationSystem, samples: SampleSet) -> CheckResult:
     """The conserved-block transport symbol must vanish identically."""
     syms = principal_symbols(sys, samples.x_points, samples.directions)
-    vals = np.max(np.abs(syms[..., : sys.k, : sys.k]), axis=(-2, -1)).ravel()
-    i = int(np.argmax(vals))
-    worst = float(vals[i])
-    witness = _witness(samples, ("x", "xi"), i, value=worst) if worst > 0.0 else {}
-    passed = worst <= ZERO_TOL
-    return CheckResult(
-        "conserved_block", passed, ZERO_TOL - worst, witness,
-        note="" if passed else NULL_LIMIT_NOTE,
-    )
+    vals = np.max(np.abs(syms[..., : sys.k, : sys.k]), axis=(-2, -1))
+    res = _vanishing("conserved_block", samples, ("x", "xi"), vals)
+    # a non-finite block, margin -inf, says nothing of the limit
+    return res if res.passed or res.margin == -np.inf else replace(res, note=NULL_LIMIT_NOTE)
 
 
 def check_rank_condition(sys: RelaxationSystem, samples: SampleSet) -> CheckResult:
@@ -135,11 +162,8 @@ def check_rank_condition(sys: RelaxationSystem, samples: SampleSet) -> CheckResu
             note="coupling block is too thin whenever the conserved part dominates",
         )
     _, m21 = coupling_symbols(sys, samples.x_points, samples.directions)
-    dets = np.linalg.det(np.swapaxes(m21, -1, -2).conj() @ m21).real.ravel()  # Hermitian, so real
-    i = int(np.argmin(dets))
-    best = float(dets[i])
-    witness = _witness(samples, ("x", "xi"), i, determinant=best)
-    return CheckResult("rank_condition", best > DET_FLOOR, best - DET_FLOOR, witness)
+    dets = _per_matrix(np.linalg.det, np.swapaxes(m21, -1, -2).conj() @ m21).real  # Hermitian, so real
+    return _verdict("rank_condition", samples, ("x", "xi"), dets - DET_FLOOR, True, determinant=dets)
 
 
 def _xuv_lattice(samples: SampleSet) -> Tuple[Array, Array, Array]:
@@ -156,46 +180,32 @@ def check_dissipativity(sys: RelaxationSystem, samples: SampleSet) -> CheckResul
     jacobian over all sampled (x, u, z); the check passes when it is positive.
     """
     jac = np.moveaxis(sys.stiff_source_jacobian(*_xuv_lattice(samples)), -1, 0)
-    finite = np.isfinite(jac).all(axis=(1, 2)).reshape(-1, samples.v_points.shape[1]).all(axis=1)
-    if not finite.all():
-        return CheckResult(
-            "dissipativity", False, -np.inf,
-            _witness(samples, ("x", "u"), int(np.argmin(finite)), value="non-finite jacobian"),
-        )
-    top = np.linalg.eigvalsh(0.5 * (jac + np.swapaxes(jac, 1, 2)))[:, -1]
-    i = int(np.argmax(top))
-    witness = _witness(samples, ("x", "u", "v"), i, eigenvalue=float(top[i]))
-    return CheckResult("dissipativity", bool(top[i] < 0.0), -float(top[i]), witness)
+    top = _per_matrix(np.linalg.eigvalsh, 0.5 * (jac + np.swapaxes(jac, 1, 2)))[:, -1]
+    return _verdict("dissipativity", samples, ("x", "u", "v"), -top, True, eigenvalue=top)
 
 
 def check_symmetrizer(sys: RelaxationSystem, r: Symmetrizer, samples: SampleSet) -> CheckResult:
     """Blocks positive definite and R * symbol skew-Hermitian at every sample.
 
-    Per sample the candidates are r11, r22 and the product, in that order.
+    The check's parts are r11, r22 and the product, in that order, and it
+    reports the first part with the lowest margin.
     """
     xs, dirs = samples.x_points, samples.directions
     r11, r22 = r.blocks(xs, dirs)
-    defects, mineigs = [], []
-    for blk in (r11, r22):
+    parts = []
+    for block, blk in (("r11", r11), ("r22", r22)):
         blk_t = np.swapaxes(blk, -1, -2)
         asym = np.max(np.abs(blk - blk_t), axis=(-2, -1))
-        mineig = np.linalg.eigvalsh(0.5 * (blk + blk_t))[..., 0]
-        defects.append(np.maximum(asym - ZERO_TOL, r.eta - mineig))
-        mineigs.append(mineig)
+        mineig = _per_matrix(np.linalg.eigvalsh, 0.5 * (blk + blk_t))[..., 0]
+        defect = np.maximum(asym - ZERO_TOL, r.eta - mineig)
+        parts.append(_verdict("symmetrizer", samples, ("x", "xi"), -defect, False, block=block, eigenvalue=mineig))
     syms = principal_symbols(sys, xs, dirs)
     rm = np.concatenate([r11 @ syms[..., : sys.k, :], r22 @ syms[..., sys.k:, :]], axis=-2)
     skew = np.linalg.norm(rm + np.conj(np.swapaxes(rm, -1, -2)), axis=(-2, -1))
     scale = np.linalg.norm(rm, axis=(-2, -1))
-    defects.append(skew - EIG_RTOL * np.maximum(scale, 1e-300))
-    defect = np.stack(defects, axis=-1).ravel()
-    i = int(np.argmax(defect))
-    pair, which = divmod(i, 3)
-    if which < 2:
-        witness = _witness(samples, ("x", "xi"), pair, block=("r11", "r22")[which],
-                           eigenvalue=float(mineigs[which].flat[pair]))
-    else:
-        witness = _witness(samples, ("x", "xi"), pair, value=float(skew.flat[pair]))
-    return CheckResult("symmetrizer", bool(defect[i] <= 0.0), -float(defect[i]), witness)
+    parts.append(_verdict("symmetrizer", samples, ("x", "xi"), EIG_RTOL * np.maximum(scale, 1e-300) - skew, False,
+                          value=skew))
+    return min(parts, key=lambda part: part.margin)
 
 
 def _generators(obj: Union[RelaxationSystem, ParabolicTarget], samples: SampleSet) -> Array:
@@ -221,92 +231,66 @@ def check_petrowski(
 
     petrowski mode certifies alpha0 = -max Re eig(G) > 0; strong mode
     certifies c0 = min eig of the symmetric part of -G > 0, which is the
-    stricter condition.
+    stricter condition.  A stiff jacobian that is singular or not finite fails
+    the check at its first (x, u).
     """
     if mode not in ("petrowski", "strong"):
         raise ValueError("mode must be 'petrowski' or 'strong'")
     name = "petrowski_limit" if mode == "petrowski" else "strong_parabolicity"
-    axes = ("x", "u", "xi")
     try:
         gens = _generators(obj, samples)
     except SingularSourceError as err:
-        witness = _witness(samples, ("x", "u"), err.sample, value=str(err))
-        return CheckResult(name, False, -np.inf, witness)
+        return CheckResult(name, False, -np.inf, _witness(samples, ("x", "u"), err.sample, value=str(err)))
     if mode == "petrowski":
-        try:
-            eigs = np.linalg.eigvals(gens)
-        except np.linalg.LinAlgError:
-            return CheckResult(
-                name, False, -np.inf,
-                _witness(samples, axes, _first_unsolvable(gens), value="eigensolver failed"),
-            )
-        eigs = eigs.reshape(-1, eigs.shape[-1])
+        eigs = _per_matrix(np.linalg.eigvals, gens).reshape(-1, gens.shape[-1])
         bad = eigs[np.arange(eigs.shape[0]), np.argmax(eigs.real, axis=1)]
         cand = -bad.real
     else:
         sym = 0.5 * (gens + np.swapaxes(gens, -1, -2))
-        cand = np.linalg.eigvalsh(-sym)[..., 0].ravel()
+        cand = _per_matrix(np.linalg.eigvalsh, -sym)[..., 0].ravel()
         bad = -cand
-    i = int(np.argmin(cand))
-    margin = float(cand[i])
-    witness = _witness(samples, axes, i, eigenvalue=complex(bad[i]))
-    return CheckResult(name, margin > 0.0, margin, witness)
+    return _verdict(name, samples, ("x", "u", "xi"), cand, True, eigenvalue=bad.astype(complex))
 
 
 def check_source_structure(sys: RelaxationSystem, samples: SampleSet) -> CheckResult:
     """Sampled form of the smoothness and lower-order-source hypotheses.
 
-    Verifies that the transport coefficient fields are finite on the sampled
-    points, that the stiff source vanishes at zero non-conserved state, that
-    the scaled conserved source vanishes there for several epsilon probes,
-    that difference quotients of the order-one sources stay bounded over the
-    u box, and that the stiff source is finite and linear in v, q = q_nu(x, u, 0) z to
-    EIG_RTOL relative on the (x, u, v) lattice, as the solver's exact source step takes it.
+    The check's parts, in order: the transport coefficient fields are finite
+    on the sampled points; the stiff source, then the scaled conserved source
+    at epsilon 0.1 and 0.01, vanish at zero non-conserved state; difference
+    quotients of the order-one sources are finite over the u box; the stiff
+    source is finite; and it is linear in v, q = q_nu(x, u, 0) z to EIG_RTOL
+    relative on the (x, u, v) lattice, as the solver's exact source step takes
+    it.  Each part is reduced like any check, so a non-finite value fails its
+    part with margin -inf, and the check reports the first part with the lowest
+    margin: its margin and witness come from one sample.
     """
+    name = "source_structure"
     xs, us = samples.x_points, samples.u_points
     mx, mu = xs.shape[1], us.shape[1]
-    finite = np.isfinite(principal_symbols(sys, xs, samples.directions)).all(axis=(-2, -1)).ravel()
-    if not finite.all():
-        witness = _witness(samples, ("x", "xi"), int(np.argmin(finite)),
-                           value="non-finite transport coefficient")
-        return CheckResult("source_structure", False, -np.inf, witness)
-    x = np.repeat(xs, mu, axis=1)
-    u = np.tile(us, mx)
+    finite = np.isfinite(principal_symbols(sys, xs, samples.directions)).all(axis=(-2, -1))
+    parts = [_finite(name, samples, ("x", "xi"), finite, "transport coefficient")]
+    x, u = np.repeat(xs, mu, axis=1), np.tile(us, mx)
     zeros = np.zeros((sys.m, mx * mu))
-    probes = [sys.stiff_source(x, u, zeros)] + [sys.lower_order_I(x, u, zeros, e) for e in (0.1, 0.01)]
-    # per x the candidates are the stiff source, then eps = 0.1 and 0.01; u varies fastest
-    vals = np.stack([np.max(np.abs(p), axis=0).reshape(mx, mu) for p in probes], axis=1).ravel()
-    i = int(np.argmax(vals))
-    worst = float(vals[i])
-    witness = {}
-    if worst > 0.0:
-        ix, which, iu = np.unravel_index(i, (mx, 3, mu))
-        witness = {"x": xs[:, ix], "u": us[:, iu], "value": worst}
-        if which > 0:
-            witness["eps"] = (0.1, 0.01)[which - 1]
-    margin = ZERO_TOL - worst
+    probes = [({}, sys.stiff_source(x, u, zeros))]
+    probes += [({"eps": e}, sys.lower_order_I(x, u, zeros, e)) for e in (0.1, 0.01)]
+    parts += [_vanishing(name, samples, ("x", "u"), np.max(np.abs(p), axis=0), **eps) for eps, p in probes]
     dz = np.repeat(1e-5 * np.eye(sys.m)[:, :, None], mu, axis=2)  # (component, m, Mu)
     with np.errstate(invalid="ignore", over="ignore"):
         quot = np.stack([sys.lower_order_II(us, z) - sys.lower_order_II(us, -z) for z in dz]) / 2e-5
-    bad = ~np.isfinite(quot).all(axis=1).T  # (Mu, component), u outer
-    if bad.any():
-        iu, comp = np.unravel_index(int(np.argmax(bad)), bad.shape)
-        witness = {"u": us[:, iu], "component": int(comp), "value": "non-finite difference quotient"}
-        margin = -np.inf
+    bad = ~np.isfinite(quot).all(axis=1).T  # (Mu, component)
+    parts.append(_finite(name, samples, ("u",), ~bad.any(axis=1), "difference quotient",
+                         component=np.argmax(bad, axis=1)))
     x3, u3, z3 = _xuv_lattice(samples)
     q = sys.stiff_source(x3, u3, z3)
     with np.errstate(invalid="ignore"):
         lin = np.einsum("abm,bm->am", sys.stiff_source_jacobian(x3, u3, np.zeros_like(z3)), z3)
         scale = np.maximum(np.abs(q), np.abs(lin)).max(axis=0)
         defect = np.max(np.abs(q - lin), axis=0) / np.maximum(scale, 1e-300)
-    finite = np.isfinite(defect)  # False where q or q_nu z is not finite
-    if not finite.all():
-        witness = _witness(samples, ("x", "u", "v"), int(np.argmin(finite)), value="non-finite stiff source")
-        margin = -np.inf
-    elif (worst := float(defect.max())) > EIG_RTOL:
-        witness = _witness(samples, ("x", "u", "v"), int(np.argmax(defect)), defect=worst)
-        margin = min(margin, EIG_RTOL - worst)
-    return CheckResult("source_structure", bool(margin >= 0.0), margin, witness)
+    # defect is not finite where q or q_nu z is not
+    parts.append(_finite(name, samples, ("x", "u", "v"), np.isfinite(defect), "stiff source"))
+    parts.append(_verdict(name, samples, ("x", "u", "v"), EIG_RTOL - defect, False, defect=defect))
+    return min(parts, key=lambda part: part.margin)
 
 
 def validate_all(

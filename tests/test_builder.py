@@ -50,7 +50,7 @@ class TestDecouple:
             return np.stack([np.zeros_like(w[0]), -w[1]])
 
         raw = RawSystem(n=2, d=1, a=(np.array([[0.0, 1.0], [1.0, 0.0]]),),
-                        b=b, source_range_dim=1, b_jac=_constant_jacobian([[0.0, 0.0], [0.0, -1.0]]))
+                        b=b, b_jac=_constant_jacobian([[0.0, 0.0], [0.0, -1.0]]))
         sys = decouple(raw, DecouplingTransform(np.eye(2), k=1))
         x = np.array([[0.0]])
         assert np.allclose(rb.core.eval_matrix_field(sys.m12[0], x)[:, :, 0], 1.0)
@@ -60,7 +60,7 @@ class TestDecouple:
         def b(x, w):
             return np.stack([w[0], -w[1]])  # first row does not vanish
 
-        raw = RawSystem(n=2, d=1, a=(np.eye(2),), b=b, source_range_dim=1,
+        raw = RawSystem(n=2, d=1, a=(np.eye(2),), b=b,
                         b_jac=_constant_jacobian([[1.0, 0.0], [0.0, -1.0]]))
         with pytest.raises(BuildError, match="annihilate"):
             decouple(raw, DecouplingTransform(np.eye(2), k=1))
@@ -97,7 +97,7 @@ class TestDecouple:
             return np.stack([0.5 * diff, 0.5 * diff])
 
         raw = RawSystem(n=2, d=1, a=(np.array([[0.0, 1.0], [1.0, 0.0]]),),
-                        b=b, source_range_dim=1, d_lower=d_lower,
+                        b=b, d_lower=d_lower,
                         b_jac=_constant_jacobian([[-0.5, 0.5], [0.5, -0.5]]))
         p = DecouplingTransform(np.array([[1.0, 1.0], [1.0, -1.0]]), k=1)
         sys = decouple(raw, p)
@@ -121,7 +121,7 @@ class TestDecouple:
             return np.stack([w[0] * w[1], w[0] ** 2 - w[1]])
 
         p = np.array([[1.0, 1.0], [1.0, -2.0]])
-        raw = RawSystem(n=2, d=1, a=(a,), b=b, source_range_dim=1, d_lower=d_lower,
+        raw = RawSystem(n=2, d=1, a=(a,), b=b, d_lower=d_lower,
                         b_jac=_constant_jacobian([[-0.5, 0.5], [0.5, -0.5]]))
         sys = decouple(raw, DecouplingTransform(p, k=1))
         x = np.array([[0.1, 0.35, 0.8]])
@@ -139,8 +139,8 @@ class TestDecouple:
             return np.stack([np.zeros_like(w[0]), -w[1]])
 
         with pytest.raises(TypeError, match="b_jac"):
-            RawSystem(n=2, d=1, a=(np.eye(2),), b=b, source_range_dim=1)
-        raw = RawSystem(n=2, d=1, a=(np.eye(2),), b=b, source_range_dim=1, b_jac=None)
+            RawSystem(n=2, d=1, a=(np.eye(2),), b=b)
+        raw = RawSystem(n=2, d=1, a=(np.eye(2),), b=b, b_jac=None)
         with pytest.raises(BuildError, match="b_jac must be the exact Jacobian"):
             decouple(raw, DecouplingTransform(np.eye(2), k=1))
 

@@ -54,6 +54,11 @@ class TestGrid:
         with pytest.raises(ValueError):
             SpatialGrid((8,), (-1.0,))
 
+    @pytest.mark.parametrize("length", [np.nan, np.inf])
+    def test_rejects_non_finite_lengths(self, length):
+        with pytest.raises(ValueError, match=rf"period lengths must be positive and finite, got \({length},\)"):
+            SpatialGrid((8,), (length,))
+
     def test_rejects_non_integral_cell_counts(self):
         with pytest.raises(ValueError, match=r"cell counts must be integers, got \(64.9,\)"):
             SpatialGrid((64.9,), (1.0,))
@@ -221,6 +226,11 @@ class TestFieldState:
     def test_rejects_nonpositive_eps(self, grid64):
         with pytest.raises(ValueError):
             FieldState(grid64, np.zeros((1, 64)), np.zeros((1, 64)), 0.0, 0.0)
+
+    @pytest.mark.parametrize("eps", [np.nan, np.inf])
+    def test_rejects_non_finite_eps(self, grid64, eps):
+        with pytest.raises(ValueError, match=f"eps must be positive and finite, got {eps}"):
+            FieldState(grid64, np.zeros((1, 64)), np.zeros((1, 64)), 0.0, eps)
 
 
 class TestEquilibrium:

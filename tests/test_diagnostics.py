@@ -148,6 +148,8 @@ class TestConvergenceStudy:
         (0.01, [0.2, 0.1, 0.0], "stay positive"),
         (0.01, [0.2, 0.1, -0.1], "stay positive"),
         (1e-13, [0.2, 0.1, 0.05], "too short"),
+        (0.01, [0.2, np.nan, 0.05], "stay positive, got .*nan"),
+        (0.01, [0.2, 0.1, np.nan], "stay positive, got .*nan"),
     ])
     def test_ladder_rules_checked_before_the_reference(self, grid64, monkeypatch, T, eps_list, message):
         def no_reference(*args, **kwargs):

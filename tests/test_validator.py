@@ -111,6 +111,22 @@ class TestHyperbolicity:
         assert not res.passed
         assert res.witness["x"][1] > 0.5
 
+    def test_eigensolver_failure_fails_that_sample(self, samples, monkeypatch):
+        # the solver rejects every stack, and the third matrix alone: (second x, first xi) in C order
+        eigvals, singles = np.linalg.eigvals, []
+
+        def flaky(mats):
+            if mats.ndim == 2:
+                singles.append(mats)
+            if mats.ndim > 2 or len(singles) == 3:
+                raise np.linalg.LinAlgError("did not converge")
+            return eigvals(mats)
+
+        monkeypatch.setattr(np.linalg, "eigvals", flaky)
+        res = check_hyperbolicity(_simple_system(), samples)
+        assert not res.passed and res.margin == -np.inf
+        assert res.witness["x"] == samples.x_points[:, 1] and res.witness["xi"] == samples.directions[:, 0]
+
     def test_symmetric_builder_output_passes(self, samples):
         sys = builder.from_reaction_diffusion(
             ReactionDiffusion(k=1, d=1, diffusion=isotropic_diffusion(1, 1))
@@ -275,8 +291,7 @@ class TestSourceStructure:
             ds = -3.0 * (w[0] - w[1]) ** 2 - 1.0
             return np.stack([np.stack([ds, -ds]), np.stack([-ds, ds])])
 
-        raw = builder.RawSystem(n=2, d=1, a=(np.array([[0.0, 1.0], [1.0, 0.0]]),), b=b, b_jac=b_jac,
-                                source_range_dim=1)
+        raw = builder.RawSystem(n=2, d=1, a=(np.array([[0.0, 1.0], [1.0, 0.0]]),), b=b, b_jac=b_jac)
         sys = builder.decouple(raw, builder.DecouplingTransform(np.array([[1.0, 1.0], [1.0, -1.0]]), k=1))
         res = check_source_structure(sys, SampleSet.build(grid, 1, 1))
         assert not res.passed and set(res.witness) == {"x", "u", "v", "defect"}
@@ -304,6 +319,70 @@ class TestSourceStructure:
         assert not res.passed and res.margin == -np.inf
         assert res.witness["u"].tolist() == [1.0] and res.witness["component"] == 0
         assert res.witness["value"] == "non-finite difference quotient"
+
+    def test_witness_reproduces_the_reported_margin(self, samples):
+        # a conserved source of 5 at zero state and a cubic stiff source: the margin is the source's
+        sys = replace(_simple_system(), q=lambda x, u, z: -z - z ** 3, dtilde_I=lambda x, u, v, eps: 5.0 + 0.0 * u)
+        res = check_source_structure(sys, samples)
+        assert not res.passed and res.margin == ZERO_TOL - 5.0
+        assert set(res.witness) == {"x", "u", "value", "eps"} and res.witness["eps"] == 0.1
+        x, u = (res.witness[a].reshape(-1, 1) for a in ("x", "u"))
+        probe = sys.lower_order_I(x, u, np.zeros((1, 1)), res.witness["eps"])
+        assert ZERO_TOL - np.max(np.abs(probe)) == res.margin
+
+
+def _nan_beyond_half(values, x=None, u=None):
+    """values, (..., M), NaN on every column where x or u exceeds 1/2."""
+    bad = np.zeros(np.shape(values)[-1], dtype=bool)
+    for pts in (x, u):
+        if pts is not None:
+            bad |= pts[0] > 0.5
+    return np.where(bad, np.nan, values)
+
+
+def _with_nan_field(bundle, field):
+    """heat1d's system, symmetrizer and target with one field NaN where x > 1/2 or u > 1/2."""
+    sys, r, target = bundle.system, bundle.symmetrizer, bundle.target
+
+    def tiled(const):  # a constant block as a field of x (and xi, for a symmetrizer block)
+        return lambda x, *xi: _nan_beyond_half(np.repeat(np.asarray(const)[..., None], x.shape[1], -1), x=x)
+
+    if field in ("m11", "m12", "m21", "m22"):
+        blocks = getattr(sys, field) or (np.zeros((1, 1)),)
+        return replace(sys, **{field: (tiled(blocks[0]),)}), r, target
+    if field in ("r11", "r22"):
+        return sys, replace(r, **{field: tiled(getattr(r, field))}), target
+    if field == "diffusion":
+        return sys, r, replace(target, diffusion=tiled(target.diffusion))
+    sources = {
+        "q": lambda x, u, z: _nan_beyond_half(sys.q(x, u, z), x, u),
+        "q_nu": lambda x, u, z: _nan_beyond_half(sys.stiff_source_jacobian(x, u, z), x, u),
+        "dtilde_I": lambda x, u, v, eps: _nan_beyond_half(0.0 * u, x, u),
+        "d_II": lambda u, z: _nan_beyond_half(0.0 * z, u=u),
+    }
+    return replace(sys, **{field: sources[field]}), r, target
+
+
+class TestNonFiniteFields:
+    """A NaN in any field a system or bundle carries fails a check with a witness, and never crashes validation."""
+
+    @pytest.mark.parametrize("field, check", [
+        ("m11", "conserved_block"), ("m12", "petrowski_limit"), ("m21", "rank_condition"),
+        ("m22", "hyperbolicity"), ("q", "source_structure"), ("q_nu", "dissipativity"),
+        ("q_nu", "petrowski_limit"), ("dtilde_I", "source_structure"), ("d_II", "source_structure"),
+        ("r11", "symmetrizer"), ("r22", "symmetrizer"), ("diffusion", "strong_parabolicity"),
+    ])
+    def test_nan_fails_its_check_with_a_witness(self, grid, field, check):
+        bundle = builder.demo("heat1d", grid)
+        sys, r, target = _with_nan_field(bundle, field)
+        s = SampleSet.build(grid, 1, 1, u_box=bundle.state_box)
+        report = validate_all(sys, s, target=target, symmetrizer=r)
+        for e in report.entries:
+            assert e.passed or (e.witness and (e.margin == -np.inf or np.isfinite(e.margin))), e
+            assert not np.isnan(e.margin), e
+        res = report.entry(check)
+        assert not res.passed and res.margin == -np.inf
+        assert any(res.witness[a][0] > 0.5 for a in ("x", "u") if a in res.witness), res.witness
 
 
 class TestValidateAll:
