@@ -38,11 +38,18 @@ class BuildError(ValueError):
 
 
 def _quadratic_symbols(blocks: Array, directions: Array) -> Array:
-    """sum_j (sum_l (xi_j xi_l) blocks_jl) for blocks (d, d, k, k, M); returns (M, Mxi, k, k)."""
+    """sum_j (sum_l (xi_j xi_l) blocks_jl) for blocks (d, d, k, k, M); returns (M, Mxi, k, k).
+
+    Each sum starts from +0.0 and adds its terms in that order, as NumPy's sum over an axis does.
+    """
     dirs = np.asarray(directions, dtype=float)
-    xx = dirs[:, None] * dirs[None, :]
-    terms = xx[:, :, None, :, None, None] * np.moveaxis(blocks, -1, 2)[:, :, :, None]
-    return terms.sum(axis=1).sum(axis=0)
+    out = 0.0
+    for j in range(len(dirs)):
+        row = 0.0
+        for l in range(len(dirs)):
+            row = row + (dirs[j] * dirs[l])[:, None, None] * np.moveaxis(blocks[j, l], -1, 0)[:, None]
+        out = out + row
+    return out
 
 
 @dataclass(frozen=True)
@@ -70,12 +77,6 @@ class ReactionDiffusion:
     def second_order_symbol(self, x, xi) -> Array:
         """sum_jk A_jk(x) xi_j xi_k, a (k, k) matrix at one point."""
         return self.second_order_symbols(as_point(x), np.reshape(xi, (-1, 1)))[0, 0]
-
-    def mode_symbols(self, grid: SpatialGrid) -> Array:
-        """sum_jl A_jl kappa_j kappa_l on every Fourier mode of the grid, (*ns, k, k); A constant."""
-        kappa = grid.wavenumbers()
-        # not _quadratic_symbols: its other summation order moves the aniso2d reference by round-off
-        return np.einsum("j...,l...,jlab->...ab", kappa, kappa, np.asarray(self.diffusion, dtype=float))
 
 
 def _block_matrix(blocks: Array, count: int) -> Array:
@@ -221,23 +222,16 @@ def from_reaction_diffusion(target: ReactionDiffusion) -> RelaxationSystem:
 
         def q_nu(x, u, z):
             return -_rd_amat(target, x)
-        jac = q_nu
     else:  # blocks and q_nu stay arrays, which the solver tabulates once
         x0 = np.zeros((d, 1))
         m12 = tuple(row(x0, j)[:, :, 0] for j in range(d))
         m21 = tuple(blk.T for blk in m12)
         q_nu = -_rd_amat(target, x0)[:, :, 0]
 
-        def jac(x, u, z):
-            return np.broadcast_to(q_nu[:, :, None], (k * d, k * d, z.shape[-1]))
-
-    def q(x, u, z):
-        return np.einsum("abm,bm->am", jac(x, u, z), z)
-
     m22 = tuple(np.zeros((k * d, k * d)) for _ in range(d))
     return RelaxationSystem(
         k=k, m=k * d, d=d, m12=m12, m21=m21, m22=m22,
-        q=q, q_nu=q_nu, reaction=target.f,
+        q_nu=q_nu, reaction=target.f,
         name=target.name or "reaction-diffusion",
     )
 
@@ -273,9 +267,6 @@ def from_quasilinear(target: QuasilinearDivergence) -> RelaxationSystem:
     m21 = tuple(selector(j).T for j in range(d))
     m22 = tuple(np.zeros((k * d, k * d)) for _ in range(d))
 
-    def q(x, u, z):
-        return -solve_points(target.big_b(u), z)
-
     def q_nu(x, u, z):
         big = np.moveaxis(target.big_b(u), -1, 0)
         return -np.moveaxis(np.linalg.inv(big), 0, -1)
@@ -288,7 +279,7 @@ def from_quasilinear(target: QuasilinearDivergence) -> RelaxationSystem:
 
     return RelaxationSystem(
         k=k, m=k * d, d=d, m12=m12, m21=m21, m22=m22,
-        q=q, q_nu=q_nu, d_II=d_II, reaction=target.g,
+        q_nu=q_nu, d_II=d_II, reaction=target.g,
         name=target.name or "quasilinear",
     )
 
@@ -317,11 +308,8 @@ def from_sqrt_symbol(target: ReactionDiffusion) -> RelaxationSystem:
         raise BuildError(f"quadratic symbol is not positive definite: "
                          f"smallest eigenvalue {low[worst]:.6g} at xi={dirs[:, worst]}")
 
-    def q(x, u, z):
-        return -z
-
     return RelaxationSystem(
-        k=k, m=k, d=d, q=q, q_nu=-np.eye(k), reaction=target.f, multiplier=mult,
+        k=k, m=k, d=d, q_nu=-np.eye(k), reaction=target.f, multiplier=mult,
         name=target.name or "sqrt-multiplier",
     )
 

@@ -27,7 +27,9 @@ from .core import (
     RelaxationSystem,
     SpatialGrid,
     apply_m21_gradient,
+    parseval_weights,
     plan_times,
+    to_modes,
 )
 from .hypersolver import SolverOptions, Trajectory, squared_norms
 
@@ -83,8 +85,8 @@ def limit_residual(state: FieldState, sys: RelaxationSystem) -> float:
     """Negative-Sobolev norm of the relaxed second relation's defect.
 
     r = M21(x, d) uI - Qnu(x, uI, 0) uII - D^II(uI, 0), measured with the
-    Fourier weight 1 / (1 + |kappa|^2); derivatives are spectral, matching
-    the well-prepared data helper exactly.
+    Fourier weight 1 / (1 + |kappa|^2) over the half spectrum with its Parseval
+    weights; derivatives are spectral, matching the well-prepared data helper exactly.
     """
     grid = state.grid
     uflat = state.uI.reshape(sys.k, -1)
@@ -93,12 +95,10 @@ def limit_residual(state: FieldState, sys: RelaxationSystem) -> float:
     qnu = sys.stiff_source_jacobian(grid.flat_points(), uflat, zeros)
     r = r - np.einsum("abm,bm->am", qnu, state.uII.reshape(sys.m, -1))
     r = r - sys.lower_order_II(uflat, zeros)
-    r = r.reshape((sys.m,) + grid.ns)
-
-    kappa = grid.wavenumbers()
-    weight = 1.0 / (1.0 + np.sum(kappa ** 2, axis=0))
-    rhat = np.fft.fftn(r, axes=tuple(range(1, 1 + grid.d)))
-    total = float(np.sum(np.abs(rhat) ** 2 * weight[None]))
+    rhat = to_modes(grid, r.reshape((sys.m,) + grid.ns))
+    kappa = grid.wavenumbers()[..., :rhat.shape[-1]]  # the half spectrum's
+    weight = parseval_weights(grid) / (1.0 + np.sum(kappa ** 2, axis=0))
+    total = float(np.sum(np.abs(rhat) ** 2 * weight))
     return float(np.sqrt(total * grid.cell_volume / grid.cell_count))
 
 

@@ -16,8 +16,9 @@ import numpy as np
 
 from . import hypersolver
 from .builder import ParabolicTarget, QuasilinearDivergence, ReactionDiffusion, _block_matrix
-from .core import (Array, SpatialGrid, apply_modes, eig_factors, eig_function, field_csv, from_modes,
-                   mode_product, mode_table, mode_work, plan_times, to_modes)
+from .core import (Array, SpatialGrid, apply_modes, derivative_wavenumbers, eig_factors, eig_function, field_csv,
+                   from_modes, gradient_modes, mode_product, mode_table, mode_work, parseval_weights, plan_times,
+                   to_modes)
 
 PICARD_TOL = 1e-11
 PICARD_MAXITER = 50
@@ -112,7 +113,8 @@ class _LinearRD:
 
     def __init__(self, target: ReactionDiffusion, grid: SpatialGrid):
         self.grid, self.f, self.k = grid, target.f, target.k
-        self.vals, self.vecs, self.vecs_inv = eig_factors(-target.mode_symbols(grid))
+        kappa = grid.wavenumbers().reshape(grid.d, -1)
+        self.vals, self.vecs, self.vecs_inv = eig_factors(-target.second_order_symbols(np.zeros((grid.d, 1)), kappa)[0])
 
     def _diffusion(self, dt: float) -> Callable[[Array], Array]:
         prop = mode_table(self.grid, eig_function(self.vecs, np.exp(dt * self.vals), self.vecs_inv))
@@ -153,33 +155,22 @@ class _PicardQL:
     def __init__(self, target: ParabolicTarget, grid: SpatialGrid):
         self.grid, self.k = grid, target.k
         d, k, cells = grid.d, target.k, grid.cell_count
-        kappa = grid.wavenumbers()
-        for j, n in enumerate(grid.ns):
-            if n % 2 == 0:
-                np.moveaxis(kappa[j], j, 0)[n // 2] = 0.0
-        self.kappa = kappa.reshape(d, -1).T  # (modes, d), the modes in C order
-        eye = np.eye(k)
+        self.kappa = derivative_wavenumbers(grid)
         rd = isinstance(target, ReactionDiffusion)
         if rd:  # w -> d_i d_j w_b in rows (i, j, b), contracted with A_ij^ab
-            derivs = -np.einsum("mi,mj,bc->mijbc", self.kappa, self.kappa, eye).reshape(cells, d * d * k, k)
+            derivs = -np.einsum("mi,mj,bc->mijbc", self.kappa, self.kappa, np.eye(k)).reshape(cells, d * d * k, k)
             blocks = target.diffusion_at(grid.flat_points())
             self.diffusion, self.flux, self.g, self.div = (lambda u: blocks), None, target.f, None
-        else:  # w -> d_j w_b in rows (j, b), contracted with B_ij^ab, then the divergence
-            derivs = 1j * np.einsum("mj,bc->mjbc", self.kappa, eye).reshape(cells, d * k, k)
-            div = 1j * np.einsum("mi,ab->maib", self.kappa, eye).reshape(cells, k, d * k)
-            self.div = mode_table(grid, div)
+        else:  # w -> d_j w_b in rows (j, b), contracted with B_ij^ab, then the divergence, its transpose
+            derivs = gradient_modes(grid, k)
+            self.div = mode_table(grid, np.swapaxes(derivs, 1, 2))
             self.diffusion, self.flux, self.g = target.diffusion, target.flux, target.g
         rows = derivs.shape[1]
         self.derivs_stack = derivs
         self.derivs = mode_table(grid, derivs), mode_work(grid, rows, k)
         # Krylov vectors are half spectra times sqrt(weight / M), so that the dot product of their
-        # real views is the grid's: a mode that stands for a conjugate pair has weight 2
-        half = grid.ns[:-1] + (grid.ns[-1] // 2 + 1,)
-        weight = np.full(half, 2.0)
-        weight[..., 0] = 1.0
-        if grid.ns[-1] % 2 == 0:
-            weight[..., -1] = 1.0  # the unpaired Nyquist mode
-        self.parseval = np.sqrt(weight / cells)
+        # real views is the grid's
+        self.parseval = np.sqrt(parseval_weights(grid) / cells)
         self.basis = np.empty((KRYLOV_MAXITER + 1, 2 * k * self.parseval.size))
         _, self.product, self.term = mode_work(grid, k + rows, k)  # mode_product's scratch
         # each basis vector's preconditioned image and its derivative rows, on the grid

@@ -18,6 +18,7 @@ from relaxbench.builder import (
     scalar_diffusion_matrix,
     scalar_quasilinear,
 )
+from relaxbench.core import unit_directions
 
 from conftest import sine_mode
 
@@ -250,6 +251,24 @@ class TestQuasilinear:
         target = scalar_quasilinear(b=lambda u: u, state_box=(-1.0, 1.0))  # vanishes at 0
         with pytest.raises(BuildError, match="singular"):
             from_quasilinear(target)
+
+
+def _stacked_quadratic_symbols(blocks, directions):
+    """Every (xi_j xi_l) blocks_jl as one (d, d, M, Mxi, k, k) stack, summed over l, then j."""
+    dirs = np.asarray(directions, dtype=float)
+    xx = dirs[:, None] * dirs[None, :]
+    return (xx[:, :, None, :, None, None] * np.moveaxis(blocks, -1, 2)[:, :, :, None]).sum(axis=1).sum(axis=0)
+
+
+@pytest.mark.parametrize("d, k", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_quadratic_symbols_sum_as_the_stack_does(d, k):
+    # validation's margins and the Fourier reference's symbol depend on the summation order, bit for bit
+    rng = np.random.default_rng(10 * d + k)
+    blocks = rng.normal(size=(d, d, k, k, 5))
+    blocks[0, :, 0] = -0.0  # a sum of signed zeros included
+    directions = np.concatenate([unit_directions(d), 40.0 * rng.normal(size=(d, 9))], axis=1)
+    got = builder._quadratic_symbols(blocks, directions)
+    assert got.tobytes() == _stacked_quadratic_symbols(blocks, directions).tobytes()
 
 
 def test_diffusion_block_matrix_layout():

@@ -22,6 +22,35 @@ from relaxbench.parasolver import ReferenceError
 from conftest import assert_no_child_process
 
 
+def _dotted(node):
+    """'a.b.c' of a Name or Attribute chain, else ''."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id] + parts[::-1]) if isinstance(node, ast.Name) else ""
+
+
+FULL_SPECTRUM = {"fftn", "ifftn", "fft2", "ifft2"}
+
+
+def _fourier_uses(node, scope=""):
+    """(scope, what) of every np.fft call, numpy.fft import and full-spectrum transform name under node; scope is
+    the dotted name of the enclosing classes and functions."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        scope = f"{scope}.{node.name}" if scope else node.name
+    if isinstance(node, ast.Call) and _dotted(node.func).startswith(("np.fft.", "numpy.fft.")):
+        yield scope, _dotted(node.func)
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        modules = [a.name for a in node.names] + ([node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+        yield from ((scope, f"import {m}") for m in modules if m.startswith("numpy.fft"))
+    for name in (getattr(node, "attr", None), getattr(node, "id", None)):
+        if name in FULL_SPECTRUM:
+            yield scope, name
+    for child in ast.iter_child_nodes(node):
+        yield from _fourier_uses(child, scope)
+
+
 def write_cfg(tmp_path, body, name="exp.cfg"):
     path = tmp_path / name
     path.write_text(body)
@@ -196,13 +225,14 @@ class TestRunCommand:
         assert sorted(p.name for p in out.glob("snapshot_*.csv")) == ["snapshot_000.csv"]
 
     def test_carleman_leaving_positive_states_is_run_error(self, tmp_path, capsys):
-        # starts at min 0.01, outside the state box; the first step (dt = 3.515625e-4) takes cell 45 to -0.0244
+        # starts at min 0.01, outside the state box; the first step (dt = 3.515625e-4) takes cell 50 to -0.0244
+        # (and its mirror cell 45 to within 6e-15 of that)
         cfg = write_cfg(tmp_path, CARLEMAN_CFG.replace("epsilon = 0.1", "epsilon = 0.05").replace(
             "T = 0.01", "T = 0.05") + "u0_amplitude = 0.99\n[solver]\nflux = spectral\n")
         out = tmp_path / "o"
         assert cli.main(["run", cfg, "--out", str(out), "--allow-invalid"]) == 1
         assert "error: uI left the positive states of carleman at eps=0.05, t=0.0003515625: " \
-            "uI=-0.0243845 at cell 45 (x=0.7109375)\n" in capsys.readouterr().err
+            "uI=-0.0243845 at cell 50 (x=0.7890625)\n" in capsys.readouterr().err
         assert not (out / "steps.csv").exists()
 
     @pytest.mark.parametrize("data, witness", [
@@ -363,6 +393,15 @@ class TestImportCost:
                          else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
                 banned = ("scipy", "concurrent", "multiprocessing")
                 assert not [n for n in names if n.split(".")[0] in banned], f"{path.name} imports {names}"
+
+    def test_fourier_transforms_are_the_half_spectrum_primitives(self):
+        # one spectral convention: to_modes and from_modes transform, SpatialGrid.wavenumbers reads the
+        # frequencies, and nothing takes a full-spectrum transform
+        allowed = {("core.py", "to_modes"), ("core.py", "from_modes"), ("core.py", "SpatialGrid.wavenumbers")}
+        uses = [(path.name, scope, what) for path in sorted((ROOT / "src" / "relaxbench").glob("*.py"))
+                for scope, what in _fourier_uses(ast.parse(path.read_text()))]
+        assert {("core.py", "to_modes"), ("core.py", "from_modes")} <= {use[:2] for use in uses}
+        assert [use for use in uses if use[:2] not in allowed or use[2].split(".")[-1] in FULL_SPECTRUM] == []
 
 
 def test_every_all_names_existing_attributes_once():
@@ -561,8 +600,9 @@ class TestPreflight:
         "epsilons = 0.2, 0.1, 0.05\nu0_amplitude = 0.6\nreference = true\n[solver]\nflux = spectral\n")
     # sha256 of the convergence.csv that `converge` wrote for this config before it checked the box, re-pinned
     # when the Picard reference became Fourier collocation (errI moved by at most 2.5e-3 relative, the
-    # 3-point reference's space error at n = 64)
-    OUTSIDE_CONVERGENCE_SHA256 = "dc8747e615519e189d5c6c885b56be387397e35ce567e851f41fa592a3a54163"
+    # 3-point reference's space error at n = 64), and when spectral derivatives became a half-spectrum mode table
+    # (every value moved by at most 2.1e-14 relative)
+    OUTSIDE_CONVERGENCE_SHA256 = "803e2e05df1ba1c8a170dba6c92142bb6259f0f1ae7903f649cf49f639c8b0d6"
 
     def test_one_report_for_every_command(self, tmp_path):
         cfg = write_cfg(tmp_path, CARLEMAN_CFG + "epsilons = 0.2, 0.1, 0.05\n[solver]\nflux = spectral\n")

@@ -16,9 +16,11 @@ from relaxbench.core import (
     eig_function,
     equilibrium_uII,
     mode_table,
+    parseval_weights,
     principal_symbols,
     solve_points,
     spectral_gradient,
+    to_modes,
     transport_blocks,
     unit_directions,
 )
@@ -27,6 +29,24 @@ from relaxbench.hypersolver import SolverOptions, _Workspace
 from conftest import four_block_2d
 
 TWO_PI = 2.0 * np.pi
+
+
+def fft_gradient(grid, fields):
+    """The full-spectrum spectral derivative (c, *ns) -> (d, c, *ns): fftn, i kappa_j with an even axis's
+    unpaired Nyquist mode dropped, ifftn and the real part.  An oracle for spectral_gradient."""
+    fields = np.asarray(fields, dtype=float)
+    kappa = grid.wavenumbers()
+    spax = tuple(range(1, 1 + grid.d))
+    fhat = np.fft.fftn(fields, axes=spax)
+    out = np.empty((grid.d,) + fields.shape)
+    for j in range(grid.d):
+        mask = np.ones(grid.ns[j])
+        if grid.ns[j] % 2 == 0:
+            mask[grid.ns[j] // 2] = 0.0
+        shape = [1] * grid.d
+        shape[j] = grid.ns[j]
+        out[j] = np.fft.ifftn(fhat * (1j * kappa[j]) * mask.reshape(shape), axes=spax).real
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +93,21 @@ class TestGrid:
         f = np.sin(TWO_PI * x)[None]
         df = spectral_gradient(grid64, f)
         assert np.allclose(df[0, 0], TWO_PI * np.cos(TWO_PI * x), atol=1e-10)
+
+    @pytest.mark.parametrize("ns", [(16,), (15,), (256,), (8, 6), (7, 9), (8, 7), (9, 8), (128, 128)])
+    def test_spectral_gradient_matches_full_fft(self, ns):
+        grid = SpatialGrid(ns, (1.0, 2.0)[:len(ns)])
+        fields = np.random.default_rng(sum(ns)).normal(size=(2,) + ns)
+        want = fft_gradient(grid, fields)
+        got = spectral_gradient(grid, fields)
+        assert got.shape == want.shape and np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("ns", [(16,), (15,), (8, 6), (7, 9), (8, 7)])
+    def test_parseval_weights(self, ns):
+        grid = SpatialGrid(ns, (1.0,) * len(ns))
+        fields = np.random.default_rng(len(ns)).normal(size=(3,) + ns)
+        weighted = np.sum(parseval_weights(grid) * np.abs(to_modes(grid, fields)) ** 2)
+        assert weighted == pytest.approx(grid.cell_count * np.sum(fields ** 2), rel=1e-13)
 
 
 class TestPrincipalSymbol:
@@ -185,6 +220,17 @@ class TestRelaxationSystem:
         sys = builder.demo(name, grid64).system
         with pytest.raises(ValueError, match=message):
             replace(sys, **{field: value})
+
+    def test_stiff_source_defaults_to_q_nu_at_zero_times_z(self, grid64):
+        # quasilinear-bu2 states none: its source is -B(u)^-1 z from q_nu, and follows a replaced q_nu
+        sys = builder.demo("quasilinear-bu2", grid64).system
+        assert sys.q is None
+        x, u, z = np.zeros((1, 3)), np.array([[-0.5, 0.0, 0.9]]), np.array([[1.0, -2.0, 0.5]])
+        assert np.allclose(sys.stiff_source(x, u, z), -z / (1.0 + u ** 2), rtol=1e-15, atol=0.0)
+        doubled = replace(sys, q_nu=lambda x, u, z: -2.0 * np.ones((1, 1, z.shape[-1])))
+        assert np.array_equal(doubled.stiff_source(x, u, z), -2.0 * z)
+        with pytest.raises(ValueError, match="systems must carry q_nu"):
+            replace(sys, q_nu=None)
 
 
 class TestStiffJacobian:

@@ -23,8 +23,17 @@ from relaxbench.diagnostics import (
 from relaxbench.hypersolver import SolverOptions
 
 from conftest import assert_no_child_process, sine_mode
+from test_core import fft_gradient
 
 TWO_PI = 2.0 * np.pi
+
+
+def fft_hminus1_norm(grid, r):
+    """The H^-1 norm of fields r (m, *ns) over the full spectrum: the sum of |fftn r|^2 / (1 + |kappa|^2) over
+    every mode, times cell_volume / cell_count, square-rooted.  An oracle for limit_residual."""
+    weight = 1.0 / (1.0 + np.sum(grid.wavenumbers() ** 2, axis=0))
+    rhat = np.fft.fftn(r, axes=tuple(range(1, 1 + grid.d)))
+    return float(np.sqrt(np.sum(np.abs(rhat) ** 2 * weight) * grid.cell_volume / grid.cell_count))
 
 
 class TestEnergy:
@@ -96,6 +105,16 @@ class TestLimitResidual:
         sys = builder.demo("heat1d", grid64).system
         s = rb.FieldState(grid64, np.zeros((1, 64)), np.zeros((1, 64)), 0.0, 0.1)
         assert limit_residual(s, sys) == 0.0
+
+    @pytest.mark.parametrize("ns", [(16,), (15,), (256,), (8, 6), (7, 9), (9, 8), (128, 128)])
+    def test_matches_the_full_spectrum_norm(self, ns):
+        # heat's relation is uII = grad uI, so the defect is the gradient's rows plus uII
+        grid = rb.SpatialGrid(ns, (1.0, 2.0)[:len(ns)])
+        sys = builder.demo("heat1d" if len(ns) == 1 else "heat2d", grid).system
+        rng = np.random.default_rng(sum(ns))
+        uI, uII = rng.normal(size=(1,) + ns), rng.normal(size=(len(ns),) + ns)
+        want = fft_hminus1_norm(grid, fft_gradient(grid, uI)[:, 0] + uII)
+        assert limit_residual(rb.FieldState(grid, uI, uII, 0.0, 0.1), sys) == pytest.approx(want, rel=1e-13)
 
     def test_well_prepared_state_is_on_manifold(self, grid128):
         for name in ("heat1d", "carleman", "quasilinear-bu2", "sqrt-heat"):

@@ -41,8 +41,14 @@ per-cell path, did not move.  `four-block-2d`'s two run files and the two
 `null-limit rusanov` hash lines were rewritten when per-cell transport tables
 took the same kept neighbour-weights product as constant blocks, in place of
 the difference-first loop: every value moved by at most 2.9e-15 of its
-column's largest, and every other file and line is unchanged.  `golden_texts`
-writes every `run_*` file.
+column's largest, and every other file and line is unchanged.  Every `run_*`
+file but sqrt-heat's and every hash line but sqrt-heat's two were rewritten in
+one declared step when spectral derivatives became a half-spectrum mode table
+(the well-prepared start moved) and the Fourier reference's symbol began to be
+summed as the validator's quadratic symbols are (aniso2d's reference moved):
+`scripts/pin_drift.py` against the parent tree put every value within 5.3e-14
+of its column's largest, and every `report.csv` and every other reference kept
+its bytes.  `golden_texts` writes every `run_*` file.
 """
 
 import os

@@ -7,7 +7,7 @@ import pytest
 import relaxbench as rb
 from relaxbench import builder, cli, validator
 from relaxbench.builder import ReactionDiffusion, isotropic_diffusion, scalar_diffusion_matrix
-from relaxbench.core import CheckResult, unit_directions
+from relaxbench.core import CheckResult, SpectralMultiplier, unit_directions
 from relaxbench.validator import (
     EIG_RTOL,
     NULL_LIMIT_NOTE,
@@ -355,7 +355,7 @@ def _with_nan_field(bundle, field):
     if field == "diffusion":
         return sys, r, replace(target, diffusion=tiled(target.diffusion))
     sources = {
-        "q": lambda x, u, z: _nan_beyond_half(sys.q(x, u, z), x, u),
+        "q": lambda x, u, z: _nan_beyond_half(sys.stiff_source(x, u, z), x, u),
         "q_nu": lambda x, u, z: _nan_beyond_half(sys.stiff_source_jacobian(x, u, z), x, u),
         "dtilde_I": lambda x, u, v, eps: _nan_beyond_half(0.0 * u, x, u),
         "d_II": lambda u, z: _nan_beyond_half(0.0 * z, u=u),
@@ -383,6 +383,20 @@ class TestNonFiniteFields:
         res = report.entry(check)
         assert not res.passed and res.margin == -np.inf
         assert any(res.witness[a][0] > 0.5 for a in ("x", "u") if a in res.witness), res.witness
+
+    def test_nan_multiplier_symbol_fails_hyperbolicity_with_a_witness(self, grid):
+        # B is NaN where its quadratic symbol S is not finite, so the checks that read B fail with a witness
+        bundle = builder.demo("sqrt-heat", grid)
+        symbol = bundle.system.multiplier.symbol
+        nan_symbol = SpectralMultiplier(lambda xi: np.where(xi[0, :, None, None] > 0, np.nan, symbol(xi)))
+        sys = replace(bundle.system, multiplier=nan_symbol)
+        s = SampleSet.build(grid, 1, 1, u_box=bundle.state_box)
+        report = validate_all(sys, s, target=bundle.target, symmetrizer=bundle.symmetrizer)
+        for e in report.entries:
+            assert e.passed or (e.witness and (e.margin == -np.inf or np.isfinite(e.margin))), e
+        res = report.entry("hyperbolicity")
+        assert not res.passed and res.margin == -np.inf
+        assert set(res.witness) == {"x", "xi", "eigenvalue"} and res.witness["xi"][0] > 0
 
 
 class TestValidateAll:
